@@ -15,7 +15,9 @@ import statistics
 import sys
 from pathlib import Path
 
-from .angles import PoseAngles, mae, rotation_to_euler
+import numpy as np
+
+from .angles import _mae_from_arrays, mae, rotation_to_euler
 from .binning import make_hierarchy
 from .data import (
     AnnotationRecord,
@@ -46,10 +48,22 @@ DEFAULT_WEIGHT_GRID = (
 
 
 def _write_atomic(path, text: str) -> None:
+    """Write ``text`` to a sibling temp file, then rename it over ``path``.
+
+    The temp name is random and created exclusively, so concurrent runs never
+    share one; it is removed if writing or renaming fails.  Mode 0o666 lets
+    the umask set the permissions, as a plain open would.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -242,6 +256,13 @@ def _match_by_id(pred_records, truth_records):
     return [p for p, _ in pairs], [t for _, t in pairs]
 
 
+def _dataset_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
+    """(n, d) features and (n, 3) truths; the sample objects can then be freed."""
+    x = np.stack([s.features for s in samples])
+    truth = np.array([[s.truth.yaw, s.truth.pitch, s.truth.roll] for s in samples])
+    return x, truth
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     opt = _Options(args)
     pred_path = opt.get("pred", str)
@@ -256,15 +277,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report = mae(pred_poses, truth_poses)
     elif ckpt_path and data_path:
         net = load_checkpoint(ckpt_path)
-        samples = load_dataset(data_path)
-        convention = opt.get("decode_convention", str, "center")
-        pred_poses = [net.predict(s.features, convention=convention) for s in samples]
-        truth_poses = [s.truth for s in samples]
-        report = mae(pred_poses, truth_poses)
+        x, truth = _dataset_arrays(load_dataset(data_path))
+        pred = net.predict_batch(x, opt.get("decode_convention", str, "center"))
+        # The same arithmetic as train's per-epoch validation MAE.
+        report = _mae_from_arrays(pred, truth)
         pred_out = opt.get("pred_out", str)
         if pred_out:
-            ids = [str(i) for i in range(len(samples))]
-            _write_atomic(pred_out, format_predictions_csv(ids, pred_poses, truth_poses))
+            ids = [str(i) for i in range(len(pred))]
+            _write_atomic(pred_out, format_predictions_csv(ids, pred, truth))
     else:
         raise ValueError("provide either --pred and --truth, or --checkpoint and --data")
 

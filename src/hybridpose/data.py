@@ -150,15 +150,19 @@ def format_annotation_csv(records) -> str:
 
 
 def format_predictions_csv(ids, predictions, truths) -> str:
-    """Render paired predictions and truths, one row per sample."""
-    if not (len(ids) == len(predictions) == len(truths)):
-        raise ValueError("ids, predictions and truths must have equal length")
-    lines = [PREDICTIONS_HEADER]
-    for sample_id, pred, truth in zip(ids, predictions, truths):
-        lines.append(
-            f"{sample_id},{pred.yaw!r},{pred.pitch!r},{pred.roll!r},"
-            f"{truth.yaw!r},{truth.pitch!r},{truth.roll!r}"
+    """Render (n, 3) yaw/pitch/roll arrays of predictions and truths, one row per id."""
+    pred = np.asarray(predictions, dtype=float)
+    truth = np.asarray(truths, dtype=float)
+    if pred.ndim != 2 or pred.shape[1] != 3 or truth.shape != pred.shape:
+        raise ValueError(
+            f"predictions and truths must be (n, 3) arrays of equal length, "
+            f"got shapes {pred.shape} and {truth.shape}"
         )
+    if len(ids) != pred.shape[0]:
+        raise ValueError(f"{len(ids)} ids for {pred.shape[0]} predictions: lengths differ")
+    lines = [PREDICTIONS_HEADER]
+    for sample_id, p, t in zip(ids, pred.tolist(), truth.tolist()):
+        lines.append(f"{sample_id}," + ",".join(map(repr, p + t)))
     return "\n".join(lines) + "\n"
 
 

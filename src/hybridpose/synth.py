@@ -232,8 +232,10 @@ def load_dataset(path) -> list[SynthSample]:
                 values = [float(p) for p in parts]
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
-            features = np.array(values[:-3])
-            samples.append(SynthSample(features, PoseAngles(*values[-3:])))
+            try:
+                samples.append(SynthSample(np.array(values[:-3]), PoseAngles(*values[-3:])))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     if not samples:
         raise ValueError(f"{path}: dataset file is empty")
     return samples

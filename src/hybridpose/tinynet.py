@@ -48,7 +48,11 @@ N_ANGLES = 3
 CHECKPOINT_FORMAT = "hybridpose-checkpoint"
 CHECKPOINT_VERSION = 1
 
-ANGLE_RANGE_LIMIT = 99.0
+# predict_batch decodes rows in blocks of this many.  BLAS results can depend
+# on the matrix shape, so one fixed split makes every caller decode a row to
+# the same bits: training's validation pass (500 rows by default, one block)
+# and eval agree exactly.  It also bounds the working memory of a large eval.
+PREDICT_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,11 @@ class TinyNet:
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def _forward_batch(self, x: np.ndarray):
+    def _forward_batch(self, x: np.ndarray, depth: int | None = None):
+        """Trunk pre-activations, activations and head logits for a batch.
+
+        ``depth`` limits the heads to that many levels per angle, finest first.
+        """
         pre_acts = []
         acts = [x]
         a = x
@@ -151,14 +159,15 @@ class TinyNet:
             pre_acts.append(z)
             acts.append(a)
         logits = [
-            [a @ w + b for w, b in zip(per_angle_w, per_angle_b)]
+            [a @ w + b for w, b in zip(per_angle_w[:depth], per_angle_b[:depth])]
             for per_angle_w, per_angle_b in zip(self.head_weights, self.head_biases)
         ]
         return pre_acts, acts, logits
 
-    def _check_features(self, features) -> np.ndarray:
+    def _check_features(self, features, ndim: int = 1) -> np.ndarray:
+        """One feature vector (ndim 1) or an (n, input_dim) array of them (ndim 2)."""
         f = np.asarray(features, dtype=float)
-        if f.ndim != 1 or f.shape[0] != self.config.input_dim:
+        if f.ndim != ndim or f.shape[-1] != self.config.input_dim:
             raise ValueError(
                 f"expected feature vector of length {self.config.input_dim}, got shape {f.shape}"
             )
@@ -184,16 +193,30 @@ class TinyNet:
             )
         )
 
-    def predict_batch(self, x: np.ndarray, convention: str = "center") -> np.ndarray:
-        """Decoded (n, 3) angle array for an (n, input_dim) feature array."""
-        _, _, logits = self._forward_batch(x)
+    def predict_batch(self, x, convention: str = "center") -> np.ndarray:
+        """Decoded (n, 3) angle array for an (n, input_dim) feature array.
+
+        Runs the trunk and the finest heads only, in blocks of
+        PREDICT_BLOCK_ROWS rows; the coarse heads do not affect the decode.
+        """
+        x = self._check_features(x, ndim=2)
         positions = decode_positions(self.config.hierarchy.finest, convention)
+        out = np.empty((x.shape[0], N_ANGLES))
+        for lo in range(0, x.shape[0], PREDICT_BLOCK_ROWS):
+            hi = lo + PREDICT_BLOCK_ROWS
+            out[lo:hi] = self._decode_block(x[lo:hi], positions)
+        return out
+
+    def _decode_block(self, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        # A separate frame, so one block's arrays are freed before the next
+        # block's are made; the softmax runs in place on the logits.
+        _, _, logits = self._forward_batch(x, depth=1)
         cols = []
-        for angle_logits in logits:
-            s = angle_logits[0]
-            e = np.exp(s - s.max(axis=1, keepdims=True))
-            p = e / e.sum(axis=1, keepdims=True)
-            cols.append(p @ positions)
+        for (s,) in logits:
+            s -= s.max(axis=1, keepdims=True)
+            np.exp(s, out=s)
+            s /= s.sum(axis=1, keepdims=True)
+            cols.append(s @ positions)
         return np.stack(cols, axis=1)
 
 
@@ -300,11 +323,13 @@ def _encode_batch(angles: np.ndarray, scheme) -> np.ndarray:
     return np.minimum(idx, scheme.n_bins - 1)
 
 
-def _check_angle_range(targets: np.ndarray) -> None:
-    if targets.size and (np.abs(targets) > ANGLE_RANGE_LIMIT).any():
-        worst = float(np.abs(targets).max())
+def _check_angle_range(targets: np.ndarray, hierarchy: BinHierarchy) -> None:
+    # _encode_batch would wrap a label below the range to the top bins.
+    lo, hi = hierarchy.finest.min_angle, hierarchy.finest.max_angle
+    outside = (targets < lo) | (targets > hi)
+    if outside.any():
         raise ValueError(
-            f"target angle {worst} outside [{-ANGLE_RANGE_LIMIT}, {ANGLE_RANGE_LIMIT}]"
+            f"target angle {float(targets[outside][0])} outside bin range [{lo}, {hi}]"
         )
 
 
@@ -389,8 +414,11 @@ def _batch_loss_and_grads(
     return stats, grads
 
 
-def _batch_arrays(batch: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Accept (features, PoseAngles) pairs or SynthSample-like objects."""
+def _batch_arrays(batch: Sequence, hierarchy: BinHierarchy) -> tuple[np.ndarray, np.ndarray]:
+    """Accept (features, PoseAngles) pairs or SynthSample-like objects.
+
+    Targets must lie in the hierarchy's bin range.
+    """
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
     feats, poses = [], []
@@ -405,7 +433,7 @@ def _batch_arrays(batch: Sequence) -> tuple[np.ndarray, np.ndarray]:
     targets = np.array(poses, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("features contain non-finite values")
-    _check_angle_range(targets)
+    _check_angle_range(targets, hierarchy)
     return x, targets
 
 
@@ -424,7 +452,7 @@ def train_step(
     convention: str = "center",
 ) -> LossStats:
     """One Adam update on a batch; returns the pre-update loss means."""
-    x, targets = _batch_arrays(batch)
+    x, targets = _batch_arrays(batch, net.config.hierarchy)
     if x.shape[1] != net.config.input_dim:
         raise ValueError(
             f"batch features have dim {x.shape[1]}, net expects {net.config.input_dim}"
@@ -460,8 +488,8 @@ def train(
         raise ValueError(f"epochs must be nonnegative, got {epochs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
-    x_train, t_train = _batch_arrays(train_samples)
-    x_val, t_val = _batch_arrays(val_samples)
+    x_train, t_train = _batch_arrays(train_samples, config.hierarchy)
+    x_val, t_val = _batch_arrays(val_samples, config.hierarchy)
     for arr in (x_train, x_val):
         if arr.shape[1] != config.input_dim:
             raise ValueError(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hybridpose.angles import PoseAngles, euler_to_rotation
-from hybridpose.cli import DEFAULT_WEIGHT_GRID, main
+from hybridpose.cli import DEFAULT_WEIGHT_GRID, _write_atomic, main
 from hybridpose.data import PREDICTIONS_HEADER, format_biwi_pose
 from hybridpose.tinynet import NetConfig, checkpoint_text, init_net
 
@@ -180,6 +180,52 @@ def test_eval_checkpoint_mode(tmp_path, capsys):
     lines = pred_out.read_text().splitlines()
     assert lines[0] == PREDICTIONS_HEADER
     assert len(lines) == 7
+
+
+def test_eval_mae_equals_train_final_val_mae(tmp_path, capsys):
+    train, val = make_split(tmp_path, capsys, n=300)
+    ckpt = tmp_path / "net.json"
+    report = tmp_path / "report.csv"
+    rc, _, err = run(
+        capsys, "train", "--train", str(train), "--val", str(val), "--epochs", "2",
+        "--checkpoint-out", str(ckpt), "--report-out", str(report),
+    )
+    assert rc == 0, err
+    metrics = tmp_path / "metrics.csv"
+    rc, _, err = run(
+        capsys, "eval", "--checkpoint", str(ckpt), "--data", str(val), "--out", str(metrics),
+    )
+    assert rc == 0, err
+    header, *rows = report.read_text().splitlines()
+    train_mae = dict(zip(header.split(","), rows[-1].split(",")))["val_mean_mae"]
+    header, row = metrics.read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["mean_mae"] == train_mae
+
+
+def test_eval_rejects_feature_length_mismatch(tmp_path, capsys):
+    rc, _, err, ckpt, _ = train_tiny(tmp_path, capsys)
+    assert rc == 0, err
+    short = tmp_path / "short.csv"
+    short.write_text("".join(
+        ",".join(line.split(",")[2:]) + "\n"
+        for line in (tmp_path / "val.csv").read_text().splitlines()
+    ))
+    rc, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(short))
+    assert rc == 1
+    assert "expected feature vector of length 24, got shape (6, 22)" in err
+
+
+def test_write_atomic_failure_leaves_no_files(tmp_path):
+    target = tmp_path / "out.csv"
+    unencodable = "a\ud800\n"
+    with pytest.raises(UnicodeEncodeError):
+        _write_atomic(target, unencodable)
+    assert list(tmp_path.iterdir()) == []
+    _write_atomic(target, "kept\n")
+    with pytest.raises(UnicodeEncodeError):
+        _write_atomic(target, unencodable)
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "kept\n"
 
 
 def test_eval_requires_one_mode(capsys):

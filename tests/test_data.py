@@ -116,12 +116,15 @@ def test_filter_range_is_inclusive():
 def test_predictions_csv_layout():
     text = format_predictions_csv(
         ["s1", "s2"],
-        [PoseAngles(1.0, 2.0, 3.0), PoseAngles(-1.0, 0.5, 0.0)],
-        [PoseAngles(1.1, 2.2, 3.3), PoseAngles(-0.9, 0.4, 0.1)],
+        np.array([[1.0, 2.0, 3.0], [-1.0, 0.5, 0.0]]),
+        np.array([[1.1, 2.2, 3.3], [-0.9, 0.4, 0.1]]),
     )
     lines = text.splitlines()
     assert lines[0] == PREDICTIONS_HEADER
-    assert len(lines) == 3
-    assert lines[1].startswith("s1,1")
+    assert lines[1:] == ["s1,1.0,2.0,3.0,1.1,2.2,3.3", "s2,-1.0,0.5,0.0,-0.9,0.4,0.1"]
     with pytest.raises(ValueError, match="length"):
-        format_predictions_csv(["s1"], [PoseAngles(0, 0, 0)], [])
+        format_predictions_csv(["s1"], np.zeros((1, 3)), np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="length"):
+        format_predictions_csv(["s1", "s2"], np.zeros((1, 3)), np.zeros((1, 3)))
+    with pytest.raises(ValueError, match=r"\(n, 3\)"):
+        format_predictions_csv(["s1"], np.zeros((1, 2)), np.zeros((1, 2)))

@@ -172,6 +172,12 @@ def test_load_dataset_errors(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
         load_dataset(path)
+    path.write_text("1.0,2.0,0.5,1.0,2.0,3.0\n1.0,nan,0.5,1.0,2.0,3.0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: line 2: features contain non-finite"):
+        load_dataset(path)
+    path.write_text("\n1.0,2.0,0.5,1.0,2.0,inf\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: line 2: roll must be finite, got inf"):
+        load_dataset(path)
 
 
 def test_synth_sample_validation():

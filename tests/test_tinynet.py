@@ -10,6 +10,7 @@ from hybridpose.synth import SynthConfig, make_dataset
 from hybridpose.tinynet import (
     AdamState,
     NetConfig,
+    PREDICT_BLOCK_ROWS,
     TinyNet,
     adam_update,
     checkpoint_text,
@@ -115,6 +116,40 @@ def test_forward_rejects_bad_features():
         net.forward(np.zeros(5))
     with pytest.raises(ValueError, match="finite"):
         net.forward(np.full(24, np.nan))
+    with pytest.raises(ValueError, match="length 24"):
+        net.predict_batch(np.zeros((3, 22)))
+    with pytest.raises(ValueError, match="length 24"):
+        net.predict_batch(np.zeros(24))
+    x = np.zeros((3, 24))
+    x[1, 5] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        net.predict_batch(x)
+
+
+def block_rows():
+    """A net with peaked heads and 1,300 rows: two full 512-row blocks and a partial one."""
+    net = init_net(NetConfig(input_dim=24, seed=3))
+    for per_angle in net.head_weights:
+        per_angle[0] *= 4.0
+    x = np.random.default_rng(8).normal(size=(1300, 24))
+    return net, x
+
+
+def test_predict_batch_is_row_blocked():
+    net, x = block_rows()
+    assert PREDICT_BLOCK_ROWS == 512
+    whole = net.predict_batch(x)
+    parts = [net.predict_batch(x[lo : lo + 512]) for lo in (0, 512, 1024)]
+    assert whole.shape == (1300, 3)
+    assert (whole == np.concatenate(parts)).all()
+
+
+def test_predict_batch_agrees_with_per_row_predict():
+    net, x = block_rows()
+    batch = net.predict_batch(x, convention="edge")
+    assert np.ptp(batch, axis=0).min() > 1.0
+    for i in range(x.shape[0]):
+        assert np.abs(batch[i] - net.predict(x[i], convention="edge").as_array()).max() < 1e-9
 
 
 def test_batch_gradients_match_finite_differences():
@@ -291,6 +326,15 @@ def test_train_validation_errors():
     outlier = [(np.zeros(24), PoseAngles(120.0, 0.0, 0.0))]
     with pytest.raises(ValueError, match="outside"):
         train(config, outlier, val_samples, DEFAULT_WEIGHTS, epochs=1)
+    # Below a narrower hierarchy's range, a label would wrap to the top bins.
+    narrow = NetConfig(input_dim=24, hidden_dims=(16,),
+                       hierarchy=make_hierarchy((20, 10, 2), -50.0, 50.0))
+    weights = LossWeights(alpha=2.0, betas=(3.0, 1.0, 1.0))
+    below = [(np.zeros(24), PoseAngles(-60.0, 0.0, 0.0))]
+    with pytest.raises(ValueError, match=r"-60.0 outside bin range \[-50.0, 50.0\]"):
+        train(narrow, below, below, weights, epochs=1)
+    with pytest.raises(ValueError, match="outside bin range"):
+        train(narrow, train_samples, val_samples, weights, epochs=1)
 
 
 def test_checkpoint_roundtrip_is_exact(tmp_path):
