@@ -103,9 +103,33 @@ class TinyNet:
         self.head_biases = [
             [np.asarray(b, dtype=float) for b in per_angle] for per_angle in head_biases
         ]
-        self._validate()
+        self._validate_shapes()
+        self._flatten()
+        if not np.isfinite(self.flat).all():
+            raise ValueError("parameters contain non-finite values")
 
-    def _validate(self) -> None:
+    def _flatten(self) -> None:
+        """Copy the parameters into one buffer, ``flat``, in parameters() order.
+
+        Every trunk and head array is then rebound to a reshaped view of that
+        buffer, so Adam and the finiteness guard each run as one pass over it.
+        """
+        params = self.parameters()
+        self.flat = np.empty(sum(p.size for p in params))
+        views, offset = [], 0
+        for p in params:
+            view = self.flat[offset : offset + p.size].reshape(p.shape)
+            view[...] = p
+            views.append(view)
+            offset += p.size
+        n = 2 * len(self.trunk_weights)
+        self.trunk_weights, self.trunk_biases = views[0:n:2], views[1:n:2]
+        per_angle = 2 * self.config.hierarchy.depth
+        heads = [views[n + a * per_angle : n + (a + 1) * per_angle] for a in range(N_ANGLES)]
+        self.head_weights = [h[0::2] for h in heads]
+        self.head_biases = [h[1::2] for h in heads]
+
+    def _validate_shapes(self) -> None:
         cfg = self.config
         dims = (cfg.input_dim, *cfg.hidden_dims)
         if len(self.trunk_weights) != len(dims) - 1 or len(self.trunk_biases) != len(dims) - 1:
@@ -125,9 +149,6 @@ class TinyNet:
                         f"head for {scheme.n_bins} bins has shape {w.shape}, "
                         f"expected {(hidden, scheme.n_bins)}"
                     )
-        for p in self.parameters():
-            if not np.isfinite(p).all():
-                raise ValueError("parameters contain non-finite values")
 
     def parameters(self) -> list[np.ndarray]:
         """All parameter arrays in a fixed order (trunk, then heads by angle)."""
@@ -143,7 +164,7 @@ class TinyNet:
 
     @property
     def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return self.flat.size
 
     def _forward_batch(self, x: np.ndarray, depth: int | None = None):
         """Trunk pre-activations, activations and head logits for a batch.
@@ -242,7 +263,11 @@ def init_net(config: NetConfig) -> TinyNet:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, aligned with TinyNet.parameters()."""
+    """First/second moment accumulators, one per parameter array updated.
+
+    ``for_net`` makes one ``m`` and one ``v`` of ``net.flat``'s size, so a
+    training step updates the whole net as the single array ``net.flat``.
+    """
 
     learning_rate: float
     beta1: float = 0.9
@@ -251,6 +276,11 @@ class AdamState:
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
+    # Two work arrays per moment array, kept across steps: allocating them
+    # anew each step costs about as much as the arithmetic.
+    _scratch: list[tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.learning_rate) or self.learning_rate < 0.0:
@@ -264,29 +294,51 @@ class AdamState:
 
     @classmethod
     def for_net(cls, net: TinyNet, learning_rate: float = 1e-3, **kwargs) -> "AdamState":
-        params = net.parameters()
         return cls(
             learning_rate=learning_rate,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
+            m=[np.zeros_like(net.flat)],
+            v=[np.zeros_like(net.flat)],
             **kwargs,
         )
 
 
 def adam_update(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
-    """One bias-corrected Adam step, applied to the parameter arrays in place."""
+    """One bias-corrected Adam step, applied to the parameter arrays in place.
+
+    Each array gets ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``, computed as
+    in-place passes over two scratch arrays kept in ``state``.  The passes
+    perform the same IEEE operations in the same order as that expression, so
+    the result is bit-identical to it, without a temporary per operation.
+    """
     if len(params) != len(state.m) or len(params) != len(grads):
         raise ValueError("parameter, gradient and moment lists must align")
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        if not p.shape == g.shape == m.shape == v.shape:
+            raise ValueError(
+                f"parameter, gradient and moment shapes must align, got "
+                f"{p.shape}, {g.shape}, {m.shape}, {v.shape}"
+            )
+    if [s1.shape for s1, _ in state._scratch] != [m.shape for m in state.m]:
+        state._scratch = [(np.empty_like(m), np.empty_like(m)) for m in state.m]
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     correction1 = 1.0 - b1 ** state.step
     correction2 = 1.0 - b2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, (s1, s2) in zip(params, grads, state.m, state.v, state._scratch):
+        np.multiply(g, 1.0 - b1, out=s1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += s1
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - b2
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= state.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + state.epsilon)
+        v += s1
+        np.divide(m, correction1, out=s1)
+        s1 *= state.learning_rate
+        np.divide(v, correction2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += state.epsilon
+        s1 /= s2
+        p -= s1
 
 
 @dataclass(frozen=True)
@@ -437,10 +489,41 @@ def _batch_arrays(batch: Sequence, hierarchy: BinHierarchy) -> tuple[np.ndarray,
     return x, targets
 
 
-def _assert_finite_params(net: TinyNet, step: int) -> None:
-    for p in net.parameters():
-        if not np.isfinite(p).all():
-            raise FloatingPointError(f"parameters became non-finite at update {step}")
+def _assert_finite_params(net: TinyNet, optimizer: AdamState, loss: float) -> None:
+    """Raise FloatingPointError if the step's loss, parameters or moments are not finite.
+
+    ``m`` is a convex combination of gradients and cannot overflow on its
+    own; a non-finite gradient reaches ``net.flat`` or, through ``g * g``,
+    the second moment ``v``, where an overflow would otherwise only turn the
+    updates silently to zero.
+    """
+    if not math.isfinite(loss):
+        what = "loss"
+    elif not np.isfinite(net.flat).all():
+        what = "parameters"
+    elif not all(np.isfinite(v).all() for v in optimizer.v):
+        what = "Adam second moment"
+    else:
+        return
+    raise FloatingPointError(f"training diverged: non-finite {what} at update {optimizer.step}")
+
+
+def _step(
+    net: TinyNet,
+    optimizer: AdamState,
+    grad: np.ndarray,
+    x: np.ndarray,
+    targets: np.ndarray,
+    weights: LossWeights,
+    mse_scale: str,
+    convention: str,
+) -> LossStats:
+    """Loss and gradient, copied into the flat ``grad``; then Adam and the guard."""
+    stats, grads = _batch_loss_and_grads(net, x, targets, weights, mse_scale, convention)
+    np.concatenate(grads, axis=None, out=grad)
+    adam_update([net.flat], [grad], optimizer)
+    _assert_finite_params(net, optimizer, stats.total)
+    return stats
 
 
 def train_step(
@@ -457,10 +540,8 @@ def train_step(
         raise ValueError(
             f"batch features have dim {x.shape[1]}, net expects {net.config.input_dim}"
         )
-    stats, grads = _batch_loss_and_grads(net, x, targets, weights, mse_scale, convention)
-    adam_update(net.parameters(), grads, optimizer)
-    _assert_finite_params(net, optimizer.step)
-    return stats
+    grad = np.empty_like(net.flat)
+    return _step(net, optimizer, grad, x, targets, weights, mse_scale, convention)
 
 
 def _evaluate(net: TinyNet, x: np.ndarray, targets: np.ndarray, convention: str) -> MaeReport:
@@ -498,6 +579,7 @@ def train(
 
     net = init_net(config)
     optimizer = AdamState.for_net(net, learning_rate)
+    grad = np.empty_like(net.flat)
     n = x_train.shape[0]
 
     start = time.perf_counter()
@@ -509,11 +591,9 @@ def train(
         ce_sum = np.zeros(config.hierarchy.depth)
         for lo in range(0, n, batch_size):
             idx = order[lo : lo + batch_size]
-            stats, grads = _batch_loss_and_grads(
-                net, x_train[idx], t_train[idx], weights, mse_scale, convention
+            stats = _step(
+                net, optimizer, grad, x_train[idx], t_train[idx], weights, mse_scale, convention
             )
-            adam_update(net.parameters(), grads, optimizer)
-            _assert_finite_params(net, optimizer.step)
             total_sum += stats.total * len(idx)
             reg_sum += stats.regression_term * len(idx)
             ce_sum += np.array(stats.ce_terms) * len(idx)

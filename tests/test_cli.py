@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,20 @@ def test_train_is_byte_deterministic(tmp_path, capsys):
     assert rc_a == rc_b == 0
     assert ckpt_a.read_bytes() == ckpt_b.read_bytes()
     assert report_a.read_bytes() == report_b.read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_train_fails_on_overflowing_adam_moment(tmp_path, capsys):
+    train, val = make_split(tmp_path, capsys, n=500)
+    ckpt = tmp_path / "net.json"
+    rc, _, err = run(
+        capsys, "train", "--train", str(train), "--val", str(val),
+        "--epochs", "2", "--hidden", "8", "--alpha", "1e300",
+        "--checkpoint-out", str(ckpt),
+    )
+    assert rc == 1
+    assert re.search(r"error: .*non-finite.* at update \d+", err), err
+    assert not ckpt.exists()
 
 
 def write_csv(path, rows):

@@ -19,6 +19,7 @@ from hybridpose.tinynet import (
     save_checkpoint,
     train,
     train_step,
+    _assert_finite_params,
     _batch_loss_and_grads,
 )
 
@@ -266,6 +267,70 @@ def test_adam_state_validation():
     state = AdamState(learning_rate=1e-3, m=[np.zeros(2)], v=[np.zeros(2)])
     with pytest.raises(ValueError, match="align"):
         adam_update([np.zeros(2), np.zeros(2)], [np.zeros(2), np.zeros(2)], state)
+    with pytest.raises(ValueError, match="shapes must align"):
+        adam_update([np.zeros(2)], [np.zeros(1)], state)
+    assert state.step == 0
+
+
+def test_adam_update_is_bit_identical_to_textbook_expression():
+    n = init_net(NetConfig(input_dim=24)).flat.size
+    rng = np.random.default_rng(3)
+    p = rng.standard_normal(n)
+    m = rng.standard_normal(n) * 1e-2
+    v = rng.random(n) * 1e-4
+    state = AdamState(learning_rate=1e-3, m=[m.copy()], v=[v.copy()])
+    ref_p, ref_m, ref_v = p.copy(), m.copy(), v.copy()
+    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+    for step in range(1, 6):
+        g = rng.standard_normal(n) * 10.0 ** rng.integers(-4, 2)
+        adam_update([p], [g], state)
+        ref_m *= b1
+        ref_m += (1.0 - b1) * g
+        ref_v *= b2
+        ref_v += (1.0 - b2) * (g * g)
+        ref_p -= lr * (ref_m / (1.0 - b1 ** step)) / (
+            np.sqrt(ref_v / (1.0 - b2 ** step)) + eps
+        )
+        assert (p == ref_p).all()
+        assert (state.m[0] == ref_m).all()
+        assert (state.v[0] == ref_v).all()
+    assert state.step == 5
+
+
+def test_parameters_are_views_of_one_flat_buffer(tmp_path):
+    net = init_net(TOY)
+    params = net.parameters()
+    assert net.flat.ndim == 1 and net.flat.size == net.param_count
+    assert all(np.shares_memory(p, net.flat) for p in params)
+    assert (flatten_params(params) == net.flat).all()
+    before = net.flat.copy()
+    net.head_weights[1][0][2, 3] = 7.5
+    changed = np.flatnonzero(net.flat != before)
+    assert changed.size == 1 and net.flat[changed[0]] == 7.5
+    net.flat[0] = -4.0
+    assert net.trunk_weights[0][0, 0] == -4.0
+    path = tmp_path / "net.json"
+    path.write_text(checkpoint_text(net))
+    loaded = load_checkpoint(path)
+    assert (loaded.flat == net.flat).all()
+    assert all(np.shares_memory(p, loaded.flat) for p in loaded.parameters())
+    opt = AdamState.for_net(net)
+    assert [m.shape for m in opt.m] == [v.shape for v in opt.v] == [net.flat.shape]
+
+
+def test_finite_guard_names_loss_parameters_and_moments():
+    net = init_net(TOY)
+    opt = AdamState.for_net(net)
+    opt.step = 4
+    _assert_finite_params(net, opt, 1.0)
+    with pytest.raises(FloatingPointError, match="non-finite loss at update 4"):
+        _assert_finite_params(net, opt, float("inf"))
+    opt.v[0][-1] = np.inf
+    with pytest.raises(FloatingPointError, match="non-finite Adam second moment at update 4"):
+        _assert_finite_params(net, opt, 1.0)
+    net.head_biases[2][1][0] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite parameters at update 4"):
+        _assert_finite_params(net, opt, 1.0)
 
 
 def small_data(n=40, seed=5):
