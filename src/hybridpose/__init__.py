@@ -19,7 +19,6 @@ from .binning import (
     CANONICAL_BIN_COUNTS,
     BinHierarchy,
     BinScheme,
-    argmax_decode,
     bin_center,
     coarsen,
     encode,
@@ -32,7 +31,6 @@ from .data import (
     PREDICTIONS_HEADER,
     AnnotationRecord,
     ParseError,
-    filter_range,
     format_annotation_csv,
     format_biwi_pose,
     format_predictions_csv,
@@ -47,7 +45,6 @@ from .loss import (
     cross_entropy,
     hybrid_loss,
     hybrid_loss_grad,
-    mse_scalar,
     softmax,
 )
 from .synth import (
@@ -59,7 +56,6 @@ from .synth import (
     make_dataset,
     render_features,
     sample_pose,
-    save_dataset,
 )
 from .tinynet import (
     AdamState,
@@ -71,9 +67,7 @@ from .tinynet import (
     adam_update,
     init_net,
     load_checkpoint,
-    save_checkpoint,
     train,
-    train_step,
 )
 
 __version__ = "0.1.0"

@@ -2,8 +2,10 @@
 
 A BinScheme splits a closed angle range into equal-width bins; a
 BinHierarchy stacks several schemes over the same range, finest first, with
-every coarser bin count dividing the finest one so that coarse labels are a
-pure function of fine labels.  The canonical hierarchy covers [-99, +99]
+every coarser bin count dividing the finest one.  An angle is floored into
+its bin once, at the finest level; every coarser label is derived from that
+fine label by integer division (``coarsen``), so the coarse bin always
+contains the fine one.  The canonical hierarchy covers [-99, +99]
 degrees with 198/66/18/6/2 bins (widths 1/3/11/33/99 degrees).
 
 Decoding supports two conventions for the representative position of bin i:
@@ -29,7 +31,6 @@ __all__ = [
     "bin_center",
     "decode_positions",
     "expect_decode",
-    "argmax_decode",
 ]
 
 CANONICAL_BIN_COUNTS = (198, 66, 18, 6, 2)
@@ -107,22 +108,35 @@ def make_hierarchy(
     return BinHierarchy(tuple(BinScheme(min_angle, max_angle, n) for n in bin_counts))
 
 
+def _check_in_range(angles, scheme: BinScheme) -> None:
+    a = np.asarray(angles, dtype=float)
+    outside = (a < scheme.min_angle) | (a > scheme.max_angle)
+    if outside.any():
+        raise ValueError(
+            f"angle {float(a[outside].flat[0])} outside bin range "
+            f"[{scheme.min_angle}, {scheme.max_angle}]"
+        )
+
+
+def _bin_index(angles, scheme: BinScheme):
+    """Floor into bins, the top edge joining the last bin; callers range-check first."""
+    index = np.floor((angles - scheme.min_angle) / scheme.bin_width).astype(int)
+    return np.minimum(index, scheme.n_bins - 1)
+
+
 def encode(angle: float, scheme: BinScheme) -> int:
     """Map an angle to its bin index; the top edge belongs to the last bin."""
     a = float(angle)
     if not math.isfinite(a):
         raise ValueError(f"angle must be finite, got {angle!r}")
-    if a < scheme.min_angle or a > scheme.max_angle:
-        raise ValueError(
-            f"angle {a} outside bin range [{scheme.min_angle}, {scheme.max_angle}]"
-        )
-    index = int(math.floor((a - scheme.min_angle) / scheme.bin_width))
-    return min(index, scheme.n_bins - 1)
+    _check_in_range(a, scheme)
+    return int(_bin_index(a, scheme))
 
 
 def encode_all(angle: float, hierarchy: BinHierarchy) -> tuple[int, ...]:
-    """Encode one angle at every hierarchy level, finest first."""
-    return tuple(encode(angle, scheme) for scheme in hierarchy.levels)
+    """Encode one angle at the finest level and coarsen it to every level, finest first."""
+    fine = encode(angle, hierarchy.finest)
+    return tuple(coarsen(fine, hierarchy.finest, scheme) for scheme in hierarchy.levels)
 
 
 def coarsen(fine_index: int, fine: BinScheme, coarse: BinScheme) -> int:
@@ -154,7 +168,8 @@ def decode_positions(scheme: BinScheme, convention: str = "center") -> np.ndarra
     return scheme.min_angle + (np.arange(scheme.n_bins) + offset) * scheme.bin_width
 
 
-def _check_probs(probs, scheme: BinScheme) -> np.ndarray:
+def expect_decode(probs, scheme: BinScheme, convention: str = "center") -> float:
+    """Expectation of the bin positions under a probability vector."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.shape[0] != scheme.n_bins:
         raise ValueError(f"expected {scheme.n_bins} probabilities, got shape {p.shape}")
@@ -165,17 +180,4 @@ def _check_probs(probs, scheme: BinScheme) -> np.ndarray:
     total = float(p.sum())
     if abs(total - 1.0) > _PROB_SUM_TOL:
         raise ValueError(f"probabilities sum to {total!r}, expected 1 within {_PROB_SUM_TOL:g}")
-    return p
-
-
-def expect_decode(probs, scheme: BinScheme, convention: str = "center") -> float:
-    """Expectation of the bin positions under a probability vector."""
-    p = _check_probs(probs, scheme)
     return float(p @ decode_positions(scheme, convention))
-
-
-def argmax_decode(probs, scheme: BinScheme, convention: str = "center") -> float:
-    """Position of the most probable bin; ties resolve to the lowest index."""
-    p = _check_probs(probs, scheme)
-    positions = decode_positions(scheme, convention)
-    return float(positions[int(np.argmax(p))])

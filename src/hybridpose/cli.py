@@ -21,7 +21,6 @@ from .angles import _mae_from_arrays, mae, rotation_to_euler
 from .binning import make_hierarchy
 from .data import (
     AnnotationRecord,
-    ParseError,
     format_annotation_csv,
     format_predictions_csv,
     parse_annotation_csv,
@@ -66,40 +65,53 @@ def _write_atomic(path, text: str) -> None:
         raise
 
 
-def load_config_file(path) -> dict[str, str]:
-    """Read ``key = value`` lines; '#' comments and blank lines are skipped."""
-    values: dict[str, str] = {}
+def load_config_file(path) -> dict[str, tuple[str, int]]:
+    """Read ``key = value`` lines into {key: (value, line number)}; '#' starts a comment."""
+    values: dict[str, tuple[str, int]] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ParseError(f"expected 'key = value', got {raw.strip()!r}", line=lineno)
+                raise ValueError(
+                    f"{path}: line {lineno}: expected 'key = value', got {raw.strip()!r}"
+                )
             key, value = line.split("=", 1)
             key = key.strip().replace("-", "_")
             if not key:
-                raise ParseError("empty key", line=lineno)
-            values[key] = value.strip()
+                raise ValueError(f"{path}: line {lineno}: empty key")
+            values[key] = (value.strip(), lineno)
     return values
 
 
 class _Options:
-    """Merged view of CLI flags and config file values (flags win)."""
+    """Merged view of CLI flags and config file values (flags win).
+
+    A config file key must name an option of the invoked subcommand.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        config = getattr(args, "config", None)
-        self.file_values = load_config_file(config) if config else {}
+        self.path = getattr(args, "config", None)
+        self.file_values = load_config_file(self.path) if self.path else {}
+        known = vars(args).keys() - {"config", "command", "func"}
+        for key, (_, lineno) in self.file_values.items():
+            if key not in known:
+                raise ValueError(
+                    f"{self.path}: line {lineno}: unknown option {key!r} for {args.command}"
+                )
 
     def get(self, name: str, convert, default=None, required: bool = False):
         value = getattr(self.args, name, None)
         if value is None and name in self.file_values:
-            raw = self.file_values[name]
+            raw, lineno = self.file_values[name]
             try:
                 value = convert(raw)
             except (ValueError, TypeError) as exc:
-                raise ValueError(f"config value {name} = {raw!r}: {exc}") from None
+                raise ValueError(
+                    f"{self.path}: line {lineno}: config value {name} = {raw!r}: {exc}"
+                ) from None
         if value is None:
             value = default
         if value is None and required:
@@ -107,25 +119,19 @@ class _Options:
         return value
 
 
-def _pair(text) -> tuple[float, float]:
-    if isinstance(text, tuple):
-        return text
-    parts = str(text).split(",")
+def _pair(text: str) -> tuple[float, float]:
+    parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected 'lo,hi', got {text!r}")
     return (float(parts[0]), float(parts[1]))
 
 
-def _float_list(text) -> tuple[float, ...]:
-    if isinstance(text, tuple):
-        return text
-    return tuple(float(p) for p in str(text).split(","))
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in text.split(","))
 
 
-def _int_list(text) -> tuple[int, ...]:
-    if isinstance(text, tuple):
-        return text
-    return tuple(int(p) for p in str(text).split(","))
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in text.split(","))
 
 
 def _fmt(value: float) -> str:
@@ -302,11 +308,14 @@ def _load_grid_file(path) -> tuple[tuple[float, ...], ...]:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            values = _float_list(line)
+            try:
+                values = _float_list(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
             if len(values) != 6:
-                raise ParseError(
-                    f"expected 6 comma-separated weights (alpha then 5 betas), got {len(values)}",
-                    line=lineno,
+                raise ValueError(
+                    f"{path}: line {lineno}: expected 6 comma-separated weights "
+                    f"(alpha then 5 betas), got {len(values)}"
                 )
             rows.append(values)
     return tuple(rows)

@@ -29,13 +29,10 @@ __all__ = [
     "parse_annotation_csv",
     "format_annotation_csv",
     "format_predictions_csv",
-    "filter_range",
 ]
 
 ANNOTATION_HEADER = "id,yaw,pitch,roll"
 PREDICTIONS_HEADER = "id,yaw_pred,pitch_pred,roll_pred,yaw_true,pitch_true,roll_true"
-
-DEFAULT_ANGLE_LIMIT = 99.0
 
 
 class ParseError(ValueError):
@@ -165,18 +162,3 @@ def format_predictions_csv(ids, predictions, truths) -> str:
         lines.append(f"{sample_id}," + ",".join(map(repr, p + t)))
     return "\n".join(lines) + "\n"
 
-
-def filter_range(
-    records, limit: float = DEFAULT_ANGLE_LIMIT
-) -> tuple[list[AnnotationRecord], int]:
-    """Keep records with every |angle| <= limit; also return the drop count."""
-    if limit <= 0:
-        raise ValueError(f"limit must be positive, got {limit!r}")
-    kept = [
-        rec
-        for rec in records
-        if abs(rec.pose.yaw) <= limit
-        and abs(rec.pose.pitch) <= limit
-        and abs(rec.pose.roll) <= limit
-    ]
-    return kept, len(records) - len(kept)

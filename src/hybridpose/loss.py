@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .binning import BinHierarchy, decode_positions, encode
+from .binning import BinHierarchy, _bin_index, decode_positions, encode, encode_all
 
 __all__ = [
     "LossWeights",
@@ -30,7 +30,6 @@ __all__ = [
     "FINE_ONLY_WEIGHTS",
     "softmax",
     "cross_entropy",
-    "mse_scalar",
     "hybrid_loss",
     "hybrid_loss_grad",
 ]
@@ -95,14 +94,6 @@ def cross_entropy(logits, target: int) -> float:
     return float(np.log(np.exp(z - m).sum()) - (z[target] - m))
 
 
-def mse_scalar(pred: float, truth: float) -> float:
-    """Squared error between two scalars."""
-    if not (math.isfinite(pred) and math.isfinite(truth)):
-        raise ValueError(f"inputs must be finite, got {pred!r}, {truth!r}")
-    d = float(pred) - float(truth)
-    return d * d
-
-
 def _check_heads(heads: Sequence, hierarchy: BinHierarchy) -> list[np.ndarray]:
     if len(heads) != hierarchy.depth:
         raise ValueError(
@@ -142,7 +133,7 @@ def hybrid_loss(
     """Loss for one angle given per-level logits and the true angle in degrees."""
     scale = _check_loss_args(weights, hierarchy, mse_scale)
     logits = _check_heads(heads, hierarchy)
-    targets = [encode(truth, scheme) for scheme in hierarchy.levels]
+    targets = encode_all(truth, hierarchy)
 
     finest = hierarchy.finest
     probs = softmax(logits[0])
@@ -155,15 +146,22 @@ def hybrid_loss(
     return LossBreakdown(total, regression, ce_terms, decoded)
 
 
-def hybrid_loss_grad(
-    heads: Sequence,
-    truth: float,
+def _angle_terms(
+    logits: Sequence[np.ndarray],
+    truth: np.ndarray,
     weights: LossWeights,
     hierarchy: BinHierarchy,
-    mse_scale: str = "degrees",
-    convention: str = "center",
-) -> list[np.ndarray]:
-    """Gradient of ``hybrid_loss(...).total`` with respect to each logit vector.
+    scale: float,
+    positions: np.ndarray,
+) -> tuple[float, np.ndarray, list[np.ndarray]]:
+    """Hybrid loss terms of one angle over a batch, and their logit gradients.
+
+    ``logits`` holds one (n, n_bins) array per level, finest first, and
+    ``truth`` the n true angles, already range-checked.  Returns the batch sum
+    of the squared-error term, the batch sum of each level's cross-entropy,
+    and the gradient of the batch-mean weighted loss with respect to each
+    level's logits.  Labels are floored once at the finest level; each coarser
+    label is the fine one coarsened by integer division.
 
     Per level the cross-entropy contributes beta * (softmax - onehot).  The
     finest level additionally receives the squared-error term through the
@@ -174,20 +172,53 @@ def hybrid_loss_grad(
     so the regression part adds 2 * alpha * scale^2 * (decoded - truth) *
     p * (c - decoded).
     """
+    n = truth.shape[0]
+    rows = np.arange(n)
+    finest = hierarchy.finest
+    fine = _bin_index(truth, finest)
+    reg_sum = 0.0
+    ce_sums = np.zeros(hierarchy.depth)
+    grads = []
+    for li, (s, scheme) in enumerate(zip(logits, hierarchy.levels)):
+        m = s.max(axis=1, keepdims=True)
+        e = np.exp(s - m)
+        z = e.sum(axis=1, keepdims=True)
+        p = e / z
+        tgt = fine * scheme.n_bins // finest.n_bins
+        ce_rows = np.log(z[:, 0]) - (s[rows, tgt] - m[:, 0])
+        ce_sums[li] = float(ce_rows.sum())
+
+        g = p.copy()
+        g[rows, tgt] -= 1.0
+        g *= weights.betas[li] / n
+        if li == 0:
+            decoded = p @ positions
+            diff = (decoded - truth) * scale
+            reg_sum = float(diff @ diff)
+            if weights.alpha != 0.0:
+                coeff = (2.0 * weights.alpha * scale / n) * diff
+                g += coeff[:, None] * p * (positions[None, :] - decoded[:, None])
+        grads.append(g)
+    return reg_sum, ce_sums, grads
+
+
+def hybrid_loss_grad(
+    heads: Sequence,
+    truth: float,
+    weights: LossWeights,
+    hierarchy: BinHierarchy,
+    mse_scale: str = "degrees",
+    convention: str = "center",
+) -> list[np.ndarray]:
+    """Gradient of ``hybrid_loss(...).total`` with respect to each logit vector.
+
+    The one-row case of the batched core that training runs.
+    """
     scale = _check_loss_args(weights, hierarchy, mse_scale)
     logits = _check_heads(heads, hierarchy)
-    targets = [encode(truth, scheme) for scheme in hierarchy.levels]
-
-    grads = []
-    for i, (z, t, scheme) in enumerate(zip(logits, targets, hierarchy.levels)):
-        p = softmax(z)
-        g = p.copy()
-        g[t] -= 1.0
-        g *= weights.betas[i]
-        if i == 0 and weights.alpha != 0.0:
-            positions = decode_positions(scheme, convention)
-            decoded = float(p @ positions)
-            diff = (decoded - float(truth)) * scale
-            g += (2.0 * weights.alpha * scale * diff) * p * (positions - decoded)
-        grads.append(g)
-    return grads
+    encode(truth, hierarchy.finest)  # the truth must be finite and in range
+    positions = decode_positions(hierarchy.finest, convention)
+    _, _, grads = _angle_terms(
+        [z[None] for z in logits], np.array([float(truth)]), weights, hierarchy, scale, positions
+    )
+    return [g[0] for g in grads]

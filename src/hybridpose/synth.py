@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import PoseAngles, euler_to_rotation
+from .binning import CANONICAL_MAX_ANGLE, CANONICAL_MIN_ANGLE
 
 __all__ = [
     "Rig",
@@ -29,7 +30,6 @@ __all__ = [
     "render_features",
     "make_dataset",
     "format_dataset",
-    "save_dataset",
     "load_dataset",
 ]
 
@@ -38,8 +38,6 @@ RIG_VERSION = 1
 DEFAULT_YAW_RANGE = (-75.0, 75.0)
 DEFAULT_PITCH_RANGE = (-60.0, 60.0)
 DEFAULT_ROLL_RANGE = (-50.0, 50.0)
-
-ANGLE_LIMIT = 99.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,9 +97,10 @@ def _check_range(name: str, bounds: tuple[float, float]) -> tuple[float, float]:
         raise ValueError(f"{name} bounds must be finite, got {bounds!r}")
     if lo > hi:
         raise ValueError(f"{name} lower bound {lo} exceeds upper bound {hi}")
-    if lo < -ANGLE_LIMIT or hi > ANGLE_LIMIT:
+    if lo < CANONICAL_MIN_ANGLE or hi > CANONICAL_MAX_ANGLE:
         raise ValueError(
-            f"{name} must lie within [{-ANGLE_LIMIT}, {ANGLE_LIMIT}], got ({lo}, {hi})"
+            f"{name} must lie within [{CANONICAL_MIN_ANGLE}, {CANONICAL_MAX_ANGLE}], "
+            f"got ({lo}, {hi})"
         )
     return (lo, hi)
 
@@ -203,13 +202,8 @@ def format_dataset(samples: list[SynthSample]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_dataset(samples: list[SynthSample], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_dataset(samples))
-
-
 def load_dataset(path) -> list[SynthSample]:
-    """Parse a dataset file written by save_dataset."""
+    """Parse a dataset file in the format_dataset layout."""
     samples = []
     arity = None
     with open(path) as fh:

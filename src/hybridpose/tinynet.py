@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .angles import MaeReport, PoseAngles, _mae_from_arrays
-from .binning import BinHierarchy, decode_positions, expect_decode, make_hierarchy
-from .loss import LossWeights, _check_loss_args, softmax
+from .binning import BinHierarchy, _check_in_range, decode_positions, expect_decode, make_hierarchy
+from .loss import LossWeights, _angle_terms, _check_loss_args, softmax
 
 __all__ = [
     "N_ANGLES",
@@ -36,10 +36,8 @@ __all__ = [
     "TrainReport",
     "init_net",
     "adam_update",
-    "train_step",
     "train",
     "checkpoint_text",
-    "save_checkpoint",
     "load_checkpoint",
 ]
 
@@ -369,22 +367,6 @@ class TrainReport:
         return self.val_reports[-1] if self.val_reports else None
 
 
-def _encode_batch(angles: np.ndarray, scheme) -> np.ndarray:
-    # Same arithmetic as binning.encode, vectorized; callers range-check first.
-    idx = np.floor((angles - scheme.min_angle) / scheme.bin_width).astype(int)
-    return np.minimum(idx, scheme.n_bins - 1)
-
-
-def _check_angle_range(targets: np.ndarray, hierarchy: BinHierarchy) -> None:
-    # _encode_batch would wrap a label below the range to the top bins.
-    lo, hi = hierarchy.finest.min_angle, hierarchy.finest.max_angle
-    outside = (targets < lo) | (targets > hi)
-    if outside.any():
-        raise ValueError(
-            f"target angle {float(targets[outside][0])} outside bin range [{lo}, {hi}]"
-        )
-
-
 def _batch_loss_and_grads(
     net: TinyNet,
     x: np.ndarray,
@@ -396,57 +378,38 @@ def _batch_loss_and_grads(
     """Mean loss over the batch and its gradient in parameters() order.
 
     The loss per sample is the three-angle sum of the per-angle hybrid loss;
-    stats and gradients are means over the batch.
+    stats and gradients are means over the batch.  ``loss._angle_terms`` gives
+    each angle's loss terms and logit gradients; this runs the forward pass
+    and backpropagates those gradients through the heads and the trunk.
     """
     hierarchy = net.config.hierarchy
     scale = _check_loss_args(weights, hierarchy, mse_scale)
     positions = decode_positions(hierarchy.finest, convention)
     n = x.shape[0]
-    rows = np.arange(n)
 
     pre_acts, acts, logits = net._forward_batch(x)
     hidden = acts[-1]
 
     d_hidden = np.zeros_like(hidden)
-    head_w_grads = [[None] * hierarchy.depth for _ in range(N_ANGLES)]
-    head_b_grads = [[None] * hierarchy.depth for _ in range(N_ANGLES)]
+    head_grads = []
     reg_sum = 0.0
     ce_sums = np.zeros(hierarchy.depth)
-
     for ai in range(N_ANGLES):
-        t_deg = targets[:, ai]
-        for li, scheme in enumerate(hierarchy.levels):
-            s = logits[ai][li]
-            m = s.max(axis=1, keepdims=True)
-            e = np.exp(s - m)
-            z = e.sum(axis=1, keepdims=True)
-            p = e / z
-            tgt = _encode_batch(t_deg, scheme)
-            ce_rows = np.log(z[:, 0]) - (s[rows, tgt] - m[:, 0])
-            ce_sums[li] += float(ce_rows.sum())
+        reg, ce, logit_grads = _angle_terms(
+            logits[ai], targets[:, ai], weights, hierarchy, scale, positions
+        )
+        reg_sum += reg
+        ce_sums += ce
+        for g, w in zip(logit_grads, net.head_weights[ai]):
+            head_grads.append(hidden.T @ g)
+            head_grads.append(g.sum(axis=0))
+            d_hidden += g @ w.T
 
-            g = p.copy()
-            g[rows, tgt] -= 1.0
-            g *= weights.betas[li] / n
-            if li == 0:
-                decoded = p @ positions
-                diff = (decoded - t_deg) * scale
-                reg_sum += float(diff @ diff)
-                if weights.alpha != 0.0:
-                    coeff = (2.0 * weights.alpha * scale / n) * diff
-                    g += coeff[:, None] * p * (positions[None, :] - decoded[:, None])
-
-            head_w_grads[ai][li] = hidden.T @ g
-            head_b_grads[ai][li] = g.sum(axis=0)
-            d_hidden += g @ net.head_weights[ai][li].T
-
-    trunk_w_grads = [None] * len(net.trunk_weights)
-    trunk_b_grads = [None] * len(net.trunk_weights)
+    trunk_grads = []
     d = d_hidden
     for i in reversed(range(len(net.trunk_weights))):
         dz = d * (pre_acts[i] > 0.0)
-        trunk_w_grads[i] = acts[i].T @ dz
-        trunk_b_grads[i] = dz.sum(axis=0)
+        trunk_grads[:0] = [acts[i].T @ dz, dz.sum(axis=0)]
         if i > 0:
             d = dz @ net.trunk_weights[i].T
 
@@ -455,15 +418,7 @@ def _batch_loss_and_grads(
         regression_term=reg_sum / n,
         ce_terms=tuple(ce_sums / n),
     )
-    grads = []
-    for w, b in zip(trunk_w_grads, trunk_b_grads):
-        grads.append(w)
-        grads.append(b)
-    for per_w, per_b in zip(head_w_grads, head_b_grads):
-        for w, b in zip(per_w, per_b):
-            grads.append(w)
-            grads.append(b)
-    return stats, grads
+    return stats, trunk_grads + head_grads
 
 
 def _batch_arrays(batch: Sequence, hierarchy: BinHierarchy) -> tuple[np.ndarray, np.ndarray]:
@@ -485,7 +440,7 @@ def _batch_arrays(batch: Sequence, hierarchy: BinHierarchy) -> tuple[np.ndarray,
     targets = np.array(poses, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("features contain non-finite values")
-    _check_angle_range(targets, hierarchy)
+    _check_in_range(targets, hierarchy.finest)
     return x, targets
 
 
@@ -524,24 +479,6 @@ def _step(
     adam_update([net.flat], [grad], optimizer)
     _assert_finite_params(net, optimizer, stats.total)
     return stats
-
-
-def train_step(
-    net: TinyNet,
-    optimizer: AdamState,
-    batch: Sequence,
-    weights: LossWeights,
-    mse_scale: str = "degrees",
-    convention: str = "center",
-) -> LossStats:
-    """One Adam update on a batch; returns the pre-update loss means."""
-    x, targets = _batch_arrays(batch, net.config.hierarchy)
-    if x.shape[1] != net.config.input_dim:
-        raise ValueError(
-            f"batch features have dim {x.shape[1]}, net expects {net.config.input_dim}"
-        )
-    grad = np.empty_like(net.flat)
-    return _step(net, optimizer, grad, x, targets, weights, mse_scale, convention)
 
 
 def _evaluate(net: TinyNet, x: np.ndarray, targets: np.ndarray, convention: str) -> MaeReport:
@@ -645,10 +582,6 @@ def checkpoint_text(net: TinyNet) -> str:
         ],
     }
     return json.dumps(doc, allow_nan=False, separators=(",", ":")) + "\n"
-
-
-def save_checkpoint(net: TinyNet, path) -> None:
-    Path(path).write_text(checkpoint_text(net))
 
 
 def load_checkpoint(path) -> TinyNet:

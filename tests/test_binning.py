@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from hybridpose.binning import (
     BinHierarchy,
     BinScheme,
-    argmax_decode,
     bin_center,
     coarsen,
     decode_positions,
@@ -135,13 +134,7 @@ def test_decode_peaked_example():
     probs[100] = 0.8
     probs[99] = 0.1
     probs[101] = 0.1
-    assert argmax_decode(probs, finest) == 1.5
-    assert abs(expect_decode(probs, finest) - 1.5) < finest.bin_width
-
-
-def test_argmax_tie_breaks_low():
-    probs = np.array([0.5, 0.5])
-    assert argmax_decode(probs, HIERARCHY.levels[4]) == -49.5
+    assert abs(expect_decode(probs, finest) - 1.5) < 1e-12
 
 
 def test_half_half_neighbors_decode_between():
@@ -196,4 +189,4 @@ def test_prob_validation():
     with pytest.raises(ValueError, match="finite"):
         bad = np.full(198, 1.0 / 198)
         bad[5] = float("nan")
-        argmax_decode(bad, finest)
+        expect_decode(bad, finest)

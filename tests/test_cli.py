@@ -76,7 +76,28 @@ def test_config_file_syntax_error(tmp_path, capsys):
     cfg.write_text("this line has no equals sign\n")
     rc, _, err = run(capsys, "synth", "--config", str(cfg))
     assert rc == 1
-    assert "line 1" in err
+    assert f"{cfg}: line 1: expected 'key = value'" in err
+
+
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    train, val = make_split(tmp_path, capsys, n=30)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"train = {train}\nval = {val}\nepoch = 1\nhiden = 8\n")
+    ckpt = tmp_path / "net.json"
+    rc, _, err = run(capsys, "train", "--config", str(cfg), "--checkpoint-out", str(ckpt))
+    assert rc == 1
+    assert f"{cfg}: line 3: unknown option 'epoch' for train" in err
+    assert not ckpt.exists()
+    # Not options of train: argparse bookkeeping, and an option of ablate only.
+    for key in ("config", "command", "func", "seeds"):
+        cfg.write_text(f"# comment\n{key} = x\n")
+        rc, _, err = run(capsys, "train", "--config", str(cfg))
+        assert rc == 1
+        assert f"{cfg}: line 2: unknown option {key!r} for train" in err
+    cfg.write_text(f"train = {train}\nval = {val}\nepochs = many\n")
+    rc, _, err = run(capsys, "train", "--config", str(cfg), "--checkpoint-out", str(ckpt))
+    assert rc == 1
+    assert f"{cfg}: line 3: config value epochs = 'many'" in err
 
 
 def train_tiny(tmp_path, capsys, *extra):
@@ -292,7 +313,14 @@ def test_ablate_rejects_malformed_grid_row(tmp_path, capsys):
         "--grid-file", str(grid),
     )
     assert rc == 1
-    assert "line 1" in err
+    assert f"{grid}: line 1: expected 6 comma-separated weights" in err
+    grid.write_text("# alpha, betas\n2,7,5,x,1,1\n")
+    rc, _, err = run(
+        capsys, "ablate", "--train", str(train), "--val", str(val),
+        "--grid-file", str(grid),
+    )
+    assert rc == 1
+    assert f"{grid}: line 2: could not convert" in err
 
 
 def test_default_grid_shape():

@@ -7,7 +7,6 @@ from hybridpose.data import (
     AnnotationRecord,
     ParseError,
     PREDICTIONS_HEADER,
-    filter_range,
     format_annotation_csv,
     format_biwi_pose,
     format_predictions_csv,
@@ -96,21 +95,6 @@ def test_annotation_csv_errors():
     assert parse_annotation_csv(f"{ANNOTATION_HEADER}\n") == []
     with pytest.raises(ParseError, match="line 1"):
         parse_annotation_csv("")
-
-
-def test_filter_range_is_inclusive():
-    records = [
-        AnnotationRecord("in", PoseAngles(99.0, -99.0, 0.0)),
-        AnnotationRecord("out", PoseAngles(99.001, 0.0, 0.0)),
-        AnnotationRecord("also_out", PoseAngles(0.0, 0.0, -100.0)),
-    ]
-    kept, dropped = filter_range(records)
-    assert [r.sample_id for r in kept] == ["in"]
-    assert dropped == 2
-    kept, dropped = filter_range(records, limit=100.0)
-    assert len(kept) == 3 and dropped == 0
-    with pytest.raises(ValueError, match="limit"):
-        filter_range(records, limit=-1.0)
 
 
 def test_predictions_csv_layout():

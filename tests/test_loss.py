@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import fd_gradient, relative_error
-from hybridpose.binning import bin_center, encode_all, make_hierarchy
+from hybridpose.binning import coarsen, decode_positions, encode_all, make_hierarchy
 from hybridpose.loss import (
     DEFAULT_WEIGHTS,
     FINE_ONLY_WEIGHTS,
     LossWeights,
+    _angle_terms,
     cross_entropy,
     hybrid_loss,
     hybrid_loss_grad,
-    mse_scalar,
     softmax,
 )
 
@@ -74,14 +75,6 @@ def test_cross_entropy_target_errors():
         cross_entropy(np.zeros(5), 5)
     with pytest.raises(IndexError):
         cross_entropy(np.zeros(5), -1)
-
-
-def test_mse_scalar():
-    assert mse_scalar(3.0, 1.0) == 4.0
-    assert mse_scalar(-99.0, 99.0) == 39204.0
-    assert mse_scalar(5.0, 5.0) == 0.0
-    with pytest.raises(ValueError):
-        mse_scalar(float("nan"), 0.0)
 
 
 def test_weights_validation():
@@ -171,13 +164,19 @@ def test_grad_ce_only_matches_softmax_minus_onehot():
         assert (g == 0.0).all()
 
 
-@pytest.mark.parametrize("mse_scale", ["degrees", "bins"])
-def test_grad_matches_finite_differences(mse_scale):
+@pytest.mark.parametrize(
+    "mse_scale, convention",
+    [("degrees", "center"), ("bins", "center"), ("degrees", "edge"), ("bins", "edge")],
+    ids=["degrees", "bins", "degrees-edge", "bins-edge"],
+)
+def test_grad_matches_finite_differences(mse_scale, convention):
     rng = np.random.default_rng(7)
     for _ in range(5):
         heads = random_heads(rng)
         truth = float(rng.uniform(-99.0, 99.0))
-        grads = hybrid_loss_grad(heads, truth, DEFAULT_WEIGHTS, HIERARCHY, mse_scale=mse_scale)
+        grads = hybrid_loss_grad(
+            heads, truth, DEFAULT_WEIGHTS, HIERARCHY, mse_scale=mse_scale, convention=convention
+        )
         sizes = [h.size for h in heads]
 
         def unpack(flat):
@@ -189,7 +188,8 @@ def test_grad_matches_finite_differences(mse_scale):
 
         def f(flat):
             return hybrid_loss(
-                unpack(flat), truth, DEFAULT_WEIGHTS, HIERARCHY, mse_scale=mse_scale
+                unpack(flat), truth, DEFAULT_WEIGHTS, HIERARCHY, mse_scale=mse_scale,
+                convention=convention,
             ).total
 
         flat = np.concatenate(heads)
@@ -231,3 +231,39 @@ def test_hybrid_loss_validation():
         hybrid_loss([np.zeros(197), *heads[1:]], 0.0, DEFAULT_WEIGHTS, HIERARCHY)
     with pytest.raises(ValueError, match="mse_scale"):
         hybrid_loss(heads, 0.0, DEFAULT_WEIGHTS, HIERARCHY, mse_scale="radians")
+
+
+@settings(deadline=None)
+@given(
+    b=st.sampled_from([2, 3, 5, 7]),
+    lo=st.floats(-100.0, 100.0),
+    w=st.floats(0.01, 200.0),
+)
+def test_coarse_labels_are_coarsened_fine_labels(b, lo, w):
+    """Every coarse bin boundary, and 1e-12 either side, on a random range."""
+    hierarchy = make_hierarchy((12 * b, 6 * b, 2 * b, b), lo, lo + w)
+    finest = hierarchy.finest
+    hi = finest.max_angle
+    angles = np.array(
+        sorted(
+            {
+                min(max(lo + k * w / s.n_bins + delta, lo), hi)
+                for s in hierarchy.levels[1:]
+                for k in range(s.n_bins + 1)
+                for delta in (-1e-12, 0.0, 1e-12)
+            }
+        )
+    )
+    labels = np.array([encode_all(a, hierarchy) for a in angles])
+    for scheme, column in zip(hierarchy.levels, labels.T):
+        assert [coarsen(f, finest, scheme) for f in labels[:, 0]] == column.tolist()
+
+    # With uniform logits and CE weights only, each row's gradient is
+    # (1/k - onehot) / n: negative at the label the batched core used.
+    logits = [np.zeros((len(angles), s.n_bins)) for s in hierarchy.levels]
+    weights = LossWeights(0.0, (1.0,) * hierarchy.depth)
+    _, _, grads = _angle_terms(
+        logits, angles, weights, hierarchy, 1.0, decode_positions(finest)
+    )
+    used = np.stack([g.argmin(axis=1) for g in grads], axis=1)
+    assert (used == labels).all()

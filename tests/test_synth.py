@@ -12,7 +12,6 @@ from hybridpose.synth import (
     make_dataset,
     render_features,
     sample_pose,
-    save_dataset,
 )
 
 
@@ -153,7 +152,7 @@ def test_make_dataset_is_deterministic():
 def test_dataset_file_roundtrip(tmp_path):
     train, _ = make_dataset(SynthConfig(n_samples=12, seed=5))
     path = tmp_path / "train.csv"
-    save_dataset(train, path)
+    path.write_text(format_dataset(train))
     loaded = load_dataset(path)
     assert len(loaded) == len(train)
     for a, b in zip(loaded, train):
