@@ -49,9 +49,9 @@ from .loss import (
 )
 from .synth import (
     DEFAULT_RIG,
+    Dataset,
     Rig,
     SynthConfig,
-    SynthSample,
     load_dataset,
     make_dataset,
     render_features,

@@ -15,8 +15,6 @@ import statistics
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .angles import _mae_from_arrays, mae, rotation_to_euler
 from .binning import make_hierarchy
 from .data import (
@@ -81,6 +79,10 @@ def load_config_file(path) -> dict[str, tuple[str, int]]:
             key = key.strip().replace("-", "_")
             if not key:
                 raise ValueError(f"{path}: line {lineno}: empty key")
+            if key in values:
+                raise ValueError(
+                    f"{path}: line {lineno}: duplicate key {key!r} (first on line {values[key][1]})"
+                )
             values[key] = (value.strip(), lineno)
     return values
 
@@ -198,7 +200,7 @@ def _train_report_csv(report, hierarchy) -> str:
 def _run_training(opt: _Options, seed: int, train_samples, val_samples, weights):
     hidden = opt.get("hidden", _int_list, (64, 64))
     config = NetConfig(
-        input_dim=len(train_samples[0].features),
+        input_dim=train_samples.features.shape[1],
         hidden_dims=hidden,
         hierarchy=make_hierarchy(),
         seed=seed,
@@ -262,13 +264,6 @@ def _match_by_id(pred_records, truth_records):
     return [p for p, _ in pairs], [t for _, t in pairs]
 
 
-def _dataset_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
-    """(n, d) features and (n, 3) truths; the sample objects can then be freed."""
-    x = np.stack([s.features for s in samples])
-    truth = np.array([[s.truth.yaw, s.truth.pitch, s.truth.roll] for s in samples])
-    return x, truth
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     opt = _Options(args)
     pred_path = opt.get("pred", str)
@@ -283,14 +278,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report = mae(pred_poses, truth_poses)
     elif ckpt_path and data_path:
         net = load_checkpoint(ckpt_path)
-        x, truth = _dataset_arrays(load_dataset(data_path))
-        pred = net.predict_batch(x, opt.get("decode_convention", str, "center"))
+        data = load_dataset(data_path)
+        pred = net.predict_batch(data.features, opt.get("decode_convention", str, "center"))
         # The same arithmetic as train's per-epoch validation MAE.
-        report = _mae_from_arrays(pred, truth)
+        report = _mae_from_arrays(pred, data.angles)
         pred_out = opt.get("pred_out", str)
         if pred_out:
             ids = [str(i) for i in range(len(pred))]
-            _write_atomic(pred_out, format_predictions_csv(ids, pred, truth))
+            _write_atomic(pred_out, format_predictions_csv(ids, pred, data.angles))
     else:
         raise ValueError("provide either --pred and --truth, or --checkpoint and --data")
 
@@ -301,7 +296,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_grid_file(path) -> tuple[tuple[float, ...], ...]:
+def _load_grid_file(path) -> list[LossWeights]:
+    """One 'alpha,b1..b5' row per line, each checked before any training."""
     rows = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -310,15 +306,15 @@ def _load_grid_file(path) -> tuple[tuple[float, ...], ...]:
                 continue
             try:
                 values = _float_list(line)
+                if len(values) != 6:
+                    raise ValueError(
+                        f"expected 6 comma-separated weights (alpha then 5 betas), "
+                        f"got {len(values)}"
+                    )
+                rows.append(LossWeights(values[0], values[1:]))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if len(values) != 6:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 6 comma-separated weights "
-                    f"(alpha then 5 betas), got {len(values)}"
-                )
-            rows.append(values)
-    return tuple(rows)
+    return rows
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
@@ -327,22 +323,24 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     val_samples = load_dataset(opt.get("val", str, required=True))
     seeds = opt.get("seeds", _int_list, (0, 1, 2, 3, 4))
     grid_file = opt.get("grid_file", str)
-    grid = _load_grid_file(grid_file) if grid_file else DEFAULT_WEIGHT_GRID
+    if grid_file:
+        grid = _load_grid_file(grid_file)
+    else:
+        grid = [LossWeights(row[0], row[1:]) for row in DEFAULT_WEIGHT_GRID]
     if not grid:
         raise ValueError("weight grid is empty")
     if opt.get("epochs", int, 30) < 1:
         raise ValueError("ablate needs at least 1 epoch")
 
     medians = []
-    for row in grid:
-        weights = LossWeights(row[0], row[1:])
+    for weights in grid:
         finals = []
         for seed in seeds:
             _, report = _run_training(opt, seed, train_samples, val_samples, weights)
             finals.append(report.final_val.mean_mae)
         medians.append(statistics.median(finals))
         print(
-            f"row alpha={_fmt(row[0])} betas={','.join(_fmt(b) for b in row[1:])}: "
+            f"row alpha={_fmt(weights.alpha)} betas={','.join(_fmt(b) for b in weights.betas)}: "
             f"median val MAE {medians[-1]:.4f}",
             file=sys.stderr,
         )
@@ -354,7 +352,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     header = f"{'alpha':>7} " + " ".join(f"{f'beta{i+1}':>7}" for i in range(5))
     print(f"{header} {'median_mae':>11} best")
     lines_csv = ["alpha,beta1,beta2,beta3,beta4,beta5,median_val_mean_mae,best"]
-    for i, (row, med) in enumerate(zip(grid, medians)):
+    for i, (weights, med) in enumerate(zip(grid, medians)):
+        row = (weights.alpha, *weights.betas)
         flag = "*" if i == best else ""
         cells = " ".join(f"{v:7g}" for v in row)
         print(f"{cells} {med:11.4f} {flag:>4}")

@@ -13,11 +13,12 @@ from a single noiseless projection.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import PoseAngles, euler_to_rotation
+from .angles import ANGLE_NAMES, PoseAngles, euler_to_rotation
 from .binning import CANONICAL_MAX_ANGLE, CANONICAL_MIN_ANGLE
 
 __all__ = [
@@ -25,7 +26,7 @@ __all__ = [
     "DEFAULT_RIG",
     "RIG_VERSION",
     "SynthConfig",
-    "SynthSample",
+    "Dataset",
     "sample_pose",
     "render_features",
     "make_dataset",
@@ -132,19 +133,33 @@ class SynthConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class SynthSample:
-    """One feature vector and the orientation that produced it."""
+class Dataset:
+    """(n, d) features and (n, 3) yaw, pitch, roll in degrees, one row per sample.
+
+    Both are float64, C-contiguous, read-only views (not copies) of the arrays
+    given, checked once on construction: shapes, n >= 1, every value finite."""
 
     features: np.ndarray
-    truth: PoseAngles
+    angles: np.ndarray
 
     def __post_init__(self) -> None:
-        f = np.asarray(self.features, dtype=float)
-        if f.ndim != 1 or f.shape[0] < 1:
-            raise ValueError(f"features must be a nonempty vector, got shape {f.shape}")
+        f = np.ascontiguousarray(self.features, dtype=float).view()
+        a = np.ascontiguousarray(self.angles, dtype=float).view()
+        if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] < 1:
+            raise ValueError(f"features must be a nonempty (n, d) array, got shape {f.shape}")
+        if a.shape != (f.shape[0], 3):
+            raise ValueError(f"angles must have shape ({f.shape[0]}, 3), got {a.shape}")
         if not np.isfinite(f).all():
             raise ValueError("features contain non-finite values")
+        if not np.isfinite(a).all():
+            raise ValueError("angles contain non-finite values")
+        f.setflags(write=False)
+        a.setflags(write=False)
         object.__setattr__(self, "features", f)
+        object.__setattr__(self, "angles", a)
+
+    def __len__(self) -> int:
+        return self.features.shape[0]
 
 
 def sample_pose(rng: np.random.Generator, cfg: SynthConfig) -> PoseAngles:
@@ -178,33 +193,29 @@ def render_features(
     return features
 
 
-def make_dataset(
-    cfg: SynthConfig, rig: Rig = DEFAULT_RIG
-) -> tuple[list[SynthSample], list[SynthSample]]:
+def make_dataset(cfg: SynthConfig, rig: Rig = DEFAULT_RIG) -> tuple[Dataset, Dataset]:
     """Generate samples and split deterministically, last fraction as validation."""
     rng = np.random.default_rng(cfg.seed)
-    samples = []
-    for _ in range(cfg.n_samples):
+    features = np.empty((cfg.n_samples, 2 * rig.n_points))
+    angles = np.empty((cfg.n_samples, 3))
+    for i in range(cfg.n_samples):
         pose = sample_pose(rng, cfg)
-        features = render_features(rig, pose, cfg.noise_sigma, rng)
-        samples.append(SynthSample(features, pose))
+        features[i] = render_features(rig, pose, cfg.noise_sigma, rng)
+        angles[i] = (pose.yaw, pose.pitch, pose.roll)
     n_val = int(round(cfg.n_samples * cfg.val_fraction))
-    n_val = min(max(n_val, 1), cfg.n_samples - 1)
-    return samples[: cfg.n_samples - n_val], samples[cfg.n_samples - n_val :]
+    n = cfg.n_samples - min(max(n_val, 1), cfg.n_samples - 1)
+    return Dataset(features[:n], angles[:n]), Dataset(features[n:], angles[n:])
 
 
-def format_dataset(samples: list[SynthSample]) -> str:
+def format_dataset(data: Dataset) -> str:
     """One comma-separated line per sample: features then yaw, pitch, roll."""
-    lines = []
-    for s in samples:
-        values = [float(v) for v in s.features] + [s.truth.yaw, s.truth.pitch, s.truth.roll]
-        lines.append(",".join(repr(v) for v in values))
-    return "\n".join(lines) + "\n"
+    rows = np.hstack((data.features, data.angles)).tolist()
+    return "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
 
 
-def load_dataset(path) -> list[SynthSample]:
-    """Parse a dataset file in the format_dataset layout."""
-    samples = []
+def load_dataset(path) -> Dataset:
+    """Parse a dataset file in the format_dataset layout into two flat buffers."""
+    features, angles, line_numbers = array("d"), array("d"), array("l")
     arity = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -223,13 +234,22 @@ def load_dataset(path) -> list[SynthSample]:
                     f"{path}: line {lineno}: expected {arity} fields, got {len(parts)}"
                 )
             try:
-                values = [float(p) for p in parts]
+                features.extend(map(float, parts[:-3]))
+                angles.extend(map(float, parts[-3:]))
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
-            try:
-                samples.append(SynthSample(np.array(values[:-3]), PoseAngles(*values[-3:])))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    if not samples:
+            line_numbers.append(lineno)
+    if not line_numbers:
         raise ValueError(f"{path}: dataset file is empty")
-    return samples
+    x = np.frombuffer(features).reshape(-1, arity - 3)
+    y = np.frombuffer(angles).reshape(-1, 3)
+    # The first row with a non-finite value (row 0 if none); angles are reported first.
+    finite_y = np.isfinite(y)
+    row = int(np.argmin(np.isfinite(x).all(axis=1) & finite_y.all(axis=1)))
+    where = f"{path}: line {line_numbers[row]}"
+    if not finite_y[row].all():
+        col = int(np.argmin(finite_y[row]))
+        raise ValueError(f"{where}: {ANGLE_NAMES[col]} must be finite, got {float(y[row, col])!r}")
+    if not np.isfinite(x[row]).all():
+        raise ValueError(f"{where}: features contain non-finite values")
+    return Dataset(x, y)

@@ -18,13 +18,13 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .angles import MaeReport, PoseAngles, _mae_from_arrays
 from .binning import BinHierarchy, _check_in_range, decode_positions, expect_decode, make_hierarchy
 from .loss import LossWeights, _angle_terms, _check_loss_args, softmax
+from .synth import Dataset
 
 __all__ = [
     "N_ANGLES",
@@ -261,9 +261,9 @@ def init_net(config: NetConfig) -> TinyNet:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one per parameter array updated.
+    """First/second moment accumulators for one parameter array.
 
-    ``for_net`` makes one ``m`` and one ``v`` of ``net.flat``'s size, so a
+    ``for_net`` makes an ``m`` and a ``v`` of ``net.flat``'s size, so a
     training step updates the whole net as the single array ``net.flat``.
     """
 
@@ -272,12 +272,12 @@ class AdamState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-    # Two work arrays per moment array, kept across steps: allocating them
-    # anew each step costs about as much as the arithmetic.
-    _scratch: list[tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=list, init=False, repr=False, compare=False
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # Two work arrays, kept across steps: allocating them anew each step
+    # costs about as much as the arithmetic.
+    _scratch: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -294,49 +294,47 @@ class AdamState:
     def for_net(cls, net: TinyNet, learning_rate: float = 1e-3, **kwargs) -> "AdamState":
         return cls(
             learning_rate=learning_rate,
-            m=[np.zeros_like(net.flat)],
-            v=[np.zeros_like(net.flat)],
+            m=np.zeros_like(net.flat),
+            v=np.zeros_like(net.flat),
             **kwargs,
         )
 
 
-def adam_update(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
-    """One bias-corrected Adam step, applied to the parameter arrays in place.
+def adam_update(p: np.ndarray, g: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam step, applied to the parameter array in place.
 
-    Each array gets ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``, computed as
-    in-place passes over two scratch arrays kept in ``state``.  The passes
-    perform the same IEEE operations in the same order as that expression, so
-    the result is bit-identical to it, without a temporary per operation.
+    ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` is computed as in-place
+    passes over two scratch arrays kept in ``state``.  The passes perform the
+    same IEEE operations in the same order as that expression, so the result
+    is bit-identical to it, without a temporary per operation.
     """
-    if len(params) != len(state.m) or len(params) != len(grads):
-        raise ValueError("parameter, gradient and moment lists must align")
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if not p.shape == g.shape == m.shape == v.shape:
-            raise ValueError(
-                f"parameter, gradient and moment shapes must align, got "
-                f"{p.shape}, {g.shape}, {m.shape}, {v.shape}"
-            )
-    if [s1.shape for s1, _ in state._scratch] != [m.shape for m in state.m]:
-        state._scratch = [(np.empty_like(m), np.empty_like(m)) for m in state.m]
+    m, v = state.m, state.v
+    if not p.shape == g.shape == m.shape == v.shape:
+        raise ValueError(
+            f"parameter, gradient and moment shapes must align, got "
+            f"{p.shape}, {g.shape}, {m.shape}, {v.shape}"
+        )
+    if state._scratch is None or state._scratch[0].shape != m.shape:
+        state._scratch = (np.empty_like(m), np.empty_like(m))
+    s1, s2 = state._scratch
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     correction1 = 1.0 - b1 ** state.step
     correction2 = 1.0 - b2 ** state.step
-    for p, g, m, v, (s1, s2) in zip(params, grads, state.m, state.v, state._scratch):
-        np.multiply(g, 1.0 - b1, out=s1)
-        m *= b1
-        m += s1
-        np.multiply(g, g, out=s1)
-        s1 *= 1.0 - b2
-        v *= b2
-        v += s1
-        np.divide(m, correction1, out=s1)
-        s1 *= state.learning_rate
-        np.divide(v, correction2, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += state.epsilon
-        s1 /= s2
-        p -= s1
+    np.multiply(g, 1.0 - b1, out=s1)
+    m *= b1
+    m += s1
+    np.multiply(g, g, out=s1)
+    s1 *= 1.0 - b2
+    v *= b2
+    v += s1
+    np.divide(m, correction1, out=s1)
+    s1 *= state.learning_rate
+    np.divide(v, correction2, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += state.epsilon
+    s1 /= s2
+    p -= s1
 
 
 @dataclass(frozen=True)
@@ -421,27 +419,10 @@ def _batch_loss_and_grads(
     return stats, trunk_grads + head_grads
 
 
-def _batch_arrays(batch: Sequence, hierarchy: BinHierarchy) -> tuple[np.ndarray, np.ndarray]:
-    """Accept (features, PoseAngles) pairs or SynthSample-like objects.
-
-    Targets must lie in the hierarchy's bin range.
-    """
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    feats, poses = [], []
-    for item in batch:
-        if hasattr(item, "features") and hasattr(item, "truth"):
-            f, p = item.features, item.truth
-        else:
-            f, p = item
-        feats.append(np.asarray(f, dtype=float))
-        poses.append([p.yaw, p.pitch, p.roll])
-    x = np.stack(feats)
-    targets = np.array(poses, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("features contain non-finite values")
-    _check_in_range(targets, hierarchy.finest)
-    return x, targets
+def _batch_arrays(data: Dataset, hierarchy: BinHierarchy) -> tuple[np.ndarray, np.ndarray]:
+    """A dataset's features and targets; the targets must lie in the hierarchy's bin range."""
+    _check_in_range(data.angles, hierarchy.finest)
+    return data.features, data.angles
 
 
 def _assert_finite_params(net: TinyNet, optimizer: AdamState, loss: float) -> None:
@@ -456,7 +437,7 @@ def _assert_finite_params(net: TinyNet, optimizer: AdamState, loss: float) -> No
         what = "loss"
     elif not np.isfinite(net.flat).all():
         what = "parameters"
-    elif not all(np.isfinite(v).all() for v in optimizer.v):
+    elif not np.isfinite(optimizer.v).all():
         what = "Adam second moment"
     else:
         return
@@ -476,7 +457,7 @@ def _step(
     """Loss and gradient, copied into the flat ``grad``; then Adam and the guard."""
     stats, grads = _batch_loss_and_grads(net, x, targets, weights, mse_scale, convention)
     np.concatenate(grads, axis=None, out=grad)
-    adam_update([net.flat], [grad], optimizer)
+    adam_update(net.flat, grad, optimizer)
     _assert_finite_params(net, optimizer, stats.total)
     return stats
 
@@ -487,8 +468,8 @@ def _evaluate(net: TinyNet, x: np.ndarray, targets: np.ndarray, convention: str)
 
 def train(
     config: NetConfig,
-    train_samples: Sequence,
-    val_samples: Sequence,
+    train_samples: Dataset,
+    val_samples: Dataset,
     weights: LossWeights,
     epochs: int = 30,
     learning_rate: float = 1e-3,

@@ -79,6 +79,20 @@ def test_config_file_syntax_error(tmp_path, capsys):
     assert f"{cfg}: line 1: expected 'key = value'" in err
 
 
+def test_config_file_rejects_duplicate_keys(tmp_path, capsys):
+    cfg = tmp_path / "synth.cfg"
+    out_train, out_val = tmp_path / "t.csv", tmp_path / "v.csv"
+    cfg.write_text(f"seed = 1\nout-train = {out_train}\nout_val = {out_val}\nseed = 2\n")
+    rc, _, err = run(capsys, "synth", "--config", str(cfg))
+    assert rc == 1
+    assert f"{cfg}: line 4: duplicate key 'seed' (first on line 1)" in err
+    assert not out_train.exists() and not out_val.exists()
+    cfg.write_text(f"out_train = {out_train}\nout-train = {out_train}\n")
+    rc, _, err = run(capsys, "synth", "--config", str(cfg))
+    assert rc == 1
+    assert f"{cfg}: line 2: duplicate key 'out_train' (first on line 1)" in err
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     train, val = make_split(tmp_path, capsys, n=30)
     cfg = tmp_path / "train.cfg"
@@ -321,6 +335,15 @@ def test_ablate_rejects_malformed_grid_row(tmp_path, capsys):
     )
     assert rc == 1
     assert f"{grid}: line 2: could not convert" in err
+    # A bad weight in a later row fails before the first row trains.
+    grid.write_text("2,7,5,3,1,1\n2,7,5,3,1,-1\n")
+    rc, _, err = run(
+        capsys, "ablate", "--train", str(train), "--val", str(val),
+        "--grid-file", str(grid), "--epochs", "1", "--hidden", "8", "--seeds", "0",
+    )
+    assert rc == 1
+    assert f"{grid}: line 2: betas must be finite and nonnegative" in err
+    assert "median val MAE" not in err
 
 
 def test_default_grid_shape():

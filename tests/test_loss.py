@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import fd_gradient, relative_error
-from hybridpose.binning import coarsen, decode_positions, encode_all, make_hierarchy
+from hybridpose.binning import coarsen, decode_positions, encode, encode_all, make_hierarchy
 from hybridpose.loss import (
     DEFAULT_WEIGHTS,
     FINE_ONLY_WEIGHTS,
@@ -16,6 +16,8 @@ from hybridpose.loss import (
     hybrid_loss_grad,
     softmax,
 )
+from hybridpose.synth import Dataset
+from hybridpose.tinynet import NetConfig, train
 
 HIERARCHY = make_hierarchy()
 BIN_COUNTS = tuple(s.n_bins for s in HIERARCHY.levels)
@@ -267,3 +269,36 @@ def test_coarse_labels_are_coarsened_fine_labels(b, lo, w):
     )
     used = np.stack([g.argmin(axis=1) for g in grads], axis=1)
     assert (used == labels).all()
+
+
+@settings(deadline=None)
+@given(
+    b=st.sampled_from([2, 3, 5, 7]),
+    lo=st.floats(-100.0, 100.0),
+    w=st.floats(0.01, 200.0),
+)
+def test_angles_outside_bin_range_are_rejected(b, lo, w):
+    """Just below lo or above hi fails everywhere a label is made; lo and hi pass."""
+    hierarchy = make_hierarchy((12 * b, 6 * b, 2 * b, b), lo, lo + w)
+    finest = hierarchy.finest
+    weights = LossWeights(1.0, (1.0,) * hierarchy.depth)
+    heads = [np.zeros(s.n_bins) for s in hierarchy.levels]
+    config = NetConfig(input_dim=2, hidden_dims=(2,), hierarchy=hierarchy)
+
+    def checks(angle):
+        data = Dataset(np.zeros((1, 2)), [[angle, finest.min_angle, finest.max_angle]])
+        return [
+            lambda: encode(angle, finest),
+            lambda: encode_all(angle, hierarchy),
+            lambda: hybrid_loss(heads, angle, weights, hierarchy),
+            lambda: hybrid_loss_grad(heads, angle, weights, hierarchy),
+            lambda: train(config, data, data, weights, epochs=0),
+        ]
+
+    for angle in (np.nextafter(finest.min_angle, -np.inf), np.nextafter(finest.max_angle, np.inf)):
+        for check in checks(angle):
+            with pytest.raises(ValueError, match="outside bin range"):
+                check()
+    for angle in (finest.min_angle, finest.max_angle):
+        for check in checks(angle):
+            check()

@@ -4,9 +4,9 @@ import pytest
 from hybridpose.angles import PoseAngles, euler_to_rotation, rotation_to_euler
 from hybridpose.synth import (
     DEFAULT_RIG,
+    Dataset,
     Rig,
     SynthConfig,
-    SynthSample,
     format_dataset,
     load_dataset,
     make_dataset,
@@ -136,7 +136,9 @@ def test_make_dataset_split_sizes():
     assert (len(train), len(val)) == (8, 2)
     train, val = make_dataset(SynthConfig(n_samples=2500, seed=0))
     assert (len(train), len(val)) == (2000, 500)
-    assert all(len(s.features) == 24 for s in train[:5])
+    assert train.features.shape == (2000, 24) and val.angles.shape == (500, 3)
+    for part in (train, val):
+        assert part.features.flags.c_contiguous and part.angles.flags.c_contiguous
 
 
 def test_make_dataset_is_deterministic():
@@ -155,9 +157,9 @@ def test_dataset_file_roundtrip(tmp_path):
     path.write_text(format_dataset(train))
     loaded = load_dataset(path)
     assert len(loaded) == len(train)
-    for a, b in zip(loaded, train):
-        assert (a.features == b.features).all()
-        assert a.truth == b.truth
+    assert (loaded.features == train.features).all()
+    assert (loaded.angles == train.angles).all()
+    assert loaded.features.flags.c_contiguous and loaded.angles.flags.c_contiguous
 
 
 def test_load_dataset_errors(tmp_path):
@@ -179,6 +181,21 @@ def test_load_dataset_errors(tmp_path):
         load_dataset(path)
 
 
-def test_synth_sample_validation():
-    with pytest.raises(ValueError, match="finite"):
-        SynthSample(np.array([1.0, float("nan")]), PoseAngles(0, 0, 0))
+def test_dataset_validation():
+    features, angles = np.zeros((2, 4)), np.zeros((2, 3))
+    data = Dataset(features, angles)
+    assert len(data) == 2
+    with pytest.raises(ValueError, match="read-only"):
+        data.features[0, 0] = 1.0
+    features[0, 1] = np.nan
+    with pytest.raises(ValueError, match="features contain non-finite"):
+        Dataset(features, angles)
+    angles[1, 2] = np.inf
+    with pytest.raises(ValueError, match="angles contain non-finite"):
+        Dataset(np.zeros((2, 4)), angles)
+    with pytest.raises(ValueError, match="nonempty"):
+        Dataset(np.zeros((0, 4)), np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="nonempty"):
+        Dataset(np.zeros(4), np.zeros(3))
+    with pytest.raises(ValueError, match=r"angles must have shape \(2, 3\)"):
+        Dataset(np.zeros((2, 4)), np.zeros((3, 3)))

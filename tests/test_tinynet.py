@@ -3,10 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from hybridpose.angles import PoseAngles
 from hybridpose.binning import expect_decode, make_hierarchy
 from hybridpose.loss import DEFAULT_WEIGHTS, LossWeights, hybrid_loss, softmax
-from hybridpose.synth import SynthConfig, make_dataset
+from hybridpose.synth import Dataset, SynthConfig, make_dataset
 from hybridpose.tinynet import (
     AdamState,
     NetConfig,
@@ -29,8 +28,7 @@ TOY = NetConfig(input_dim=4, hidden_dims=(8,), hierarchy=make_hierarchy((6, 2)),
 def toy_batch(seed=10, n=3):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, TOY.input_dim))
-    targets = rng.uniform(-60.0, 60.0, size=(n, 3))
-    return [(x[i], PoseAngles(*targets[i])) for i in range(n)]
+    return x, rng.uniform(-60.0, 60.0, size=(n, 3))
 
 
 def test_net_config_validation():
@@ -155,9 +153,7 @@ def test_predict_batch_agrees_with_per_row_predict():
 @pytest.mark.parametrize("mse_scale", ["degrees", "bins"])
 def test_batch_gradients_match_finite_differences(mse_scale, convention):
     net = init_net(TOY)
-    batch = toy_batch()
-    x = np.stack([f for f, _ in batch])
-    targets = np.array([[p.yaw, p.pitch, p.roll] for _, p in batch])
+    x, targets = toy_batch()
 
     # keep every ReLU pre-activation away from its kink by more than the
     # largest pre-activation shift an FD step of 1e-4 can cause
@@ -172,14 +168,14 @@ def test_batch_gradients_match_finite_differences(mse_scale, convention):
     def scalar_loss(flat):
         set_params(params, flat)
         total = 0.0
-        for feats, pose in batch:
+        for feats, truths in zip(x, targets):
             out = net.forward(feats)
-            for heads, truth in zip(out.per_angle(), pose.as_array()):
+            for heads, truth in zip(out.per_angle(), truths):
                 total += hybrid_loss(
                     heads, truth, weights, TOY.hierarchy, mse_scale, convention
                 ).total
         set_params(params, base)
-        return total / len(batch)
+        return total / len(x)
 
     assert abs(scalar_loss(base) - stats.total) < 1e-12
     numeric = fd_gradient(scalar_loss, base, step=1e-4)
@@ -188,31 +184,29 @@ def test_batch_gradients_match_finite_differences(mse_scale, convention):
 
 def test_batch_stats_match_scalar_loss_terms():
     net = init_net(TOY)
-    batch = toy_batch(seed=11, n=5)
-    x = np.stack([f for f, _ in batch])
-    targets = np.array([[p.yaw, p.pitch, p.roll] for _, p in batch])
+    x, targets = toy_batch(seed=11, n=5)
     weights = LossWeights(alpha=2.0, betas=(3.0, 1.0))
     stats, _ = _batch_loss_and_grads(net, x, targets, weights)
 
     reg = 0.0
     ce = np.zeros(2)
-    for feats, pose in batch:
+    for feats, truths in zip(x, targets):
         out = net.forward(feats)
-        for heads, truth in zip(out.per_angle(), pose.as_array()):
+        for heads, truth in zip(out.per_angle(), truths):
             br = hybrid_loss(heads, truth, weights, TOY.hierarchy)
             reg += br.regression_term
             ce += np.array(br.ce_terms)
-    assert abs(stats.regression_term - reg / len(batch)) < 1e-9
-    assert np.abs(np.array(stats.ce_terms) - ce / len(batch)).max() < 1e-12
+    assert abs(stats.regression_term - reg / len(x)) < 1e-9
+    assert np.abs(np.array(stats.ce_terms) - ce / len(x)).max() < 1e-12
 
 
 def test_adam_closed_form_without_momentum():
     p = np.array([1.0, -2.0, 3.0])
     g = np.array([0.5, -0.25, 2.0])
     state = AdamState(learning_rate=0.1, beta1=0.0, beta2=0.0, epsilon=1e-8,
-                      m=[np.zeros(3)], v=[np.zeros(3)])
+                      m=np.zeros(3), v=np.zeros(3))
     expected = p - 0.1 * g / (np.abs(g) + 1e-8)
-    adam_update([p], [g], state)
+    adam_update(p, g, state)
     assert np.abs(p - expected).max() < 1e-12
     assert state.step == 1
 
@@ -220,8 +214,8 @@ def test_adam_closed_form_without_momentum():
 def test_adam_zero_rate_is_identity():
     p = np.array([1.0, -2.0, 3.0])
     before = p.copy()
-    state = AdamState(learning_rate=0.0, m=[np.zeros(3)], v=[np.zeros(3)])
-    adam_update([p], [np.array([5.0, -1.0, 0.5])], state)
+    state = AdamState(learning_rate=0.0, m=np.zeros(3), v=np.zeros(3))
+    adam_update(p, np.array([5.0, -1.0, 0.5]), state)
     assert (p == before).all()
 
 
@@ -232,11 +226,9 @@ def test_adam_state_validation():
         AdamState(learning_rate=1e-3, beta1=1.0)
     with pytest.raises(ValueError, match="epsilon"):
         AdamState(learning_rate=1e-3, epsilon=0.0)
-    state = AdamState(learning_rate=1e-3, m=[np.zeros(2)], v=[np.zeros(2)])
-    with pytest.raises(ValueError, match="align"):
-        adam_update([np.zeros(2), np.zeros(2)], [np.zeros(2), np.zeros(2)], state)
+    state = AdamState(learning_rate=1e-3, m=np.zeros(2), v=np.zeros(2))
     with pytest.raises(ValueError, match="shapes must align"):
-        adam_update([np.zeros(2)], [np.zeros(1)], state)
+        adam_update(np.zeros(2), np.zeros(1), state)
     assert state.step == 0
 
 
@@ -246,12 +238,12 @@ def test_adam_update_is_bit_identical_to_textbook_expression():
     p = rng.standard_normal(n)
     m = rng.standard_normal(n) * 1e-2
     v = rng.random(n) * 1e-4
-    state = AdamState(learning_rate=1e-3, m=[m.copy()], v=[v.copy()])
+    state = AdamState(learning_rate=1e-3, m=m.copy(), v=v.copy())
     ref_p, ref_m, ref_v = p.copy(), m.copy(), v.copy()
     b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
     for step in range(1, 6):
         g = rng.standard_normal(n) * 10.0 ** rng.integers(-4, 2)
-        adam_update([p], [g], state)
+        adam_update(p, g, state)
         ref_m *= b1
         ref_m += (1.0 - b1) * g
         ref_v *= b2
@@ -260,8 +252,8 @@ def test_adam_update_is_bit_identical_to_textbook_expression():
             np.sqrt(ref_v / (1.0 - b2 ** step)) + eps
         )
         assert (p == ref_p).all()
-        assert (state.m[0] == ref_m).all()
-        assert (state.v[0] == ref_v).all()
+        assert (state.m == ref_m).all()
+        assert (state.v == ref_v).all()
     assert state.step == 5
 
 
@@ -283,7 +275,7 @@ def test_parameters_are_views_of_one_flat_buffer(tmp_path):
     assert (loaded.flat == net.flat).all()
     assert all(np.shares_memory(p, loaded.flat) for p in loaded.parameters())
     opt = AdamState.for_net(net)
-    assert [m.shape for m in opt.m] == [v.shape for v in opt.v] == [net.flat.shape]
+    assert opt.m.shape == opt.v.shape == net.flat.shape
 
 
 def test_finite_guard_names_loss_parameters_and_moments():
@@ -293,7 +285,7 @@ def test_finite_guard_names_loss_parameters_and_moments():
     _assert_finite_params(net, opt, 1.0)
     with pytest.raises(FloatingPointError, match="non-finite loss at update 4"):
         _assert_finite_params(net, opt, float("inf"))
-    opt.v[0][-1] = np.inf
+    opt.v[-1] = np.inf
     with pytest.raises(FloatingPointError, match="non-finite Adam second moment at update 4"):
         _assert_finite_params(net, opt, 1.0)
     net.head_biases[2][1][0] = np.nan
@@ -348,7 +340,8 @@ def test_train_validation_errors():
     train_samples, val_samples = small_data()
     config = NetConfig(input_dim=24, hidden_dims=(16,))
     with pytest.raises(ValueError, match="nonempty"):
-        train(config, [], val_samples, DEFAULT_WEIGHTS, epochs=1)
+        train(config, Dataset(np.zeros((0, 24)), np.zeros((0, 3))), val_samples,
+              DEFAULT_WEIGHTS, epochs=1)
     with pytest.raises(ValueError, match="epochs"):
         train(config, train_samples, val_samples, DEFAULT_WEIGHTS, epochs=-1)
     with pytest.raises(ValueError, match="batch_size"):
@@ -356,14 +349,14 @@ def test_train_validation_errors():
     bad_dim = NetConfig(input_dim=10, hidden_dims=(16,))
     with pytest.raises(ValueError, match="dim 24"):
         train(bad_dim, train_samples, val_samples, DEFAULT_WEIGHTS, epochs=1)
-    outlier = [(np.zeros(24), PoseAngles(120.0, 0.0, 0.0))]
+    outlier = Dataset(np.zeros((1, 24)), [[120.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="outside"):
         train(config, outlier, val_samples, DEFAULT_WEIGHTS, epochs=1)
     # Below a narrower hierarchy's range, a label would wrap to the top bins.
     narrow = NetConfig(input_dim=24, hidden_dims=(16,),
                        hierarchy=make_hierarchy((20, 10, 2), -50.0, 50.0))
     weights = LossWeights(alpha=2.0, betas=(3.0, 1.0, 1.0))
-    below = [(np.zeros(24), PoseAngles(-60.0, 0.0, 0.0))]
+    below = Dataset(np.zeros((1, 24)), [[-60.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match=r"-60.0 outside bin range \[-50.0, 50.0\]"):
         train(narrow, below, below, weights, epochs=1)
     with pytest.raises(ValueError, match="outside bin range"):
