@@ -33,12 +33,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "ANGLE_NAMES",
     "PoseAngles",
     "MaeReport",
     "check_rotation_matrix",
@@ -151,25 +149,22 @@ def rotation_to_euler(rotation, tol: float = 1e-6) -> PoseAngles:
     return PoseAngles(yaw, pitch, roll)
 
 
-def _mae_from_arrays(pred: np.ndarray, truth: np.ndarray) -> MaeReport:
-    err = np.abs(pred - truth).mean(axis=0)
-    yaw_mae, pitch_mae, roll_mae = (float(v) for v in err)
-    mean_mae = (yaw_mae + pitch_mae + roll_mae) / 3.0
-    return MaeReport(yaw_mae, pitch_mae, roll_mae, mean_mae, n_samples=pred.shape[0])
-
-
-def mae(predictions: Sequence[PoseAngles], truths: Sequence[PoseAngles]) -> MaeReport:
-    """Mean absolute error per angle between paired predictions and truths.
+def mae(pred, truth) -> MaeReport:
+    """Mean absolute error per angle between paired (n, 3) yaw/pitch/roll arrays.
 
     Differences are plain ``|pred - truth|`` in degrees with no wrap-around;
     inputs are expected to live well inside (-180, 180).
     """
-    if len(predictions) != len(truths):
-        raise ValueError(
-            f"length mismatch: {len(predictions)} predictions vs {len(truths)} truths"
-        )
-    if not predictions:
+    pred = np.asarray(pred, dtype=float)
+    truth = np.asarray(truth, dtype=float)
+    for name, a in (("predictions", pred), ("truths", truth)):
+        if a.ndim != 2 or a.shape[1] != 3:
+            raise ValueError(f"{name} must be an (n, 3) array, got shape {a.shape}")
+    if len(pred) != len(truth):
+        raise ValueError(f"length mismatch: {len(pred)} predictions vs {len(truth)} truths")
+    if len(pred) == 0:
         raise ValueError("cannot compute MAE of an empty sequence")
-    pred = np.array([[p.yaw, p.pitch, p.roll] for p in predictions])
-    truth = np.array([[t.yaw, t.pitch, t.roll] for t in truths])
-    return _mae_from_arrays(pred, truth)
+    err = np.abs(pred - truth).mean(axis=0)
+    yaw_mae, pitch_mae, roll_mae = (float(v) for v in err)
+    mean_mae = (yaw_mae + pitch_mae + roll_mae) / 3.0
+    return MaeReport(yaw_mae, pitch_mae, roll_mae, mean_mae, n_samples=len(pred))

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CANONICAL_BIN_COUNTS",
     "BinScheme",
     "BinHierarchy",
     "make_hierarchy",

@@ -9,16 +9,22 @@ never leaves a partial file behind.
 
 from __future__ import annotations
 
-import argparse
 import os
+
+# BLAS matmuls round differently per thread count: pin one thread before numpy loads.
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+import argparse
 import statistics
 import sys
 from pathlib import Path
 
-from .angles import _mae_from_arrays, mae, rotation_to_euler
+import numpy as np
+
+from .angles import mae, rotation_to_euler
 from .binning import make_hierarchy
 from .data import (
-    AnnotationRecord,
+    ParseError,
     format_annotation_csv,
     format_predictions_csv,
     parse_annotation_csv,
@@ -28,7 +34,7 @@ from .loss import LossWeights
 from .synth import SynthConfig, format_dataset, load_dataset, make_dataset
 from .tinynet import NetConfig, checkpoint_text, load_checkpoint, train
 
-__all__ = ["main", "build_parser", "DEFAULT_WEIGHT_GRID"]
+__all__ = ["main"]
 
 # Default ablation grid: five classification-weight rows at alpha 2, then
 # the remaining regression-weight sweep (the alpha=2 row is already above).
@@ -248,20 +254,24 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _match_by_id(pred_records, truth_records):
-    pred_by_id = {r.sample_id: r for r in pred_records}
-    truth_by_id = {r.sample_id: r for r in truth_records}
-    missing_pred = sorted(set(truth_by_id) - set(pred_by_id))
-    missing_truth = sorted(set(pred_by_id) - set(truth_by_id))
-    if missing_pred or missing_truth:
-        parts = []
-        if missing_pred:
-            parts.append(f"missing from predictions: {', '.join(missing_pred[:10])}")
-        if missing_truth:
-            parts.append(f"missing from truths: {', '.join(missing_truth[:10])}")
+def _read_annotations(path) -> tuple[list[str], np.ndarray]:
+    try:
+        return parse_annotation_csv(Path(path).read_text())
+    except ParseError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _match_by_id(pred_ids, pred: np.ndarray, truth_ids) -> np.ndarray:
+    """The rows of ``pred`` reordered to ``truth_ids``; both must hold the same ids."""
+    index = {sample_id: i for i, sample_id in enumerate(pred_ids)}
+    missing = {
+        "predictions": sorted(set(truth_ids) - index.keys()),
+        "truths": sorted(index.keys() - set(truth_ids)),
+    }
+    parts = [f"missing from {side}: {', '.join(ids[:10])}" for side, ids in missing.items() if ids]
+    if parts:
         raise ValueError("prediction/truth id mismatch; " + "; ".join(parts))
-    pairs = [(pred_by_id[r.sample_id].pose, r.pose) for r in truth_records]
-    return [p for p, _ in pairs], [t for _, t in pairs]
+    return pred[[index[sample_id] for sample_id in truth_ids]]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -272,16 +282,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     data_path = opt.get("data", str)
 
     if pred_path and truth_path:
-        preds = parse_annotation_csv(Path(pred_path).read_text())
-        truths = parse_annotation_csv(Path(truth_path).read_text())
-        pred_poses, truth_poses = _match_by_id(preds, truths)
-        report = mae(pred_poses, truth_poses)
+        pred_ids, pred = _read_annotations(pred_path)
+        truth_ids, truth = _read_annotations(truth_path)
+        report = mae(_match_by_id(pred_ids, pred, truth_ids), truth)
     elif ckpt_path and data_path:
         net = load_checkpoint(ckpt_path)
         data = load_dataset(data_path)
         pred = net.predict_batch(data.features, opt.get("decode_convention", str, "center"))
         # The same arithmetic as train's per-epoch validation MAE.
-        report = _mae_from_arrays(pred, data.angles)
+        report = mae(pred, data.angles)
         pred_out = opt.get("pred_out", str)
         if pred_out:
             ids = [str(i) for i in range(len(pred))]
@@ -373,7 +382,7 @@ def cmd_parse_biwi(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         raise ValueError(f"not a directory: {directory}")
 
-    records = []
+    ids, rows = [], []
     rejected = 0
     for path in sorted(directory.glob(pattern)):
         try:
@@ -383,9 +392,10 @@ def cmd_parse_biwi(args: argparse.Namespace) -> int:
             rejected += 1
             print(f"skipped {path.name}: {exc}", file=sys.stderr)
             continue
-        records.append(AnnotationRecord(path.stem, pose, source="biwi"))
-    _write_atomic(out, format_annotation_csv(records))
-    print(f"parsed {len(records)} file(s), rejected {rejected}, wrote {out}")
+        ids.append(path.stem)
+        rows.append((pose.yaw, pose.pitch, pose.roll))
+    _write_atomic(out, format_annotation_csv(ids, np.reshape(rows, (len(ids), 3))))
+    print(f"parsed {len(ids)} file(s), rejected {rejected}, wrote {out}")
     return 0
 
 

@@ -6,24 +6,22 @@ Two text formats are handled:
   an optional blank line, then one translation row.  This matches the
   per-frame ground-truth layout of common RGB-D head pose recordings.
 * Annotation CSV: header ``id,yaw,pitch,roll`` then one record per line,
-  angles in degrees.
+  angles in degrees.  In memory it is a list of ids plus an (n, 3)
+  yaw/pitch/roll array, row i belonging to id i.
 
 All parse failures raise ParseError with a 1-based line number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .angles import PoseAngles, check_rotation_matrix
+from .angles import ANGLE_NAMES, check_rotation_matrix
 
 __all__ = [
     "ParseError",
-    "AnnotationRecord",
-    "ANNOTATION_HEADER",
-    "PREDICTIONS_HEADER",
     "parse_biwi_pose",
     "format_biwi_pose",
     "parse_annotation_csv",
@@ -41,19 +39,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
-
-
-@dataclass(frozen=True)
-class AnnotationRecord:
-    """One labeled sample: an identifier, its pose, and where it came from."""
-
-    sample_id: str
-    pose: PoseAngles
-    source: str = "csv"
-
-    def __post_init__(self) -> None:
-        if not self.sample_id:
-            raise ValueError("sample_id must be nonempty")
 
 
 def _parse_number_row(line: str, lineno: int, expected: int) -> list[float]:
@@ -107,15 +92,14 @@ def format_biwi_pose(rotation, translation=(0.0, 0.0, 0.0)) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_annotation_csv(text: str, source: str = "csv") -> list[AnnotationRecord]:
-    """Parse an ``id,yaw,pitch,roll`` CSV into records, order preserved."""
+def parse_annotation_csv(text: str) -> tuple[list[str], np.ndarray]:
+    """Parse an ``id,yaw,pitch,roll`` CSV into ids and an (n, 3) angle array, in file order."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != ANNOTATION_HEADER:
         found = lines[0].strip() if lines else ""
-        raise ParseError(
-            f"expected header {ANNOTATION_HEADER!r}, found {found!r}", line=1
-        )
-    records = []
+        raise ParseError(f"expected header {ANNOTATION_HEADER!r}, found {found!r}", line=1)
+    ids: list[str] = []
+    rows: list[list[float]] = []
     seen: set[str] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -130,35 +114,41 @@ def parse_annotation_csv(text: str, source: str = "csv") -> list[AnnotationRecor
             raise ParseError(f"duplicate id {sample_id!r}", line=lineno)
         seen.add(sample_id)
         try:
-            angles = [float(p) for p in parts[1:]]
-            pose = PoseAngles(*angles)
+            row = [float(p) for p in parts[1:]]
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
-        records.append(AnnotationRecord(sample_id, pose, source))
-    return records
+        for name, value in zip(ANGLE_NAMES, row):
+            if not math.isfinite(value):
+                raise ParseError(f"{name} must be finite, got {value!r}", line=lineno)
+        ids.append(sample_id)
+        rows.append(row)
+    return ids, np.array(rows, dtype=float).reshape(len(rows), 3)
 
 
-def format_annotation_csv(records) -> str:
+def _check_rows(ids, values, name: str) -> np.ndarray:
+    """``values`` as an (n, 3) float array with one yaw/pitch/roll row per id."""
+    a = np.asarray(values, dtype=float)
+    if a.shape != (len(ids), 3):
+        raise ValueError(
+            f"{name} must be an (n, 3) array of length {len(ids)}, one row per id, "
+            f"got shape {a.shape}"
+        )
+    return a
+
+
+def format_annotation_csv(ids, angles) -> str:
+    """Render an (n, 3) yaw/pitch/roll array, one ``id,yaw,pitch,roll`` row per id."""
     lines = [ANNOTATION_HEADER]
-    for rec in records:
-        p = rec.pose
-        lines.append(f"{rec.sample_id},{p.yaw!r},{p.pitch!r},{p.roll!r}")
+    for sample_id, row in zip(ids, _check_rows(ids, angles, "angles").tolist()):
+        lines.append(f"{sample_id}," + ",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
 def format_predictions_csv(ids, predictions, truths) -> str:
     """Render (n, 3) yaw/pitch/roll arrays of predictions and truths, one row per id."""
-    pred = np.asarray(predictions, dtype=float)
-    truth = np.asarray(truths, dtype=float)
-    if pred.ndim != 2 or pred.shape[1] != 3 or truth.shape != pred.shape:
-        raise ValueError(
-            f"predictions and truths must be (n, 3) arrays of equal length, "
-            f"got shapes {pred.shape} and {truth.shape}"
-        )
-    if len(ids) != pred.shape[0]:
-        raise ValueError(f"{len(ids)} ids for {pred.shape[0]} predictions: lengths differ")
+    pred = _check_rows(ids, predictions, "predictions")
+    truth = _check_rows(ids, truths, "truths")
     lines = [PREDICTIONS_HEADER]
     for sample_id, p, t in zip(ids, pred.tolist(), truth.tolist()):
         lines.append(f"{sample_id}," + ",".join(map(repr, p + t)))
     return "\n".join(lines) + "\n"
-

@@ -24,17 +24,12 @@ from .binning import CANONICAL_MAX_ANGLE, CANONICAL_MIN_ANGLE
 __all__ = [
     "Rig",
     "DEFAULT_RIG",
-    "RIG_VERSION",
     "SynthConfig",
     "Dataset",
-    "sample_pose",
-    "render_features",
     "make_dataset",
     "format_dataset",
     "load_dataset",
 ]
-
-RIG_VERSION = 1
 
 DEFAULT_YAW_RANGE = (-75.0, 75.0)
 DEFAULT_PITCH_RANGE = (-60.0, 60.0)
@@ -46,7 +41,6 @@ class Rig:
     """Constant 3D landmark points, shape (n_points, 3), in head coordinates."""
 
     points: np.ndarray
-    version: int = RIG_VERSION
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=float)

@@ -21,21 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .angles import MaeReport, PoseAngles, _mae_from_arrays
+from .angles import MaeReport, PoseAngles, mae
 from .binning import BinHierarchy, _check_in_range, decode_positions, expect_decode, make_hierarchy
 from .loss import LossWeights, _angle_terms, _check_loss_args, softmax
 from .synth import Dataset
 
 __all__ = [
-    "N_ANGLES",
     "NetConfig",
     "HeadOutputs",
     "TinyNet",
-    "AdamState",
-    "LossStats",
     "TrainReport",
     "init_net",
-    "adam_update",
     "train",
     "checkpoint_text",
     "load_checkpoint",
@@ -414,7 +410,7 @@ def _batch_loss_and_grads(
     stats = LossStats(
         total=(weights.alpha * reg_sum + float(np.dot(weights.betas, ce_sums))) / n,
         regression_term=reg_sum / n,
-        ce_terms=tuple(ce_sums / n),
+        ce_terms=tuple((ce_sums / n).tolist()),
     )
     return stats, trunk_grads + head_grads
 
@@ -463,7 +459,7 @@ def _step(
 
 
 def _evaluate(net: TinyNet, x: np.ndarray, targets: np.ndarray, convention: str) -> MaeReport:
-    return _mae_from_arrays(net.predict_batch(x, convention), targets)
+    return mae(net.predict_batch(x, convention), targets)
 
 
 def train(
@@ -517,7 +513,7 @@ def train(
             ce_sum += np.array(stats.ce_terms) * len(idx)
         epoch_total.append(total_sum / n)
         epoch_regression.append(reg_sum / n)
-        epoch_ce.append(tuple(ce_sum / n))
+        epoch_ce.append(tuple((ce_sum / n).tolist()))
         val_reports.append(_evaluate(net, x_val, t_val, convention))
     report = TrainReport(
         epoch_total=tuple(epoch_total),
@@ -601,6 +597,8 @@ def load_checkpoint(path) -> TinyNet:
             [np.array(level["bias"], dtype=float) for level in per_angle]
             for per_angle in doc["heads"]
         ]
+        return TinyNet(config, trunk_w, trunk_b, head_w, head_b)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed checkpoint: {exc!r}") from None
-    return TinyNet(config, trunk_w, trunk_b, head_w, head_b)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -116,41 +116,42 @@ def test_rejects_bad_shape_and_nan():
 
 
 def test_mae_zero_and_offset():
-    truths = [PoseAngles(1.0, -2.0, 3.0), PoseAngles(-10.0, 20.0, -30.0)]
+    truths = np.array([[1.0, -2.0, 3.0], [-10.0, 20.0, -30.0]])
     report = mae(truths, truths)
     assert report.yaw_mae == report.pitch_mae == report.roll_mae == report.mean_mae == 0.0
-    shifted = [PoseAngles(t.yaw + 1.0, t.pitch + 1.0, t.roll + 1.0) for t in truths]
-    report = mae(shifted, truths)
+    report = mae(truths + 1.0, truths)
     assert abs(report.yaw_mae - 1.0) < 1e-12
     assert abs(report.mean_mae - 1.0) < 1e-12
 
 
 def test_mae_known_fixture():
-    preds = [PoseAngles(4.820, 6.227, 5.137)]
-    truths = [PoseAngles(0.0, 0.0, 0.0)]
-    report = mae(preds, truths)
+    report = mae(np.array([[4.820, 6.227, 5.137]]), np.zeros((1, 3)))
     assert round(report.mean_mae, 4) == 5.3947
     assert round(report.mean_mae, 3) == 5.395
 
 
 def test_mae_symmetry_and_permutation():
     rng = np.random.default_rng(5)
-    preds = random_poses(20, rng)
-    truths = random_poses(20, rng)
+    preds = np.array([p.as_array() for p in random_poses(20, rng)])
+    truths = np.array([p.as_array() for p in random_poses(20, rng)])
     a = mae(preds, truths)
     b = mae(truths, preds)
     assert a == b
     order = rng.permutation(20)
-    c = mae([preds[i] for i in order], [truths[i] for i in order])
+    c = mae(preds[order], truths[order])
     assert abs(c.mean_mae - a.mean_mae) < 1e-12
 
 
 def test_mae_errors():
-    p = [PoseAngles(0.0, 0.0, 0.0)]
-    with pytest.raises(ValueError, match="mismatch"):
-        mae(p, p * 2)
+    p = np.zeros((1, 3))
+    with pytest.raises(ValueError, match="length mismatch: 1 predictions vs 2 truths"):
+        mae(p, np.zeros((2, 3)))
     with pytest.raises(ValueError, match="empty"):
-        mae([], [])
+        mae(np.zeros((0, 3)), np.zeros((0, 3)))
+    with pytest.raises(ValueError, match=r"truths must be an \(n, 3\) array, got shape \(1, 2\)"):
+        mae(p, np.zeros((1, 2)))
+    with pytest.raises(ValueError, match=r"predictions must be an \(n, 3\) array, got shape \(3,\)"):
+        mae(np.zeros(3), p)
 
 
 def test_mae_report_consistency_enforced():

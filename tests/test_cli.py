@@ -1,8 +1,14 @@
+import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hybridpose
 from hybridpose.angles import PoseAngles, euler_to_rotation
 from hybridpose.cli import DEFAULT_WEIGHT_GRID, _write_atomic, main
 from hybridpose.data import PREDICTIONS_HEADER, format_biwi_pose
@@ -218,6 +224,17 @@ def test_eval_id_mismatch_fails_without_output(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_eval_parse_errors_name_the_file(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    bad = tmp_path / "bad.csv"
+    write_csv(good, ["a,1,2,3"])
+    write_csv(bad, ["a,1,2"])
+    for pred, truth in ((bad, good), (good, bad)):
+        rc, _, err = run(capsys, "eval", "--pred", str(pred), "--truth", str(truth))
+        assert rc == 1
+        assert f"error: {bad}: line 2: expected 4 fields, found 3" in err
+
+
 def test_eval_checkpoint_mode(tmp_path, capsys):
     rc, _, err, ckpt, _ = train_tiny(tmp_path, capsys)
     assert rc == 0, err
@@ -385,3 +402,83 @@ def test_parse_biwi_requires_directory(tmp_path, capsys):
     )
     assert rc == 1
     assert "not a directory" in err
+
+
+def test_every_csv_output_reads_back_as_numbers(tmp_path, capsys):
+    rc, _, err, ckpt, report = train_tiny(tmp_path, capsys)
+    assert rc == 0, err
+    train, val = tmp_path / "train.csv", tmp_path / "val.csv"
+    metrics, preds = tmp_path / "metrics.csv", tmp_path / "preds.csv"
+    rc, _, err = run(
+        capsys, "eval", "--checkpoint", str(ckpt), "--data", str(val),
+        "--out", str(metrics), "--pred-out", str(preds),
+    )
+    assert rc == 0, err
+    grid, ablation = tmp_path / "grid.txt", tmp_path / "ablation.csv"
+    grid.write_text("2,7,5,3,1,1\n")
+    rc, _, err = run(
+        capsys, "ablate", "--train", str(train), "--val", str(val), "--grid-file", str(grid),
+        "--seeds", "0", "--epochs", "1", "--hidden", "8", "--out", str(ablation),
+    )
+    assert rc == 0, err
+    poses, annotations = tmp_path / "poses", tmp_path / "annotations.csv"
+    poses.mkdir()
+    (poses / "p.txt").write_text(format_biwi_pose(euler_to_rotation(PoseAngles(30.0, -10.0, 5.0))))
+    rc, _, err = run(capsys, "parse-biwi", "--dir", str(poses), "--out", str(annotations))
+    assert rc == 0, err
+
+    # Dataset files have no header; the other CSVs have one, and an id column
+    # where the header starts with "id".
+    for path in (train, val, report, metrics, preds, ablation, annotations):
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        if path not in (train, val):
+            header, *rows = rows
+            first = 1 if header[0] == "id" else 0
+            rows = [row[first:] for row in rows]
+        assert rows, path
+        for row in rows:
+            for cell in row:
+                float(cell)
+
+
+SRC = Path(hybridpose.__file__).resolve().parents[1]
+
+
+def run_cli_process(cwd, env, *argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "hybridpose.cli", *argv], cwd=cwd, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(SRC), **env}, timeout=600,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    # A default-width net, and enough rows that eval's 512-row matmuls are
+    # split across threads when BLAS is allowed more than one.
+    digests = []
+    for threads in ("1", "2"):
+        work = tmp_path / threads
+        work.mkdir()
+        env = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+        run_cli_process(work, env, "synth", "--n", "12500", "--out-train", "train.csv",
+                        "--out-val", "val.csv")
+        run_cli_process(work, env, "train", "--train", "train.csv", "--val", "val.csv",
+                        "--epochs", "2", "--checkpoint-out", "net.json",
+                        "--report-out", "report.csv")
+        run_cli_process(work, env, "eval", "--checkpoint", "net.json", "--data", "train.csv",
+                        "--out", "metrics.csv", "--pred-out", "preds.csv")
+        digests.append({
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(work.iterdir())
+        })
+    assert digests[0] == digests[1]
+
+
+def test_package_root_does_not_import_numpy():
+    # hybridpose.cli pins the BLAS thread count, which works only if numpy
+    # is not yet loaded when the package root has been imported.
+    result = subprocess.run(
+        [sys.executable, "-c", "import hybridpose, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

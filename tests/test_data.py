@@ -4,7 +4,6 @@ import pytest
 from hybridpose.angles import PoseAngles, euler_to_rotation, rotation_to_euler
 from hybridpose.data import (
     ANNOTATION_HEADER,
-    AnnotationRecord,
     ParseError,
     PREDICTIONS_HEADER,
     format_annotation_csv,
@@ -67,17 +66,15 @@ def test_pose_rejects_non_orthonormal_matrix():
 
 
 def test_annotation_csv_roundtrip():
-    records = [
-        AnnotationRecord("a", PoseAngles(1.5, -2.25, 0.0)),
-        AnnotationRecord("b", PoseAngles(-10.0, 3.0, 99.0)),
-    ]
-    text = format_annotation_csv(records)
-    assert text.splitlines()[0] == ANNOTATION_HEADER
-    parsed = parse_annotation_csv(text)
-    assert len(parsed) == 2
-    assert parsed[0].sample_id == "a"
-    assert parsed[0].pose == records[0].pose
-    assert parsed[1].pose == records[1].pose
+    ids = ["a", "b"]
+    angles = np.array([[1.5, -2.25, 0.0], [-10.0, 3.0, 99.0]])
+    text = format_annotation_csv(ids, angles)
+    assert text.splitlines() == [ANNOTATION_HEADER, "a,1.5,-2.25,0.0", "b,-10.0,3.0,99.0"]
+    parsed_ids, parsed = parse_annotation_csv(text)
+    assert parsed_ids == ids
+    assert parsed.shape == (2, 3) and (parsed == angles).all()
+    with pytest.raises(ValueError, match=r"angles must be an \(n, 3\) array of length 1"):
+        format_annotation_csv(["a"], angles)
 
 
 def test_annotation_csv_errors():
@@ -91,8 +88,11 @@ def test_annotation_csv_errors():
         parse_annotation_csv(f"{ANNOTATION_HEADER}\na,1,2,3\na,4,5,6\n")
     with pytest.raises(ParseError, match="empty id"):
         parse_annotation_csv(f"{ANNOTATION_HEADER}\n,1,2,3\n")
-    # header-only file is an empty record set, not an error
-    assert parse_annotation_csv(f"{ANNOTATION_HEADER}\n") == []
+    with pytest.raises(ParseError, match="line 3: yaw must be finite, got nan"):
+        parse_annotation_csv(f"{ANNOTATION_HEADER}\na,1,2,3\nb,nan,2,3\n")
+    # header-only file is an empty table, not an error
+    ids, angles = parse_annotation_csv(f"{ANNOTATION_HEADER}\n")
+    assert ids == [] and angles.shape == (0, 3)
     with pytest.raises(ParseError, match="line 1"):
         parse_annotation_csv("")
 

@@ -33,7 +33,6 @@ def test_default_rig_geometry():
     assert abs(DEFAULT_RIG.max_norm - 1.0) < 1e-12
     centered = DEFAULT_RIG.points - DEFAULT_RIG.points.mean(axis=0)
     assert np.linalg.matrix_rank(centered) == 3
-    assert DEFAULT_RIG.version == 1
 
 
 def test_default_rig_is_asymmetric():

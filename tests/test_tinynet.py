@@ -401,3 +401,26 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="malformed"):
         load_checkpoint(path)
+
+    # Values that parse as JSON but not as a net: the error names the file.
+    def trunk_bias(value):
+        return lambda d: d["trunk"][0].__setitem__("bias", value)
+
+    bad_values = [
+        (lambda d: d["heads"][0][0].__setitem__("weight", [[0.0] * 7] * 5),
+         "head for 6 bins has shape (5, 7), expected (8, 6)"),
+        (trunk_bias([[0.0], [0.0, 1.0]]), "setting an array element with a sequence"),
+        (trunk_bias(["abc"] * 8), "could not convert string to float: 'abc'"),
+        (lambda d: d["config"]["hierarchy"].__setitem__("bin_counts", [198, 67]),
+         "coarse bin count 67 does not divide finest 198"),
+        (lambda d: d["config"].__setitem__("seed", -1), "seed must be nonnegative, got -1"),
+        (trunk_bias(["INF"] * 8), "parameters contain non-finite values"),
+    ]
+    for mutate, message in bad_values:
+        doc = json.loads(checkpoint_text(init_net(TOY)))
+        mutate(doc)
+        # JSON has no infinity; 1e400 overflows to one when parsed.
+        path.write_text(json.dumps(doc).replace('"INF"', "1e400"))
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: {message}"), info.value
