@@ -17,6 +17,8 @@ os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS
 import argparse
 import statistics
 import sys
+from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from .angles import mae, rotation_to_euler
 from .binning import make_hierarchy
 from .data import (
     ParseError,
+    _check_ids,
     format_annotation_csv,
     format_predictions_csv,
     parse_annotation_csv,
@@ -203,25 +206,90 @@ def _train_report_csv(report, hierarchy) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_training(opt: _Options, seed: int, train_samples, val_samples, weights):
-    hidden = opt.get("hidden", _int_list, (64, 64))
-    config = NetConfig(
-        input_dim=train_samples.features.shape[1],
-        hidden_dims=hidden,
-        hierarchy=make_hierarchy(),
-        seed=seed,
-    )
-    return train(
-        config,
-        train_samples,
-        val_samples,
-        weights,
+def _training_options(opt: _Options) -> dict:
+    """The options of ``_run_training`` besides seed, weights and data, from flags and config."""
+    return dict(
+        hidden=opt.get("hidden", _int_list, (64, 64)),
         epochs=opt.get("epochs", int, 30),
         learning_rate=opt.get("lr", float, 1e-3),
         batch_size=opt.get("batch_size", int, 64),
         mse_scale=opt.get("mse_scale", str, "degrees"),
         convention=opt.get("decode_convention", str, "center"),
     )
+
+
+def _run_training(seed: int, weights, train_samples, val_samples, hidden, **options):
+    config = NetConfig(
+        input_dim=train_samples.features.shape[1],
+        hidden_dims=hidden,
+        hierarchy=make_hierarchy(),
+        seed=seed,
+    )
+    return train(config, train_samples, val_samples, weights, **options)
+
+
+def _final_val_mae(seed: int, weights, train_samples, val_samples, options: dict) -> float:
+    """One ablation run's final validation mean MAE.
+
+    Module-level and given only picklable values, so a spawned worker process
+    can run it as well as this one.
+    """
+    _, report = _run_training(seed, weights, train_samples, val_samples, **options)
+    return report.final_val.mean_mae
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the system
+    has one (so ``taskset`` caps it), else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool worker initializer: exit once process ``parent`` has ended.
+
+    A parent killed outright (SIGKILL, or SIGTERM's default action) cannot
+    shut its pool down, and its idle workers would otherwise wait for work
+    forever.
+    """
+    import threading
+    import time
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+@contextmanager
+def _run_map(jobs: int):
+    """A ``map`` that runs its calls in ``jobs`` processes and yields results in order.
+
+    One job is the built-in ``map``, in this process.  More start a pool of
+    spawned workers, which inherit the BLAS pinning above through the
+    environment, so every call computes the same bits wherever it runs.  On
+    leaving the block, also by an error, the pending calls are cancelled.
+    """
+    if jobs == 1:
+        yield map
+        return
+    # Imported here, not at the top: every CLI start-up would pay for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        jobs,
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(),),
+    )
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -234,7 +302,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     checkpoint_out = opt.get("checkpoint_out", str, required=True)
     report_out = opt.get("report_out", str)
 
-    net, report = _run_training(opt, opt.get("seed", int, 0), train_samples, val_samples, weights)
+    seed = opt.get("seed", int, 0)
+    net, report = _run_training(seed, weights, train_samples, val_samples, **_training_options(opt))
 
     _write_atomic(checkpoint_out, checkpoint_text(net))
     if report_out:
@@ -338,25 +407,32 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         grid = [LossWeights(row[0], row[1:]) for row in DEFAULT_WEIGHT_GRID]
     if not grid:
         raise ValueError("weight grid is empty")
-    if opt.get("epochs", int, 30) < 1:
+    options = _training_options(opt)
+    if options["epochs"] < 1:
         raise ValueError("ablate needs at least 1 epoch")
 
     medians = []
-    for weights in grid:
-        finals = []
-        for seed in seeds:
-            _, report = _run_training(opt, seed, train_samples, val_samples, weights)
-            finals.append(report.final_val.mean_mae)
-        medians.append(statistics.median(finals))
-        print(
-            f"row alpha={_fmt(weights.alpha)} betas={','.join(_fmt(b) for b in weights.betas)}: "
-            f"median val MAE {medians[-1]:.4f}",
-            file=sys.stderr,
+    with _run_map(min(_usable_cores(), len(grid) * len(seeds))) as run_map:
+        # Results come in grid order; each row prints its median once its runs are in.
+        finals = run_map(
+            _final_val_mae,
+            [seed for _ in grid for seed in seeds],
+            [weights for weights in grid for _ in seeds],
+            repeat(train_samples),
+            repeat(val_samples),
+            repeat(options),
         )
+        for weights in grid:
+            medians.append(statistics.median([next(finals) for _ in seeds]))
+            betas = ",".join(_fmt(b) for b in weights.betas)
+            print(
+                f"row alpha={_fmt(weights.alpha)} betas={betas}: median val MAE {medians[-1]:.4f}",
+                file=sys.stderr,
+            )
     best = medians.index(min(medians))
 
     print("expectation decoding: bin centers"
-          if opt.get("decode_convention", str, "center") == "center"
+          if options["convention"] == "center"
           else "expectation decoding: bin left edges")
     header = f"{'alpha':>7} " + " ".join(f"{f'beta{i+1}':>7}" for i in range(5))
     print(f"{header} {'median_mae':>11} best")
@@ -386,6 +462,7 @@ def cmd_parse_biwi(args: argparse.Namespace) -> int:
     rejected = 0
     for path in sorted(directory.glob(pattern)):
         try:
+            _check_ids([path.stem])
             rotation, _ = parse_biwi_pose(path.read_text(), tol=tol)
             pose = rotation_to_euler(rotation, tol=tol)
         except (ValueError, OSError) as exc:

@@ -136,8 +136,24 @@ def _check_rows(ids, values, name: str) -> np.ndarray:
     return a
 
 
+def _check_ids(ids) -> None:
+    """Raise ValueError unless every id reads back as itself from a CSV row.
+
+    ``parse_annotation_csv`` splits lines with ``str.splitlines`` and fields
+    at commas, and strips the id; an empty id is an error there.
+    """
+    for sample_id in ids:
+        text = str(sample_id)
+        if "," in text or text.splitlines() != [text] or text.strip() != text:
+            raise ValueError(
+                f"id {text!r} cannot be written to a CSV row: ids must be nonempty, "
+                "without a comma, a line break or surrounding whitespace"
+            )
+
+
 def format_annotation_csv(ids, angles) -> str:
     """Render an (n, 3) yaw/pitch/roll array, one ``id,yaw,pitch,roll`` row per id."""
+    _check_ids(ids)
     lines = [ANNOTATION_HEADER]
     for sample_id, row in zip(ids, _check_rows(ids, angles, "angles").tolist()):
         lines.append(f"{sample_id}," + ",".join(map(repr, row)))
@@ -148,6 +164,7 @@ def format_predictions_csv(ids, predictions, truths) -> str:
     """Render (n, 3) yaw/pitch/roll arrays of predictions and truths, one row per id."""
     pred = _check_rows(ids, predictions, "predictions")
     truth = _check_rows(ids, truths, "truths")
+    _check_ids(ids)
     lines = [PREDICTIONS_HEADER]
     for sample_id, p, t in zip(ids, pred.tolist(), truth.tolist()):
         lines.append(f"{sample_id}," + ",".join(map(repr, p + t)))

@@ -126,19 +126,43 @@ class SynthConfig:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction!r}")
 
 
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only C-contiguous float64 array.
+
+    A float64 C-contiguous array is kept as it is if it and every array in its
+    ``.base`` chain are read-only; anything else is copied, since whoever holds
+    a writeable array over the same memory may still write to it.
+    """
+    a = np.asarray(values)
+    base = a
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if isinstance(base, np.ndarray):
+        a = np.array(a, dtype=float, order="C")
+    else:
+        a = np.ascontiguousarray(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """(n, d) features and (n, 3) yaw, pitch, roll in degrees, one row per sample.
 
-    Both are float64, C-contiguous, read-only views (not copies) of the arrays
-    given, checked once on construction: shapes, n >= 1, every value finite."""
+    Both are float64, C-contiguous and read-only, checked once on
+    construction: shapes, n >= 1, every value finite.  An input array is
+    copied unless it and every array it views are read-only, so writing to
+    such an array later cannot change the dataset; the read-only arrays that
+    ``load_dataset`` and ``make_dataset`` pass are kept without a copy.  The
+    memory under a read-only array that no array owns (``np.frombuffer``) is
+    trusted not to change."""
 
     features: np.ndarray
     angles: np.ndarray
 
     def __post_init__(self) -> None:
-        f = np.ascontiguousarray(self.features, dtype=float).view()
-        a = np.ascontiguousarray(self.angles, dtype=float).view()
+        f = _read_only(self.features)
+        a = _read_only(self.angles)
         if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] < 1:
             raise ValueError(f"features must be a nonempty (n, d) array, got shape {f.shape}")
         if a.shape != (f.shape[0], 3):
@@ -147,8 +171,6 @@ class Dataset:
             raise ValueError("features contain non-finite values")
         if not np.isfinite(a).all():
             raise ValueError("angles contain non-finite values")
-        f.setflags(write=False)
-        a.setflags(write=False)
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "angles", a)
 
@@ -196,6 +218,8 @@ def make_dataset(cfg: SynthConfig, rig: Rig = DEFAULT_RIG) -> tuple[Dataset, Dat
         pose = sample_pose(rng, cfg)
         features[i] = render_features(rig, pose, cfg.noise_sigma, rng)
         angles[i] = (pose.yaw, pose.pitch, pose.roll)
+    features.setflags(write=False)
+    angles.setflags(write=False)
     n_val = int(round(cfg.n_samples * cfg.val_fraction))
     n = cfg.n_samples - min(max(n_val, 1), cfg.n_samples - 1)
     return Dataset(features[:n], angles[:n]), Dataset(features[n:], angles[n:])
@@ -235,8 +259,12 @@ def load_dataset(path) -> Dataset:
             line_numbers.append(lineno)
     if not line_numbers:
         raise ValueError(f"{path}: dataset file is empty")
-    x = np.frombuffer(features).reshape(-1, arity - 3)
-    y = np.frombuffer(angles).reshape(-1, 3)
+    # Only these views reach the buffers, so read-only they pass into Dataset uncopied.
+    x, y = np.frombuffer(features), np.frombuffer(angles)
+    x.setflags(write=False)
+    y.setflags(write=False)
+    x = x.reshape(-1, arity - 3)
+    y = y.reshape(-1, 3)
     # The first row with a non-finite value (row 0 if none); angles are reported first.
     finite_y = np.isfinite(y)
     row = int(np.argmin(np.isfinite(x).all(axis=1) & finite_y.all(axis=1)))

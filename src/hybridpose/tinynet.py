@@ -110,18 +110,23 @@ class TinyNet:
         """
         params = self.parameters()
         self.flat = np.empty(sum(p.size for p in params))
-        views, offset = [], 0
-        for p in params:
-            view = self.flat[offset : offset + p.size].reshape(p.shape)
+        views = self._views(self.flat)
+        for view, p in zip(views, params):
             view[...] = p
-            views.append(view)
-            offset += p.size
         n = 2 * len(self.trunk_weights)
         self.trunk_weights, self.trunk_biases = views[0:n:2], views[1:n:2]
         per_angle = 2 * self.config.hierarchy.depth
         heads = [views[n + a * per_angle : n + (a + 1) * per_angle] for a in range(N_ANGLES)]
         self.head_weights = [h[0::2] for h in heads]
         self.head_biases = [h[1::2] for h in heads]
+
+    def _views(self, buffer: np.ndarray) -> list[np.ndarray]:
+        """Views of a buffer the size of ``flat``, shaped like parameters() and in its order."""
+        views, offset = [], 0
+        for p in self.parameters():
+            views.append(buffer[offset : offset + p.size].reshape(p.shape))
+            offset += p.size
+        return views
 
     def _validate_shapes(self) -> None:
         cfg = self.config
@@ -368,6 +373,7 @@ def _batch_loss_and_grads(
     weights: LossWeights,
     mse_scale: str = "degrees",
     convention: str = "center",
+    out: list[np.ndarray] | None = None,
 ):
     """Mean loss over the batch and its gradient in parameters() order.
 
@@ -375,17 +381,21 @@ def _batch_loss_and_grads(
     stats and gradients are means over the batch.  ``loss._angle_terms`` gives
     each angle's loss terms and logit gradients; this runs the forward pass
     and backpropagates those gradients through the heads and the trunk.
+    Each gradient is written into its array of ``out`` (``net._views`` of a
+    flat buffer, so training fills its gradient buffer without a copy), or
+    into a new such list if ``out`` is None; the list is returned.
     """
     hierarchy = net.config.hierarchy
     scale = _check_loss_args(weights, hierarchy, mse_scale)
     positions = decode_positions(hierarchy.finest, convention)
     n = x.shape[0]
+    grads = net._views(np.empty_like(net.flat)) if out is None else out
+    n_trunk = 2 * len(net.trunk_weights)
 
     pre_acts, acts, logits = net._forward_batch(x)
     hidden = acts[-1]
 
     d_hidden = np.zeros_like(hidden)
-    head_grads = []
     reg_sum = 0.0
     ce_sums = np.zeros(hierarchy.depth)
     for ai in range(N_ANGLES):
@@ -394,16 +404,17 @@ def _batch_loss_and_grads(
         )
         reg_sum += reg
         ce_sums += ce
-        for g, w in zip(logit_grads, net.head_weights[ai]):
-            head_grads.append(hidden.T @ g)
-            head_grads.append(g.sum(axis=0))
+        first = n_trunk + 2 * hierarchy.depth * ai
+        for level, (g, w) in enumerate(zip(logit_grads, net.head_weights[ai])):
+            np.matmul(hidden.T, g, out=grads[first + 2 * level])
+            g.sum(axis=0, out=grads[first + 2 * level + 1])
             d_hidden += g @ w.T
 
-    trunk_grads = []
     d = d_hidden
     for i in reversed(range(len(net.trunk_weights))):
         dz = d * (pre_acts[i] > 0.0)
-        trunk_grads[:0] = [acts[i].T @ dz, dz.sum(axis=0)]
+        np.matmul(acts[i].T, dz, out=grads[2 * i])
+        dz.sum(axis=0, out=grads[2 * i + 1])
         if i > 0:
             d = dz @ net.trunk_weights[i].T
 
@@ -412,7 +423,7 @@ def _batch_loss_and_grads(
         regression_term=reg_sum / n,
         ce_terms=tuple((ce_sums / n).tolist()),
     )
-    return stats, trunk_grads + head_grads
+    return stats, grads
 
 
 def _batch_arrays(data: Dataset, hierarchy: BinHierarchy) -> tuple[np.ndarray, np.ndarray]:
@@ -444,15 +455,18 @@ def _step(
     net: TinyNet,
     optimizer: AdamState,
     grad: np.ndarray,
+    grad_views: list[np.ndarray],
     x: np.ndarray,
     targets: np.ndarray,
     weights: LossWeights,
     mse_scale: str,
     convention: str,
 ) -> LossStats:
-    """Loss and gradient, copied into the flat ``grad``; then Adam and the guard."""
-    stats, grads = _batch_loss_and_grads(net, x, targets, weights, mse_scale, convention)
-    np.concatenate(grads, axis=None, out=grad)
+    """Loss and gradient, written into the flat ``grad`` through ``grad_views``;
+    then Adam and the guard."""
+    stats, _ = _batch_loss_and_grads(
+        net, x, targets, weights, mse_scale, convention, grad_views
+    )
     adam_update(net.flat, grad, optimizer)
     _assert_finite_params(net, optimizer, stats.total)
     return stats
@@ -494,6 +508,7 @@ def train(
     net = init_net(config)
     optimizer = AdamState.for_net(net, learning_rate)
     grad = np.empty_like(net.flat)
+    grad_views = net._views(grad)
     n = x_train.shape[0]
 
     start = time.perf_counter()
@@ -506,7 +521,8 @@ def train(
         for lo in range(0, n, batch_size):
             idx = order[lo : lo + batch_size]
             stats = _step(
-                net, optimizer, grad, x_train[idx], t_train[idx], weights, mse_scale, convention
+                net, optimizer, grad, grad_views, x_train[idx], t_train[idx], weights,
+                mse_scale, convention,
             )
             total_sum += stats.total * len(idx)
             reg_sum += stats.regression_term * len(idx)
@@ -561,6 +577,19 @@ def checkpoint_text(net: TinyNet) -> str:
     return json.dumps(doc, allow_nan=False, separators=(",", ":")) + "\n"
 
 
+def _config_int(name: str, value) -> int:
+    """A checkpoint config integer as parsed from JSON: a float or a bool is an error."""
+    if type(value) is not int:
+        raise ValueError(f"config {name} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _config_ints(name: str, values) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ValueError(f"config {name} must be a list of integers, got {json.dumps(values)}")
+    return tuple(_config_int(f"{name}[{i}]", v) for i, v in enumerate(values))
+
+
 def load_checkpoint(path) -> TinyNet:
     """Rebuild a TinyNet from a checkpoint file."""
     try:
@@ -577,14 +606,14 @@ def load_checkpoint(path) -> TinyNet:
         c = doc["config"]
         h = c["hierarchy"]
         config = NetConfig(
-            input_dim=int(c["input_dim"]),
-            hidden_dims=tuple(int(d) for d in c["hidden_dims"]),
+            input_dim=_config_int("input_dim", c["input_dim"]),
+            hidden_dims=_config_ints("hidden_dims", c["hidden_dims"]),
             hierarchy=make_hierarchy(
-                tuple(int(n) for n in h["bin_counts"]),
+                _config_ints("hierarchy.bin_counts", h["bin_counts"]),
                 float(h["min_angle"]),
                 float(h["max_angle"]),
             ),
-            seed=int(c["seed"]),
+            seed=_config_int("seed", c["seed"]),
             activation=str(c["activation"]),
         )
         trunk_w = [np.array(layer["weight"], dtype=float) for layer in doc["trunk"]]

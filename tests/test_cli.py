@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hybridpose
+from hybridpose import cli
 from hybridpose.angles import PoseAngles, euler_to_rotation
 from hybridpose.cli import DEFAULT_WEIGHT_GRID, _write_atomic, main
 from hybridpose.data import PREDICTIONS_HEADER, format_biwi_pose
@@ -363,6 +364,85 @@ def test_ablate_rejects_malformed_grid_row(tmp_path, capsys):
     assert "median val MAE" not in err
 
 
+def _record_worker_counts(monkeypatch, run_as=None):
+    """Patch ``cli._run_map`` to record each worker count it gets, then run
+    with that count (or with ``run_as`` workers, if given)."""
+    counts = []
+    run_map = cli._run_map
+
+    def recording(jobs):
+        counts.append(jobs)
+        return run_map(jobs if run_as is None else run_as)
+
+    monkeypatch.setattr(cli, "_run_map", recording)
+    return counts
+
+
+def test_ablate_output_does_not_depend_on_worker_count(tmp_path, capsys, monkeypatch):
+    counts = _record_worker_counts(monkeypatch)
+    train, val = make_split(tmp_path, capsys, n=60)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("2,7,5,3,1,1\n2,1,0,0,0,0\n")
+    results = []
+    # One usable core runs in this process; two start a pool, whatever the machine has.
+    for cores in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        out_csv = tmp_path / f"{len(cores)}.csv"
+        rc, out, err = run(
+            capsys, "ablate", "--train", str(train), "--val", str(val),
+            "--grid-file", str(grid), "--seeds", "0,1", "--epochs", "2", "--hidden", "8",
+            "--out", str(out_csv),
+        )
+        assert rc == 0, err
+        results.append((out_csv.read_bytes(), out, err))
+    assert counts == [1, 2]
+    assert results[0] == results[1]
+    assert results[0][2].count("median val MAE") == 2
+
+
+def test_ablate_worker_count_is_capped_by_cores_and_runs(tmp_path, capsys, monkeypatch):
+    # Every run happens in this process; only the count ablate asks for is checked.
+    counts = _record_worker_counts(monkeypatch, run_as=1)
+    train, val = make_split(tmp_path, capsys, n=30)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("2,7,5,3,1,1\n2,1,0,0,0,0\n")
+
+    def ablate():
+        rc, _, err = run(
+            capsys, "ablate", "--train", str(train), "--val", str(val),
+            "--grid-file", str(grid), "--seeds", "0,1", "--epochs", "1", "--hidden", "8",
+        )
+        assert rc == 0, err
+
+    for cores in ({0}, {0, 2, 5}, set(range(8))):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        ablate()
+    # Where the system has no CPU affinity, the machine's core count is used.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for cpu_count in (3, None):
+        monkeypatch.setattr(os, "cpu_count", lambda cpu_count=cpu_count: cpu_count)
+        ablate()
+    assert counts == [1, 3, 4, 3, 1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_parallel_ablate_fails_on_diverging_row(tmp_path, capsys, monkeypatch):
+    counts = _record_worker_counts(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    train, val = make_split(tmp_path, capsys, n=500)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("2,7,5,3,1,1\n1e300,7,5,3,1,1\n")
+    out_csv = tmp_path / "ablation.csv"
+    rc, _, err = run(
+        capsys, "ablate", "--train", str(train), "--val", str(val), "--grid-file", str(grid),
+        "--seeds", "0,1", "--epochs", "2", "--hidden", "8", "--out", str(out_csv),
+    )
+    assert counts == [2]
+    assert rc == 1
+    assert re.search(r"error: training diverged: non-finite .* at update \d+", err), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.txt", "train.csv", "val.csv"]
+
+
 def test_default_grid_shape():
     assert len(DEFAULT_WEIGHT_GRID) == len(set(DEFAULT_WEIGHT_GRID)) == 8
     assert (2.0, 1.0, 0.0, 0.0, 0.0, 0.0) in DEFAULT_WEIGHT_GRID
@@ -394,6 +474,21 @@ def test_parse_biwi_directory(tmp_path, capsys):
     assert np.abs(np.array(a_vals) - np.array([30.0, -10.0, 5.0])).max() < 1e-6
     b_vals = [float(v) for v in lines[2].split(",")[1:]]
     assert np.abs(np.array(b_vals)).max() == 0.0
+
+
+def test_parse_biwi_skips_ids_that_cannot_round_trip(tmp_path, capsys):
+    poses = tmp_path / "poses"
+    poses.mkdir()
+    for name in ("a,b.txt", "ok.txt"):
+        (poses / name).write_text(format_biwi_pose(np.eye(3)))
+    out = tmp_path / "annotations.csv"
+    rc, stdout, err = run(capsys, "parse-biwi", "--dir", str(poses), "--out", str(out))
+    assert rc == 0
+    assert "skipped a,b.txt: id 'a,b' cannot be written to a CSV row" in err
+    assert "parsed 1 file(s), rejected 1" in stdout
+    # What parse-biwi writes, eval reads back.
+    rc, _, err = run(capsys, "eval", "--pred", str(out), "--truth", str(out))
+    assert rc == 0, err
 
 
 def test_parse_biwi_requires_directory(tmp_path, capsys):

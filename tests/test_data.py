@@ -97,6 +97,17 @@ def test_annotation_csv_errors():
         parse_annotation_csv("")
 
 
+def test_formatters_reject_ids_that_cannot_round_trip():
+    one = np.zeros((1, 3))
+    for bad in ("a,b", "a\nb", "a\rb", "a\x0cb", "", " a"):
+        with pytest.raises(ValueError, match="cannot be written to a CSV row"):
+            format_annotation_csv([bad], one)
+        with pytest.raises(ValueError, match="cannot be written to a CSV row"):
+            format_predictions_csv([bad], one, one)
+    ids, angles = parse_annotation_csv(format_annotation_csv(["a b", "7"], np.zeros((2, 3))))
+    assert ids == ["a b", "7"]
+
+
 def test_predictions_csv_layout():
     text = format_predictions_csv(
         ["s1", "s2"],

@@ -138,6 +138,9 @@ def test_make_dataset_split_sizes():
     assert train.features.shape == (2000, 24) and val.angles.shape == (500, 3)
     for part in (train, val):
         assert part.features.flags.c_contiguous and part.angles.flags.c_contiguous
+    # Both splits are views of make_dataset's own tables, not copies.
+    assert train.features.base is val.features.base is not None
+    assert train.angles.base is val.angles.base is not None
 
 
 def test_make_dataset_is_deterministic():
@@ -159,6 +162,8 @@ def test_dataset_file_roundtrip(tmp_path):
     assert (loaded.features == train.features).all()
     assert (loaded.angles == train.angles).all()
     assert loaded.features.flags.c_contiguous and loaded.angles.flags.c_contiguous
+    # Views of load_dataset's parse buffers, not copies.
+    assert not loaded.features.flags.owndata and not loaded.angles.flags.owndata
 
 
 def test_load_dataset_errors(tmp_path):
@@ -187,6 +192,16 @@ def test_dataset_validation():
     with pytest.raises(ValueError, match="read-only"):
         data.features[0, 0] = 1.0
     features[0, 1] = np.nan
+    angles[0, 0] = np.nan
+    # Writeable inputs were copied: writing to them later leaves the dataset as checked.
+    assert np.isfinite(data.features).all() and np.isfinite(data.angles).all()
+    # So was a read-only view of a writeable array.
+    base = np.zeros((2, 4))
+    view = base.view()
+    view.setflags(write=False)
+    data = Dataset(view, np.zeros((2, 3)))
+    base[0, 0] = np.nan
+    assert np.isfinite(data.features).all()
     with pytest.raises(ValueError, match="features contain non-finite"):
         Dataset(features, angles)
     angles[1, 2] = np.inf

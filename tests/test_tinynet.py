@@ -182,6 +182,19 @@ def test_batch_gradients_match_finite_differences(mse_scale, convention):
     assert relative_error(flatten_params(grads), numeric) < 1e-4
 
 
+def test_batch_gradients_fill_the_given_views():
+    net = init_net(TOY)
+    x, targets = toy_batch()
+    weights = LossWeights(alpha=1.5, betas=(2.0, 0.5))
+    _, fresh = _batch_loss_and_grads(net, x, targets, weights)
+    buffer = np.full_like(net.flat, np.nan)
+    views = net._views(buffer)
+    _, grads = _batch_loss_and_grads(net, x, targets, weights, out=views)
+    assert grads is views
+    assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
+    assert buffer.tobytes() == flatten_params(fresh).tobytes()
+
+
 def test_batch_stats_match_scalar_loss_terms():
     net = init_net(TOY)
     x, targets = toy_batch(seed=11, n=5)
@@ -415,6 +428,20 @@ def test_checkpoint_rejects_bad_files(tmp_path):
          "coarse bin count 67 does not divide finest 198"),
         (lambda d: d["config"].__setitem__("seed", -1), "seed must be nonnegative, got -1"),
         (trunk_bias(["INF"] * 8), "parameters contain non-finite values"),
+        # Integers must be JSON integers, not floats or booleans rounded by int().
+        (lambda d: d["config"].__setitem__("input_dim", 4.9),
+         "config input_dim must be an integer, got 4.9"),
+        (lambda d: d["config"].__setitem__("seed", 2.7), "config seed must be an integer, got 2.7"),
+        (lambda d: d["config"].__setitem__("seed", True),
+         "config seed must be an integer, got true"),
+        (lambda d: d["config"].__setitem__("hidden_dims", [8.0]),
+         "config hidden_dims[0] must be an integer, got 8.0"),
+        (lambda d: d["config"].__setitem__("hidden_dims", 8),
+         "config hidden_dims must be a list of integers, got 8"),
+        (lambda d: d["config"]["hierarchy"].__setitem__("bin_counts", [6.5, 2.2]),
+         "config hierarchy.bin_counts[0] must be an integer, got 6.5"),
+        (lambda d: d["config"]["hierarchy"].__setitem__("bin_counts", [6, False]),
+         "config hierarchy.bin_counts[1] must be an integer, got false"),
     ]
     for mutate, message in bad_values:
         doc = json.loads(checkpoint_text(init_net(TOY)))
