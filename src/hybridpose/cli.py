@@ -1,10 +1,12 @@
 """Command line interface: synth, train, eval, ablate, parse-biwi.
 
-Every subcommand accepts ``--config FILE`` pointing at a plain text file of
-``key = value`` lines ('#' starts a comment; keys use underscores or dashes
-interchangeably).  Explicit flags override file values.  Output files are
-written to a temporary sibling and renamed into place, so a failing run
-never leaves a partial file behind.
+Each option is declared once, in ``_COMMANDS``: its flag, converter or
+allowed values, default and help.  Every subcommand also accepts
+``--config FILE`` pointing at a plain text file of ``key = value`` lines
+('#' starts a comment; a key is the flag's name, with underscores or dashes
+interchangeably).  Explicit flags override file values, which override
+defaults.  Output files are written to a temporary sibling and renamed into
+place, so a failing run never leaves a partial file behind.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import sys
 from contextlib import contextmanager
 from itertools import repeat
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -96,40 +99,6 @@ def load_config_file(path) -> dict[str, tuple[str, int]]:
     return values
 
 
-class _Options:
-    """Merged view of CLI flags and config file values (flags win).
-
-    A config file key must name an option of the invoked subcommand.
-    """
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.path = getattr(args, "config", None)
-        self.file_values = load_config_file(self.path) if self.path else {}
-        known = vars(args).keys() - {"config", "command", "func"}
-        for key, (_, lineno) in self.file_values.items():
-            if key not in known:
-                raise ValueError(
-                    f"{self.path}: line {lineno}: unknown option {key!r} for {args.command}"
-                )
-
-    def get(self, name: str, convert, default=None, required: bool = False):
-        value = getattr(self.args, name, None)
-        if value is None and name in self.file_values:
-            raw, lineno = self.file_values[name]
-            try:
-                value = convert(raw)
-            except (ValueError, TypeError) as exc:
-                raise ValueError(
-                    f"{self.path}: line {lineno}: config value {name} = {raw!r}: {exc}"
-                ) from None
-        if value is None:
-            value = default
-        if value is None and required:
-            raise ValueError(f"missing required option --{name.replace('_', '-')}")
-        return value
-
-
 def _pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -145,8 +114,11 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
 
-def _fmt(value: float) -> str:
-    return f"{value:g}"
+def _show(value) -> str:
+    """A value as typed on the command line: floats in %g, tuples comma-separated."""
+    if isinstance(value, tuple):
+        return ",".join(map(_show, value))
+    return f"{value:g}" if isinstance(value, float) else str(value)
 
 
 def _mae_table(report) -> str:
@@ -167,23 +139,16 @@ def _metrics_csv(report) -> str:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    opt = _Options(args)
     cfg = SynthConfig(
-        n_samples=opt.get("n", int, 2500),
-        seed=opt.get("seed", int, 0),
-        yaw_range=opt.get("yaw_range", _pair, (-75.0, 75.0)),
-        pitch_range=opt.get("pitch_range", _pair, (-60.0, 60.0)),
-        roll_range=opt.get("roll_range", _pair, (-50.0, 50.0)),
-        noise_sigma=opt.get("noise_sigma", float, 0.01),
-        val_fraction=opt.get("val_fraction", float, 0.2),
+        n_samples=args.n, seed=args.seed, yaw_range=args.yaw_range,
+        pitch_range=args.pitch_range, roll_range=args.roll_range,
+        noise_sigma=args.noise_sigma, val_fraction=args.val_fraction,
     )
-    out_train = opt.get("out_train", str, required=True)
-    out_val = opt.get("out_val", str, required=True)
     train_samples, val_samples = make_dataset(cfg)
-    _write_atomic(out_train, format_dataset(train_samples))
-    _write_atomic(out_val, format_dataset(val_samples))
-    print(f"wrote {len(train_samples)} train samples to {out_train}")
-    print(f"wrote {len(val_samples)} val samples to {out_val}")
+    _write_atomic(args.out_train, format_dataset(train_samples))
+    _write_atomic(args.out_val, format_dataset(val_samples))
+    print(f"wrote {len(train_samples)} train samples to {args.out_train}")
+    print(f"wrote {len(val_samples)} val samples to {args.out_val}")
     return 0
 
 
@@ -206,15 +171,11 @@ def _train_report_csv(report, hierarchy) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _training_options(opt: _Options) -> dict:
-    """The options of ``_run_training`` besides seed, weights and data, from flags and config."""
+def _training_options(args: argparse.Namespace) -> dict:
+    """The options of ``_run_training`` besides seed, weights and data."""
     return dict(
-        hidden=opt.get("hidden", _int_list, (64, 64)),
-        epochs=opt.get("epochs", int, 30),
-        learning_rate=opt.get("lr", float, 1e-3),
-        batch_size=opt.get("batch_size", int, 64),
-        mse_scale=opt.get("mse_scale", str, "degrees"),
-        convention=opt.get("decode_convention", str, "center"),
+        hidden=args.hidden, epochs=args.epochs, learning_rate=args.lr,
+        batch_size=args.batch_size, convention=args.decode_convention,
     )
 
 
@@ -293,24 +254,19 @@ def _run_map(jobs: int):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    train_samples = load_dataset(opt.get("train", str, required=True))
-    val_samples = load_dataset(opt.get("val", str, required=True))
-    alpha = opt.get("alpha", float, 2.0)
-    betas = opt.get("betas", _float_list, (7.0, 5.0, 3.0, 1.0, 1.0))
-    weights = LossWeights(alpha, betas)
-    checkpoint_out = opt.get("checkpoint_out", str, required=True)
-    report_out = opt.get("report_out", str)
+    train_samples = load_dataset(args.train)
+    val_samples = load_dataset(args.val)
+    weights = LossWeights(args.alpha, args.betas)
+    net, report = _run_training(
+        args.seed, weights, train_samples, val_samples, **_training_options(args)
+    )
 
-    seed = opt.get("seed", int, 0)
-    net, report = _run_training(seed, weights, train_samples, val_samples, **_training_options(opt))
+    _write_atomic(args.checkpoint_out, checkpoint_text(net))
+    if args.report_out:
+        _write_atomic(args.report_out, _train_report_csv(report, net.config.hierarchy))
 
-    _write_atomic(checkpoint_out, checkpoint_text(net))
-    if report_out:
-        _write_atomic(report_out, _train_report_csv(report, net.config.hierarchy))
-
-    print(f"alpha = {_fmt(weights.alpha)}")
-    print(f"betas = {','.join(_fmt(b) for b in weights.betas)}")
+    print(f"alpha = {_show(weights.alpha)}")
+    print(f"betas = {_show(weights.betas)}")
     print(f"epochs = {report.epochs}")
     final = report.final_val
     if final is not None:
@@ -319,7 +275,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"roll={final.roll_mae:.4f} mean={final.mean_mae:.4f}"
         )
     print(f"training time: {report.wall_seconds:.1f}s")
-    print(f"checkpoint: {checkpoint_out}")
+    print(f"checkpoint: {args.checkpoint_out}")
     return 0
 
 
@@ -344,33 +300,25 @@ def _match_by_id(pred_ids, pred: np.ndarray, truth_ids) -> np.ndarray:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    pred_path = opt.get("pred", str)
-    truth_path = opt.get("truth", str)
-    ckpt_path = opt.get("checkpoint", str)
-    data_path = opt.get("data", str)
-
-    if pred_path and truth_path:
-        pred_ids, pred = _read_annotations(pred_path)
-        truth_ids, truth = _read_annotations(truth_path)
+    if args.pred and args.truth:
+        pred_ids, pred = _read_annotations(args.pred)
+        truth_ids, truth = _read_annotations(args.truth)
         report = mae(_match_by_id(pred_ids, pred, truth_ids), truth)
-    elif ckpt_path and data_path:
-        net = load_checkpoint(ckpt_path)
-        data = load_dataset(data_path)
-        pred = net.predict_batch(data.features, opt.get("decode_convention", str, "center"))
+    elif args.checkpoint and args.data:
+        net = load_checkpoint(args.checkpoint)
+        data = load_dataset(args.data)
+        pred = net.predict_batch(data.features, args.decode_convention)
         # The same arithmetic as train's per-epoch validation MAE.
         report = mae(pred, data.angles)
-        pred_out = opt.get("pred_out", str)
-        if pred_out:
+        if args.pred_out:
             ids = [str(i) for i in range(len(pred))]
-            _write_atomic(pred_out, format_predictions_csv(ids, pred, data.angles))
+            _write_atomic(args.pred_out, format_predictions_csv(ids, pred, data.angles))
     else:
         raise ValueError("provide either --pred and --truth, or --checkpoint and --data")
 
     print(_mae_table(report))
-    out = opt.get("out", str)
-    if out:
-        _write_atomic(out, _metrics_csv(report))
+    if args.out:
+        _write_atomic(args.out, _metrics_csv(report))
     return 0
 
 
@@ -396,44 +344,39 @@ def _load_grid_file(path) -> list[LossWeights]:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    train_samples = load_dataset(opt.get("train", str, required=True))
-    val_samples = load_dataset(opt.get("val", str, required=True))
-    seeds = opt.get("seeds", _int_list, (0, 1, 2, 3, 4))
-    grid_file = opt.get("grid_file", str)
-    if grid_file:
-        grid = _load_grid_file(grid_file)
+    train_samples = load_dataset(args.train)
+    val_samples = load_dataset(args.val)
+    if args.grid_file:
+        grid = _load_grid_file(args.grid_file)
     else:
         grid = [LossWeights(row[0], row[1:]) for row in DEFAULT_WEIGHT_GRID]
     if not grid:
         raise ValueError("weight grid is empty")
-    options = _training_options(opt)
-    if options["epochs"] < 1:
+    if args.epochs < 1:
         raise ValueError("ablate needs at least 1 epoch")
 
     medians = []
-    with _run_map(min(_usable_cores(), len(grid) * len(seeds))) as run_map:
+    with _run_map(min(_usable_cores(), len(grid) * len(args.seeds))) as run_map:
         # Results come in grid order; each row prints its median once its runs are in.
         finals = run_map(
             _final_val_mae,
-            [seed for _ in grid for seed in seeds],
-            [weights for weights in grid for _ in seeds],
+            [seed for _ in grid for seed in args.seeds],
+            [weights for weights in grid for _ in args.seeds],
             repeat(train_samples),
             repeat(val_samples),
-            repeat(options),
+            repeat(_training_options(args)),
         )
         for weights in grid:
-            medians.append(statistics.median([next(finals) for _ in seeds]))
-            betas = ",".join(_fmt(b) for b in weights.betas)
+            medians.append(statistics.median([next(finals) for _ in args.seeds]))
             print(
-                f"row alpha={_fmt(weights.alpha)} betas={betas}: median val MAE {medians[-1]:.4f}",
+                f"row alpha={_show(weights.alpha)} betas={_show(weights.betas)}: "
+                f"median val MAE {medians[-1]:.4f}",
                 file=sys.stderr,
             )
     best = medians.index(min(medians))
 
-    print("expectation decoding: bin centers"
-          if options["convention"] == "center"
-          else "expectation decoding: bin left edges")
+    edges = "bin centers" if args.decode_convention == "center" else "bin left edges"
+    print(f"expectation decoding: {edges}")
     header = f"{'alpha':>7} " + " ".join(f"{f'beta{i+1}':>7}" for i in range(5))
     print(f"{header} {'median_mae':>11} best")
     lines_csv = ["alpha,beta1,beta2,beta3,beta4,beta5,median_val_mean_mae,best"]
@@ -443,116 +386,164 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         cells = " ".join(f"{v:7g}" for v in row)
         print(f"{cells} {med:11.4f} {flag:>4}")
         lines_csv.append(",".join([*(repr(float(v)) for v in row), repr(med), str(int(i == best))]))
-    out = opt.get("out", str)
-    if out:
-        _write_atomic(out, "\n".join(lines_csv) + "\n")
+    if args.out:
+        _write_atomic(args.out, "\n".join(lines_csv) + "\n")
     return 0
 
 
 def cmd_parse_biwi(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    directory = Path(opt.get("dir", str, required=True))
-    out = opt.get("out", str, required=True)
-    pattern = opt.get("pattern", str, "*.txt")
-    tol = opt.get("tol", float, 1e-6)
+    directory = Path(args.dir)
     if not directory.is_dir():
         raise ValueError(f"not a directory: {directory}")
 
     ids, rows = [], []
     rejected = 0
-    for path in sorted(directory.glob(pattern)):
+    for path in sorted(directory.glob(args.pattern)):
         try:
             _check_ids([path.stem])
-            rotation, _ = parse_biwi_pose(path.read_text(), tol=tol)
-            pose = rotation_to_euler(rotation, tol=tol)
+            rotation, _ = parse_biwi_pose(path.read_text(), tol=args.tol)
+            pose = rotation_to_euler(rotation, tol=args.tol)
         except (ValueError, OSError) as exc:
             rejected += 1
             print(f"skipped {path.name}: {exc}", file=sys.stderr)
             continue
         ids.append(path.stem)
         rows.append((pose.yaw, pose.pitch, pose.roll))
-    _write_atomic(out, format_annotation_csv(ids, np.reshape(rows, (len(ids), 3))))
-    print(f"parsed {len(ids)} file(s), rejected {rejected}, wrote {out}")
+    _write_atomic(args.out, format_annotation_csv(ids, np.reshape(rows, (len(ids), 3))))
+    print(f"parsed {len(ids)} file(s), rejected {rejected}, wrote {args.out}")
     return 0
+
+
+class _Option(NamedTuple):
+    """A subcommand option: flag ``--name`` (dashes for underscores), config key
+    ``name``.  Given neither way, it takes ``default``, or fails if ``required``."""
+
+    name: str
+    help: str
+    type: Callable[[str], object] = str
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def convert(self, text: str):
+        """A config file value as the flag's own converter and choices would take it."""
+        if self.choices is not None and text not in self.choices:
+            raise ValueError(f"invalid choice (choose from {', '.join(map(repr, self.choices))})")
+        return self.type(text)
+
+    def help_text(self) -> str:
+        if self.required:
+            return f"{self.help} (required)"
+        return self.help if self.default is None else f"{self.help} (default {_show(self.default)})"
+
+
+_CONVENTION = _Option("decode_convention", "expectation over bin centers or left edges",
+                      default="center", choices=("center", "edge"))
+
+# The options that train and ablate share.
+_TRAINING = (
+    _Option("train", "training dataset path", required=True),
+    _Option("val", "validation dataset path", required=True),
+    _Option("epochs", "passes over the training set", int, 30),
+    _Option("lr", "Adam learning rate", float, 1e-3),
+    _Option("batch_size", "samples per Adam step", int, 64),
+    _Option("hidden", "trunk layer widths", _int_list, (64, 64)),
+    _CONVENTION,
+)
+
+# Subcommand: (function, help, options).  Each also takes --config FILE.
+_COMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic pose dataset", (
+        _Option("n", "total samples before the split", int, 2500),
+        _Option("seed", "dataset seed", int, 0),
+        _Option("noise_sigma", "feature noise", float, 0.01),
+        _Option("val_fraction", "validation share", float, 0.2),
+        _Option("yaw_range", "'lo,hi' degrees", _pair, (-75.0, 75.0)),
+        _Option("pitch_range", "'lo,hi' degrees", _pair, (-60.0, 60.0)),
+        _Option("roll_range", "'lo,hi' degrees", _pair, (-50.0, 50.0)),
+        _Option("out_train", "training split output path", required=True),
+        _Option("out_val", "validation split output path", required=True),
+    )),
+    "train": (cmd_train, "train a model on dataset files", (
+        *_TRAINING,
+        _Option("alpha", "regression weight", float, 2.0),
+        _Option("betas", "per-level weights, finest first", _float_list, (7.0, 5.0, 3.0, 1.0, 1.0)),
+        _Option("seed", "init/shuffle seed", int, 0),
+        _Option("checkpoint_out", "checkpoint output path", required=True),
+        _Option("report_out", "per-epoch CSV output path"),
+    )),
+    "eval": (cmd_eval, "report MAE from predictions or a checkpoint", (
+        _Option("pred", "predictions CSV (id,yaw,pitch,roll)"),
+        _Option("truth", "ground truth CSV (id,yaw,pitch,roll)"),
+        _Option("checkpoint", "checkpoint to evaluate"),
+        _Option("data", "dataset file to evaluate on"),
+        _CONVENTION,
+        _Option("out", "metrics CSV output path"),
+        _Option("pred_out", "per-sample predictions CSV output path"),
+    )),
+    "ablate": (cmd_ablate, "train over a weight grid and rank rows", (
+        *_TRAINING,
+        _Option("seeds", "training seeds of every grid row", _int_list, (0, 1, 2, 3, 4)),
+        _Option("grid_file", "one 'alpha,b1..b5' row per line, in place of the built-in grid"),
+        _Option("out", "results CSV output path"),
+    )),
+    "parse-biwi": (cmd_parse_biwi, "convert a directory of pose files to CSV", (
+        _Option("dir", "directory of pose text files", required=True),
+        _Option("pattern", "glob within the directory", default="*.txt"),
+        _Option("tol", "orthonormality tolerance", float, 1e-6),
+        _Option("out", "annotation CSV output path", required=True),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="hybridpose",
-        description="Coarse-to-fine bin classification pose estimation tools.",
+        prog="hybridpose", description="Coarse-to-fine bin classification pose estimation tools."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic pose dataset")
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--n", type=int, help="total samples before the split (default 2500)")
-    p.add_argument("--seed", type=int, help="dataset seed (default 0)")
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, help="feature noise (default 0.01)")
-    p.add_argument("--val-fraction", dest="val_fraction", type=float, help="validation share (default 0.2)")
-    p.add_argument("--yaw-range", dest="yaw_range", type=_pair, help="'lo,hi' degrees (default -75,75)")
-    p.add_argument("--pitch-range", dest="pitch_range", type=_pair, help="'lo,hi' degrees (default -60,60)")
-    p.add_argument("--roll-range", dest="roll_range", type=_pair, help="'lo,hi' degrees (default -50,50)")
-    p.add_argument("--out-train", dest="out_train", help="training split output path")
-    p.add_argument("--out-val", dest="out_val", help="validation split output path")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", help="train a model on dataset files")
-    p.add_argument("--config")
-    p.add_argument("--train", help="training dataset path")
-    p.add_argument("--val", help="validation dataset path")
-    p.add_argument("--epochs", type=int, help="default 30")
-    p.add_argument("--lr", type=float, help="Adam learning rate (default 1e-3)")
-    p.add_argument("--batch-size", dest="batch_size", type=int, help="default 64")
-    p.add_argument("--alpha", type=float, help="regression weight (default 2)")
-    p.add_argument("--betas", type=_float_list, help="per-level weights (default 7,5,3,1,1)")
-    p.add_argument("--seed", type=int, help="init/shuffle seed (default 0)")
-    p.add_argument("--hidden", type=_int_list, help="trunk widths (default 64,64)")
-    p.add_argument("--mse-scale", dest="mse_scale", choices=("degrees", "bins"))
-    p.add_argument("--decode-convention", dest="decode_convention", choices=("center", "edge"))
-    p.add_argument("--checkpoint-out", dest="checkpoint_out", help="checkpoint output path")
-    p.add_argument("--report-out", dest="report_out", help="per-epoch CSV output path")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="report MAE from predictions or a checkpoint")
-    p.add_argument("--config")
-    p.add_argument("--pred", help="predictions CSV (id,yaw,pitch,roll)")
-    p.add_argument("--truth", help="ground truth CSV (id,yaw,pitch,roll)")
-    p.add_argument("--checkpoint", help="checkpoint to evaluate")
-    p.add_argument("--data", help="dataset file to evaluate on")
-    p.add_argument("--decode-convention", dest="decode_convention", choices=("center", "edge"))
-    p.add_argument("--out", help="metrics CSV output path")
-    p.add_argument("--pred-out", dest="pred_out", help="per-sample predictions CSV output path")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("ablate", help="train over a weight grid and rank rows")
-    p.add_argument("--config")
-    p.add_argument("--train")
-    p.add_argument("--val")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--seeds", type=_int_list, help="comma list (default 0,1,2,3,4)")
-    p.add_argument("--hidden", type=_int_list)
-    p.add_argument("--mse-scale", dest="mse_scale", choices=("degrees", "bins"))
-    p.add_argument("--decode-convention", dest="decode_convention", choices=("center", "edge"))
-    p.add_argument("--grid-file", dest="grid_file", help="one 'alpha,b1..b5' row per line")
-    p.add_argument("--out", help="results CSV output path")
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("parse-biwi", help="convert a directory of pose files to CSV")
-    p.add_argument("--config")
-    p.add_argument("--dir", help="directory of pose text files")
-    p.add_argument("--pattern", help="glob within the directory (default *.txt)")
-    p.add_argument("--tol", type=float, help="orthonormality tolerance (default 1e-6)")
-    p.add_argument("--out", help="annotation CSV output path")
-    p.set_defaults(func=cmd_parse_biwi)
-
+    for command, (func, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="key = value config file; flags override its values")
+        for o in options:
+            p.add_argument(o.flag, dest=o.name, type=o.type, choices=o.choices, help=o.help_text())
+        p.set_defaults(func=func)
     return parser
 
 
-def main(argv=None) -> int:
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse ``argv``, then fill each option not given as a flag from the config
+    file, else from its default.  Every file value is checked, also an overridden one."""
     args = build_parser().parse_args(argv)
+    options = {o.name: o for o in _COMMANDS[args.command][2]}
+    file_values = load_config_file(args.config) if args.config else {}
+    for key, (raw, lineno) in file_values.items():
+        if key not in options:
+            raise ValueError(
+                f"{args.config}: line {lineno}: unknown option {key!r} for {args.command}"
+            )
+        try:
+            value = options[key].convert(raw)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(
+                f"{args.config}: line {lineno}: config value {key} = {raw!r}: {exc}"
+            ) from None
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    for o in options.values():
+        if getattr(args, o.name) is None:
+            if o.required:
+                raise ValueError(f"missing required option {o.flag}")
+            setattr(args, o.name, o.default)
+    return args
+
+
+def main(argv=None) -> int:
     try:
+        args = _parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,9 +8,7 @@ and per-level classification weights beta:
 
     total = alpha * (decoded - truth)^2 + sum_i beta_i * ce_i
 
-The squared error is measured in degrees by default; ``mse_scale="bins"``
-divides the difference by the finest bin width first, which only rescales
-the regression term by 1/width^2.
+with the squared error measured in degrees.
 """
 
 from __future__ import annotations
@@ -33,9 +31,6 @@ __all__ = [
     "hybrid_loss",
     "hybrid_loss_grad",
 ]
-
-MSE_SCALES = ("degrees", "bins")
-
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -112,14 +107,11 @@ def _check_heads(heads: Sequence, hierarchy: BinHierarchy) -> list[np.ndarray]:
     return out
 
 
-def _check_loss_args(weights: LossWeights, hierarchy: BinHierarchy, mse_scale: str) -> float:
+def _check_loss_args(weights: LossWeights, hierarchy: BinHierarchy) -> None:
     if len(weights.betas) != hierarchy.depth:
         raise ValueError(
             f"{len(weights.betas)} betas for a hierarchy of depth {hierarchy.depth}"
         )
-    if mse_scale not in MSE_SCALES:
-        raise ValueError(f"mse_scale must be one of {MSE_SCALES}, got {mse_scale!r}")
-    return 1.0 if mse_scale == "degrees" else 1.0 / hierarchy.finest.bin_width
 
 
 def hybrid_loss(
@@ -127,18 +119,17 @@ def hybrid_loss(
     truth: float,
     weights: LossWeights,
     hierarchy: BinHierarchy,
-    mse_scale: str = "degrees",
     convention: str = "center",
 ) -> LossBreakdown:
     """Loss for one angle given per-level logits and the true angle in degrees."""
-    scale = _check_loss_args(weights, hierarchy, mse_scale)
+    _check_loss_args(weights, hierarchy)
     logits = _check_heads(heads, hierarchy)
     targets = encode_all(truth, hierarchy)
 
     finest = hierarchy.finest
     probs = softmax(logits[0])
     decoded = float(probs @ decode_positions(finest, convention))
-    diff = (decoded - float(truth)) * scale
+    diff = decoded - float(truth)
     regression = diff * diff
 
     ce_terms = tuple(cross_entropy(z, t) for z, t in zip(logits, targets))
@@ -151,7 +142,6 @@ def _angle_terms(
     truth: np.ndarray,
     weights: LossWeights,
     hierarchy: BinHierarchy,
-    scale: float,
     positions: np.ndarray,
 ) -> tuple[float, np.ndarray, list[np.ndarray]]:
     """Hybrid loss terms of one angle over a batch, and their logit gradients.
@@ -169,8 +159,7 @@ def _angle_terms(
 
         d decoded / dz_k = p_k * (c_k - decoded)
 
-    so the regression part adds 2 * alpha * scale^2 * (decoded - truth) *
-    p * (c - decoded).
+    so the regression part adds 2 * alpha * (decoded - truth) * p * (c - decoded).
     """
     n = truth.shape[0]
     rows = np.arange(n)
@@ -193,10 +182,10 @@ def _angle_terms(
         g *= weights.betas[li] / n
         if li == 0:
             decoded = p @ positions
-            diff = (decoded - truth) * scale
+            diff = decoded - truth
             reg_sum = float(diff @ diff)
             if weights.alpha != 0.0:
-                coeff = (2.0 * weights.alpha * scale / n) * diff
+                coeff = (2.0 * weights.alpha / n) * diff
                 g += coeff[:, None] * p * (positions[None, :] - decoded[:, None])
         grads.append(g)
     return reg_sum, ce_sums, grads
@@ -207,18 +196,17 @@ def hybrid_loss_grad(
     truth: float,
     weights: LossWeights,
     hierarchy: BinHierarchy,
-    mse_scale: str = "degrees",
     convention: str = "center",
 ) -> list[np.ndarray]:
     """Gradient of ``hybrid_loss(...).total`` with respect to each logit vector.
 
     The one-row case of the batched core that training runs.
     """
-    scale = _check_loss_args(weights, hierarchy, mse_scale)
+    _check_loss_args(weights, hierarchy)
     logits = _check_heads(heads, hierarchy)
     encode(truth, hierarchy.finest)  # the truth must be finite and in range
     positions = decode_positions(hierarchy.finest, convention)
     _, _, grads = _angle_terms(
-        [z[None] for z in logits], np.array([float(truth)]), weights, hierarchy, scale, positions
+        [z[None] for z in logits], np.array([float(truth)]), weights, hierarchy, positions
     )
     return [g[0] for g in grads]

@@ -371,7 +371,6 @@ def _batch_loss_and_grads(
     x: np.ndarray,
     targets: np.ndarray,
     weights: LossWeights,
-    mse_scale: str = "degrees",
     convention: str = "center",
     out: list[np.ndarray] | None = None,
 ):
@@ -386,7 +385,7 @@ def _batch_loss_and_grads(
     into a new such list if ``out`` is None; the list is returned.
     """
     hierarchy = net.config.hierarchy
-    scale = _check_loss_args(weights, hierarchy, mse_scale)
+    _check_loss_args(weights, hierarchy)
     positions = decode_positions(hierarchy.finest, convention)
     n = x.shape[0]
     grads = net._views(np.empty_like(net.flat)) if out is None else out
@@ -400,7 +399,7 @@ def _batch_loss_and_grads(
     ce_sums = np.zeros(hierarchy.depth)
     for ai in range(N_ANGLES):
         reg, ce, logit_grads = _angle_terms(
-            logits[ai], targets[:, ai], weights, hierarchy, scale, positions
+            logits[ai], targets[:, ai], weights, hierarchy, positions
         )
         reg_sum += reg
         ce_sums += ce
@@ -451,27 +450,6 @@ def _assert_finite_params(net: TinyNet, optimizer: AdamState, loss: float) -> No
     raise FloatingPointError(f"training diverged: non-finite {what} at update {optimizer.step}")
 
 
-def _step(
-    net: TinyNet,
-    optimizer: AdamState,
-    grad: np.ndarray,
-    grad_views: list[np.ndarray],
-    x: np.ndarray,
-    targets: np.ndarray,
-    weights: LossWeights,
-    mse_scale: str,
-    convention: str,
-) -> LossStats:
-    """Loss and gradient, written into the flat ``grad`` through ``grad_views``;
-    then Adam and the guard."""
-    stats, _ = _batch_loss_and_grads(
-        net, x, targets, weights, mse_scale, convention, grad_views
-    )
-    adam_update(net.flat, grad, optimizer)
-    _assert_finite_params(net, optimizer, stats.total)
-    return stats
-
-
 def _evaluate(net: TinyNet, x: np.ndarray, targets: np.ndarray, convention: str) -> MaeReport:
     return mae(net.predict_batch(x, convention), targets)
 
@@ -484,7 +462,6 @@ def train(
     epochs: int = 30,
     learning_rate: float = 1e-3,
     batch_size: int = 64,
-    mse_scale: str = "degrees",
     convention: str = "center",
 ) -> tuple[TinyNet, TrainReport]:
     """Train a fresh net from the config seed; fully deterministic.
@@ -520,10 +497,12 @@ def train(
         ce_sum = np.zeros(config.hierarchy.depth)
         for lo in range(0, n, batch_size):
             idx = order[lo : lo + batch_size]
-            stats = _step(
-                net, optimizer, grad, grad_views, x_train[idx], t_train[idx], weights,
-                mse_scale, convention,
+            # The gradient fills the flat ``grad`` through its views.
+            stats, _ = _batch_loss_and_grads(
+                net, x_train[idx], t_train[idx], weights, convention, grad_views
             )
+            adam_update(net.flat, grad, optimizer)
+            _assert_finite_params(net, optimizer, stats.total)
             total_sum += stats.total * len(idx)
             reg_sum += stats.regression_term * len(idx)
             ce_sum += np.array(stats.ce_terms) * len(idx)

@@ -121,6 +121,74 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert f"{cfg}: line 3: config value epochs = 'many'" in err
 
 
+def test_config_value_outside_choices_names_file_and_line(tmp_path, capsys):
+    train, val = make_split(tmp_path, capsys, n=30)
+    ckpt = tmp_path / "net.json"
+    ckpt.write_text(checkpoint_text(init_net(NetConfig(input_dim=24, hidden_dims=(8,), seed=0))))
+    grid = tmp_path / "grid.txt"
+    grid.write_text("2,7,5,3,1,1\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# decoding\ndecode-convention = middle\n")
+    for argv in (
+        ["eval", "--checkpoint", str(ckpt), "--data", str(val)],
+        ["ablate", "--train", str(train), "--val", str(val), "--grid-file", str(grid),
+         "--seeds", "0", "--epochs", "1", "--hidden", "8"],
+    ):
+        rc, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert rc == 1
+        assert (
+            f"error: {cfg}: line 2: config value decode_convention = 'middle': "
+            "invalid choice (choose from 'center', 'edge')"
+        ) in err
+        assert out == "" and "median val MAE" not in err
+
+
+def _sample_text(option):
+    """A flag value for ``option`` that differs from its default."""
+    if option.choices:
+        return next(c for c in option.choices if c != option.default)
+    samples = {int: "7", float: "0.5", cli._pair: "-5,5", cli._int_list: "3,4",
+               cli._float_list: "1,2,3,4,5"}
+    return samples.get(option.type, "some/file.csv")
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, o) for command, (_, _, options) in cli._COMMANDS.items() for o in options],
+    ids=lambda value: value if isinstance(value, str) else value.name,
+)
+def test_config_key_gives_the_flag_value(tmp_path, command, option):
+    options = cli._COMMANDS[command][2]
+    others = [arg for o in options if o.required and o is not option for arg in (o.flag, "x")]
+    text = _sample_text(option)
+    by_flag = cli._parse_args([command, *others, f"{option.flag}={text}"])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{option.flag[2:]} = {text}\n")
+    by_key = cli._parse_args([command, *others, "--config", str(cfg)])
+    assert getattr(by_key, option.name) == getattr(by_flag, option.name) != option.default
+    assert vars(by_key) == {**vars(by_flag), "config": str(cfg)}
+
+
+@pytest.mark.parametrize(
+    "command, shown",
+    [("synth", "-75,75"), ("train", "7,5,3,1,1"), ("eval", "center"), ("ablate", "0,1,2,3,4"),
+     ("parse-biwi", "*.txt")],
+)
+def test_help_lists_every_default(capsys, command, shown):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    # argparse wraps help lines wherever it likes; compare without whitespace.
+    out = "".join(capsys.readouterr().out.split())
+    assert f"(default{shown})" in out
+    for option in cli._COMMANDS[command][2]:
+        assert option.flag in out
+        if option.required:
+            assert "(required)" in out
+        elif option.default is not None:
+            assert f"(default{cli._show(option.default)})" in out
+
+
 def train_tiny(tmp_path, capsys, *extra):
     train, val = make_split(tmp_path, capsys, n=30)
     ckpt = tmp_path / "net.json"

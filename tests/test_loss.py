@@ -166,18 +166,14 @@ def test_grad_ce_only_matches_softmax_minus_onehot():
         assert (g == 0.0).all()
 
 
-@pytest.mark.parametrize(
-    "mse_scale, convention",
-    [("degrees", "center"), ("bins", "center"), ("degrees", "edge"), ("bins", "edge")],
-    ids=["degrees", "bins", "degrees-edge", "bins-edge"],
-)
-def test_grad_matches_finite_differences(mse_scale, convention):
+@pytest.mark.parametrize("convention", ["center", "edge"], ids=["degrees", "degrees-edge"])
+def test_grad_matches_finite_differences(convention):
     rng = np.random.default_rng(7)
     for _ in range(5):
         heads = random_heads(rng)
         truth = float(rng.uniform(-99.0, 99.0))
         grads = hybrid_loss_grad(
-            heads, truth, DEFAULT_WEIGHTS, HIERARCHY, mse_scale=mse_scale, convention=convention
+            heads, truth, DEFAULT_WEIGHTS, HIERARCHY, convention=convention
         )
         sizes = [h.size for h in heads]
 
@@ -190,26 +186,13 @@ def test_grad_matches_finite_differences(mse_scale, convention):
 
         def f(flat):
             return hybrid_loss(
-                unpack(flat), truth, DEFAULT_WEIGHTS, HIERARCHY, mse_scale=mse_scale,
-                convention=convention,
+                unpack(flat), truth, DEFAULT_WEIGHTS, HIERARCHY, convention=convention
             ).total
 
         flat = np.concatenate(heads)
         numeric = fd_gradient(f, flat)
         analytic = np.concatenate(grads)
         assert relative_error(analytic, numeric) < 1e-5
-
-
-def test_mse_scale_bins_rescales_regression():
-    coarse = make_hierarchy((66, 2))
-    rng = np.random.default_rng(8)
-    heads = [rng.normal(0.0, 1.0, n) for n in (66, 2)]
-    weights = LossWeights(2.0, (1.0, 1.0))
-    deg = hybrid_loss(heads, 40.0, weights, coarse)
-    bins = hybrid_loss(heads, 40.0, weights, coarse, mse_scale="bins")
-    width = coarse.finest.bin_width
-    assert abs(bins.regression_term - deg.regression_term / width**2) < 1e-9
-    assert bins.ce_terms == deg.ce_terms
 
 
 def test_edge_convention_shifts_decode():
@@ -231,8 +214,6 @@ def test_hybrid_loss_validation():
         hybrid_loss(heads[:4], 0.0, DEFAULT_WEIGHTS, HIERARCHY)
     with pytest.raises(ValueError, match="shape"):
         hybrid_loss([np.zeros(197), *heads[1:]], 0.0, DEFAULT_WEIGHTS, HIERARCHY)
-    with pytest.raises(ValueError, match="mse_scale"):
-        hybrid_loss(heads, 0.0, DEFAULT_WEIGHTS, HIERARCHY, mse_scale="radians")
 
 
 @settings(deadline=None)
@@ -264,9 +245,7 @@ def test_coarse_labels_are_coarsened_fine_labels(b, lo, w):
     # (1/k - onehot) / n: negative at the label the batched core used.
     logits = [np.zeros((len(angles), s.n_bins)) for s in hierarchy.levels]
     weights = LossWeights(0.0, (1.0,) * hierarchy.depth)
-    _, _, grads = _angle_terms(
-        logits, angles, weights, hierarchy, 1.0, decode_positions(finest)
-    )
+    _, _, grads = _angle_terms(logits, angles, weights, hierarchy, decode_positions(finest))
     used = np.stack([g.argmin(axis=1) for g in grads], axis=1)
     assert (used == labels).all()
 

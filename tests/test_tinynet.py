@@ -149,9 +149,10 @@ def test_predict_batch_agrees_with_per_row_predict():
         assert np.abs(batch[i] - net.predict(x[i], convention="edge").as_array()).max() < 1e-9
 
 
-@pytest.mark.parametrize("convention", ["center", "edge"])
-@pytest.mark.parametrize("mse_scale", ["degrees", "bins"])
-def test_batch_gradients_match_finite_differences(mse_scale, convention):
+@pytest.mark.parametrize(
+    "convention", ["center", "edge"], ids=["degrees-center", "degrees-edge"]
+)
+def test_batch_gradients_match_finite_differences(convention):
     net = init_net(TOY)
     x, targets = toy_batch()
 
@@ -161,7 +162,7 @@ def test_batch_gradients_match_finite_differences(mse_scale, convention):
     assert min(np.abs(z).min() for z in pre_acts) > 1e-3
 
     weights = LossWeights(alpha=1.5, betas=(2.0, 0.5))
-    stats, grads = _batch_loss_and_grads(net, x, targets, weights, mse_scale, convention)
+    stats, grads = _batch_loss_and_grads(net, x, targets, weights, convention)
     params = net.parameters()
     base = flatten_params(params)
 
@@ -171,9 +172,7 @@ def test_batch_gradients_match_finite_differences(mse_scale, convention):
         for feats, truths in zip(x, targets):
             out = net.forward(feats)
             for heads, truth in zip(out.per_angle(), truths):
-                total += hybrid_loss(
-                    heads, truth, weights, TOY.hierarchy, mse_scale, convention
-                ).total
+                total += hybrid_loss(heads, truth, weights, TOY.hierarchy, convention).total
         set_params(params, base)
         return total / len(x)
 
