@@ -100,10 +100,8 @@ def load_config_file(path) -> dict[str, tuple[str, int]]:
 
 
 def _pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 'lo,hi', got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+    lo, hi = text.split(",")
+    return (float(lo), float(hi))
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -112,6 +110,11 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
+
+
+# What each converter takes, for the message when it rejects a value.
+_FORMS = {int: "an integer", float: "a number", _pair: "'lo,hi'",
+          _float_list: "comma-separated numbers", _int_list: "comma-separated integers"}
 
 
 def _show(value) -> str:
@@ -192,8 +195,8 @@ def _run_training(seed: int, weights, train_samples, val_samples, hidden, **opti
 def _final_val_mae(seed: int, weights, train_samples, val_samples, options: dict) -> float:
     """One ablation run's final validation mean MAE.
 
-    Module-level and given only picklable values, so a spawned worker process
-    can run it as well as this one.
+    Module-level and given only picklable values, so a worker process can
+    run it as well as this one.
     """
     _, report = _run_training(seed, weights, train_samples, val_samples, **options)
     return report.final_val.mean_mae
@@ -212,7 +215,8 @@ def _exit_with_parent(parent: int) -> None:
 
     A parent killed outright (SIGKILL, or SIGTERM's default action) cannot
     shut its pool down, and its idle workers would otherwise wait for work
-    forever.
+    forever.  A forked worker also holds its own copies of the pool's pipe
+    ends, so it would never see them close.
     """
     import threading
     import time
@@ -230,8 +234,14 @@ def _run_map(jobs: int):
     """A ``map`` that runs its calls in ``jobs`` processes and yields results in order.
 
     One job is the built-in ``map``, in this process.  More start a pool of
-    spawned workers, which inherit the BLAS pinning above through the
-    environment, so every call computes the same bits wherever it runs.  On
+    worker processes.  On Linux they are forked: each starts as a copy of
+    this process, with its imported modules, its environment (so the BLAS
+    pinning above) and the already loaded one-thread BLAS, and re-imports
+    nothing.  The pool forks all its workers before it starts its manager
+    thread, and the pinned BLAS starts no threads, so this process has a
+    single thread when it forks.  Elsewhere, where fork is unsafe or absent,
+    the workers are spawned and inherit the pinning through the environment.
+    Either way every call computes the same bits wherever it runs.  On
     leaving the block, also by an error, the pending calls are cancelled.
     """
     if jobs == 1:
@@ -243,7 +253,7 @@ def _run_map(jobs: int):
 
     pool = ProcessPoolExecutor(
         jobs,
-        mp_context=multiprocessing.get_context("spawn"),
+        mp_context=multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn"),
         initializer=_exit_with_parent,
         initargs=(os.getpid(),),
     )
@@ -429,11 +439,18 @@ class _Option(NamedTuple):
     def flag(self) -> str:
         return "--" + self.name.replace("_", "-")
 
+    def parse(self, text: str):
+        """The flag's converter; a value it rejects fails naming the expected form."""
+        try:
+            return self.type(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {_FORMS[self.type]}, got {text!r}") from None
+
     def convert(self, text: str):
         """A config file value as the flag's own converter and choices would take it."""
         if self.choices is not None and text not in self.choices:
             raise ValueError(f"invalid choice (choose from {', '.join(map(repr, self.choices))})")
-        return self.type(text)
+        return self.parse(text)
 
     def help_text(self) -> str:
         if self.required:
@@ -509,15 +526,38 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="key = value config file; flags override its values")
         for o in options:
-            p.add_argument(o.flag, dest=o.name, type=o.type, choices=o.choices, help=o.help_text())
+            p.add_argument(o.flag, dest=o.name, type=o.parse, choices=o.choices, help=o.help_text())
         p.set_defaults(func=func)
     return parser
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """``--flag -v`` as ``--flag=-v``, for every flag of the subcommand that takes a value.
+
+    argparse takes a token that starts with '-' and is not a plain number for
+    a flag, so ``--yaw-range -30,30`` would fail with 'expected one argument'.
+    A flag may be abbreviated, as argparse allows.  A token that argparse
+    reads as a flag (one that starts with '--', or -h) stays a flag.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return argv
+    flags = ["--config", *(o.flag for o in _COMMANDS[argv[0]][2])]
+    out = argv[:1]
+    for token in argv[1:]:
+        prev = out[-1]
+        named = [prev] if prev in flags else [f for f in flags if f.startswith(prev)]
+        if len(named) == 1 and token.startswith("-") and not token.startswith("--") and token != "-h":
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _parse_args(argv) -> argparse.Namespace:
     """Parse ``argv``, then fill each option not given as a flag from the config
     file, else from its default.  Every file value is checked, also an overridden one."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_dash_values(argv))
     options = {o.name: o for o in _COMMANDS[args.command][2]}
     file_values = load_config_file(args.config) if args.config else {}
     for key, (raw, lineno) in file_values.items():
@@ -527,7 +567,7 @@ def _parse_args(argv) -> argparse.Namespace:
             )
         try:
             value = options[key].convert(raw)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
             raise ValueError(
                 f"{args.config}: line {lineno}: config value {key} = {raw!r}: {exc}"
             ) from None

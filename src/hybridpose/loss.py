@@ -143,15 +143,16 @@ def _angle_terms(
     weights: LossWeights,
     hierarchy: BinHierarchy,
     positions: np.ndarray,
-) -> tuple[float, np.ndarray, list[np.ndarray]]:
-    """Hybrid loss terms of one angle over a batch, and their logit gradients.
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Hybrid loss terms of ``a`` angles over a batch, and their logit gradients.
 
-    ``logits`` holds one (n, n_bins) array per level, finest first, and
-    ``truth`` the n true angles, already range-checked.  Returns the batch sum
-    of the squared-error term, the batch sum of each level's cross-entropy,
-    and the gradient of the batch-mean weighted loss with respect to each
-    level's logits.  Labels are floored once at the finest level; each coarser
-    label is the fine one coarsened by integer division.
+    ``logits`` holds one (a, n, n_bins) array per level, finest first, and
+    ``truth`` the (a, n) true angles, already range-checked.  Returns, per
+    angle, the batch sum of the squared-error term and the batch sum of each
+    level's cross-entropy, shapes (a,) and (a, depth), and the ``logits``
+    list, each array overwritten with the gradient of the batch-mean
+    weighted loss with respect to it.  Labels are floored once at the finest
+    level; each coarser label is the fine one coarsened by integer division.
 
     Per level the cross-entropy contributes beta * (softmax - onehot).  The
     finest level additionally receives the squared-error term through the
@@ -160,35 +161,42 @@ def _angle_terms(
         d decoded / dz_k = p_k * (c_k - decoded)
 
     so the regression part adds 2 * alpha * (decoded - truth) * p * (c - decoded).
+    The softmax and the gradient are in-place passes over the logits, in
+    the order of those expressions, so each angle's result has the bits of
+    a separate one-angle computation.
     """
-    n = truth.shape[0]
-    rows = np.arange(n)
+    a, n = truth.shape
+    angles, rows = np.arange(a)[:, None], np.arange(n)
     finest = hierarchy.finest
     fine = _bin_index(truth, finest)
-    reg_sum = 0.0
-    ce_sums = np.zeros(hierarchy.depth)
-    grads = []
+    reg_sums = np.zeros(a)
+    ce_sums = np.zeros((a, hierarchy.depth))
     for li, (s, scheme) in enumerate(zip(logits, hierarchy.levels)):
-        m = s.max(axis=1, keepdims=True)
-        e = np.exp(s - m)
-        z = e.sum(axis=1, keepdims=True)
-        p = e / z
-        tgt = fine * scheme.n_bins // finest.n_bins
-        ce_rows = np.log(z[:, 0]) - (s[rows, tgt] - m[:, 0])
-        ce_sums[li] = float(ce_rows.sum())
+        # s becomes the shifted logits, then p = softmax(s), then the gradient.
+        m = s.max(axis=2, keepdims=True)
+        s -= m
+        label = (angles, rows, fine * scheme.n_bins // finest.n_bins)
+        shifted = s[label]
+        np.exp(s, out=s)
+        z = s.sum(axis=2, keepdims=True)
+        s /= z
+        ce_sums[:, li] = (np.log(z[..., 0]) - shifted).sum(axis=1)
 
-        g = p.copy()
-        g[rows, tgt] -= 1.0
-        g *= weights.betas[li] / n
+        reg_grad = None
         if li == 0:
-            decoded = p @ positions
+            decoded = s @ positions
             diff = decoded - truth
-            reg_sum = float(diff @ diff)
+            # One dot product per angle, as a stacked (1, n) @ (n, 1) matmul.
+            reg_sums = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
             if weights.alpha != 0.0:
                 coeff = (2.0 * weights.alpha / n) * diff
-                g += coeff[:, None] * p * (positions[None, :] - decoded[:, None])
-        grads.append(g)
-    return reg_sum, ce_sums, grads
+                reg_grad = coeff[..., None] * s
+                reg_grad *= positions - decoded[..., None]
+        s[label] -= 1.0
+        s *= weights.betas[li] / n
+        if reg_grad is not None:
+            s += reg_grad
+    return reg_sums, ce_sums, logits
 
 
 def hybrid_loss_grad(
@@ -207,6 +215,7 @@ def hybrid_loss_grad(
     encode(truth, hierarchy.finest)  # the truth must be finite and in range
     positions = decode_positions(hierarchy.finest, convention)
     _, _, grads = _angle_terms(
-        [z[None] for z in logits], np.array([float(truth)]), weights, hierarchy, positions
+        [z[None, None].copy() for z in logits], np.array([[float(truth)]]), weights, hierarchy,
+        positions,
     )
-    return [g[0] for g in grads]
+    return [g[0, 0] for g in grads]

@@ -6,6 +6,14 @@ and the Adam updates are written out explicitly on numpy arrays, so the
 gradient path (including the expectation-decode regression term) is fully
 visible and testable against finite differences.
 
+All parameters live in one buffer, ``TinyNet.flat``: each trunk layer's
+weight and bias, then the heads level by level, finest first.  A level
+holds the three angles' (hidden, n_bins) weights, then their three biases,
+so it is one (3, hidden, n_bins) weight block and one (3, n_bins) bias
+block, and the training step and the batched decode run the three angles
+of a level as one stacked operation.  ``head_weights[angle][level]`` and
+``head_biases[angle][level]`` are views of single heads in those blocks.
+
 Training is deterministic given the config seed: initialization draws from
 one seeded generator, and each epoch's shuffle is reseeded from the master
 seed and the epoch index.
@@ -84,6 +92,16 @@ class HeadOutputs:
         return (self.yaw, self.pitch, self.roll)
 
 
+class _ParamViews(list):
+    """Views of one flat buffer, in parameters() order.
+
+    ``head_blocks`` holds the head views again, stacked by level: one
+    (3, hidden, n_bins) weight block and one (3, n_bins) bias block each.
+    """
+
+    head_blocks: list[tuple[np.ndarray, np.ndarray]]
+
+
 class TinyNet:
     """Weights for the trunk and heads; see module docstring for layout."""
 
@@ -105,8 +123,9 @@ class TinyNet:
     def _flatten(self) -> None:
         """Copy the parameters into one buffer, ``flat``, in parameters() order.
 
-        Every trunk and head array is then rebound to a reshaped view of that
-        buffer, so Adam and the finiteness guard each run as one pass over it.
+        Every trunk and head array is then rebound to a view of that buffer,
+        so Adam and the finiteness guard each run as one pass over it, and
+        ``head_blocks`` holds each level's stacked head views.
         """
         params = self.parameters()
         self.flat = np.empty(sum(p.size for p in params))
@@ -115,17 +134,29 @@ class TinyNet:
             view[...] = p
         n = 2 * len(self.trunk_weights)
         self.trunk_weights, self.trunk_biases = views[0:n:2], views[1:n:2]
-        per_angle = 2 * self.config.hierarchy.depth
-        heads = [views[n + a * per_angle : n + (a + 1) * per_angle] for a in range(N_ANGLES)]
-        self.head_weights = [h[0::2] for h in heads]
-        self.head_biases = [h[1::2] for h in heads]
+        self.head_blocks = views.head_blocks
+        self.head_weights = [[w[a] for w, _ in self.head_blocks] for a in range(N_ANGLES)]
+        self.head_biases = [[b[a] for _, b in self.head_blocks] for a in range(N_ANGLES)]
 
-    def _views(self, buffer: np.ndarray) -> list[np.ndarray]:
+    def _views(self, buffer: np.ndarray) -> _ParamViews:
         """Views of a buffer the size of ``flat``, shaped like parameters() and in its order."""
-        views, offset = [], 0
-        for p in self.parameters():
-            views.append(buffer[offset : offset + p.size].reshape(p.shape))
-            offset += p.size
+        cfg = self.config
+        dims = (cfg.input_dim, *cfg.hidden_dims)
+        shapes = []
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            shapes += [(fan_in, fan_out), (fan_out,)]
+        for scheme in cfg.hierarchy.levels:
+            shapes += [(N_ANGLES, dims[-1], scheme.n_bins), (N_ANGLES, scheme.n_bins)]
+        blocks, offset = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            blocks.append(buffer[offset : offset + size].reshape(shape))
+            offset += size
+        n = 2 * len(cfg.hidden_dims)
+        views = _ParamViews(blocks[:n])
+        views.head_blocks = list(zip(blocks[n::2], blocks[n + 1 :: 2]))
+        for w, b in views.head_blocks:
+            views += [*w, *b]
         return views
 
     def _validate_shapes(self) -> None:
@@ -150,15 +181,17 @@ class TinyNet:
                     )
 
     def parameters(self) -> list[np.ndarray]:
-        """All parameter arrays in a fixed order (trunk, then heads by angle)."""
+        """All parameter arrays in a fixed order: trunk, then heads by level.
+
+        Per level, the three angles' weights, then their three biases.
+        """
         params = []
         for w, b in zip(self.trunk_weights, self.trunk_biases):
             params.append(w)
             params.append(b)
-        for per_angle_w, per_angle_b in zip(self.head_weights, self.head_biases):
-            for w, b in zip(per_angle_w, per_angle_b):
-                params.append(w)
-                params.append(b)
+        for level in range(self.config.hierarchy.depth):
+            params += [per_angle[level] for per_angle in self.head_weights]
+            params += [per_angle[level] for per_angle in self.head_biases]
         return params
 
     @property
@@ -168,7 +201,8 @@ class TinyNet:
     def _forward_batch(self, x: np.ndarray, depth: int | None = None):
         """Trunk pre-activations, activations and head logits for a batch.
 
-        ``depth`` limits the heads to that many levels per angle, finest first.
+        The logits are one (3, n, n_bins) array per level, finest first;
+        ``depth`` limits them to that many levels.
         """
         pre_acts = []
         acts = [x]
@@ -178,10 +212,11 @@ class TinyNet:
             a = np.maximum(z, 0.0)
             pre_acts.append(z)
             acts.append(a)
-        logits = [
-            [a @ w + b for w, b in zip(per_angle_w[:depth], per_angle_b[:depth])]
-            for per_angle_w, per_angle_b in zip(self.head_weights, self.head_biases)
-        ]
+        logits = []
+        for w, b in self.head_blocks[:depth]:
+            s = a @ w
+            s += b[:, None, :]
+            logits.append(s)
         return pre_acts, acts, logits
 
     def _check_features(self, features, ndim: int = 1) -> np.ndarray:
@@ -199,7 +234,7 @@ class TinyNet:
         """Logits for one feature vector."""
         f = self._check_features(features)
         _, _, logits = self._forward_batch(f[None, :])
-        per_angle = tuple(tuple(level[0] for level in angle) for angle in logits)
+        per_angle = (tuple(level[a, 0] for level in logits) for a in range(N_ANGLES))
         return HeadOutputs(*per_angle)
 
     def predict(self, features, convention: str = "center") -> PoseAngles:
@@ -229,15 +264,12 @@ class TinyNet:
 
     def _decode_block(self, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
         # A separate frame, so one block's arrays are freed before the next
-        # block's are made; the softmax runs in place on the logits.
-        _, _, logits = self._forward_batch(x, depth=1)
-        cols = []
-        for (s,) in logits:
-            s -= s.max(axis=1, keepdims=True)
-            np.exp(s, out=s)
-            s /= s.sum(axis=1, keepdims=True)
-            cols.append(s @ positions)
-        return np.stack(cols, axis=1)
+        # block's are made; the softmax runs in place on the (3, n, k) logits.
+        _, _, (s,) = self._forward_batch(x, depth=1)
+        s -= s.max(axis=2, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=2, keepdims=True)
+        return (s @ positions).T
 
 
 def init_net(config: NetConfig) -> TinyNet:
@@ -372,42 +404,46 @@ def _batch_loss_and_grads(
     targets: np.ndarray,
     weights: LossWeights,
     convention: str = "center",
-    out: list[np.ndarray] | None = None,
+    out: _ParamViews | None = None,
 ):
     """Mean loss over the batch and its gradient in parameters() order.
 
     The loss per sample is the three-angle sum of the per-angle hybrid loss;
     stats and gradients are means over the batch.  ``loss._angle_terms`` gives
     each angle's loss terms and logit gradients; this runs the forward pass
-    and backpropagates those gradients through the heads and the trunk.
-    Each gradient is written into its array of ``out`` (``net._views`` of a
-    flat buffer, so training fills its gradient buffer without a copy), or
-    into a new such list if ``out`` is None; the list is returned.
+    and backpropagates those gradients through the heads and the trunk, one
+    stacked block of three heads per level.  Each gradient is written into
+    its array of ``out`` (``net._views`` of a flat buffer, so training fills
+    its gradient buffer without a copy; the head gradients through its
+    ``head_blocks``), or into a new such list if ``out`` is None; the list
+    is returned.
     """
     hierarchy = net.config.hierarchy
     _check_loss_args(weights, hierarchy)
     positions = decode_positions(hierarchy.finest, convention)
     n = x.shape[0]
     grads = net._views(np.empty_like(net.flat)) if out is None else out
-    n_trunk = 2 * len(net.trunk_weights)
 
     pre_acts, acts, logits = net._forward_batch(x)
     hidden = acts[-1]
 
-    d_hidden = np.zeros_like(hidden)
+    reg, ce, logit_grads = _angle_terms(logits, targets.T, weights, hierarchy, positions)
     reg_sum = 0.0
     ce_sums = np.zeros(hierarchy.depth)
+    for reg_angle, ce_angle in zip(reg.tolist(), ce):
+        reg_sum += reg_angle
+        ce_sums += ce_angle
+
+    d_heads = []
+    for g, (w, _), (g_w, g_b) in zip(logit_grads, net.head_blocks, grads.head_blocks):
+        np.matmul(hidden.T, g, out=g_w)
+        g.sum(axis=1, out=g_b)
+        d_heads.append(g @ w.transpose(0, 2, 1))
+    # Summed head by head, angle-major, as the per-head backward would.
+    d_hidden = np.zeros_like(hidden)
     for ai in range(N_ANGLES):
-        reg, ce, logit_grads = _angle_terms(
-            logits[ai], targets[:, ai], weights, hierarchy, positions
-        )
-        reg_sum += reg
-        ce_sums += ce
-        first = n_trunk + 2 * hierarchy.depth * ai
-        for level, (g, w) in enumerate(zip(logit_grads, net.head_weights[ai])):
-            np.matmul(hidden.T, g, out=grads[first + 2 * level])
-            g.sum(axis=0, out=grads[first + 2 * level + 1])
-            d_hidden += g @ w.T
+        for d_level in d_heads:
+            d_hidden += d_level[ai]
 
     d = d_hidden
     for i in reversed(range(len(net.trunk_weights))):

@@ -189,6 +189,59 @@ def test_help_lists_every_default(capsys, command, shown):
             assert f"(default{cli._show(option.default)})" in out
 
 
+_DASH_VALUES = {int: "-7", float: "-0.5", cli._pair: "-5,5", cli._int_list: "-3,4",
+                cli._float_list: "-1,2,3,4,5", str: "-some/file.csv"}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, o) for command, (_, _, options) in cli._COMMANDS.items() for o in options
+     if o.choices is None],
+    ids=lambda value: value if isinstance(value, str) else value.name,
+)
+def test_value_starting_with_dash_parses_like_the_equals_form(command, option):
+    options = cli._COMMANDS[command][2]
+    others = [arg for o in options if o.required and o is not option for arg in (o.flag, "x")]
+    text = _DASH_VALUES[option.type]
+    spaced = cli._parse_args([command, *others, option.flag, text])
+    joined = cli._parse_args([command, *others, f"{option.flag}={text}"])
+    assert vars(spaced) == vars(joined)
+    assert getattr(spaced, option.name) == option.parse(text)
+
+
+def test_value_starting_with_dash_after_abbreviated_flag_and_for_config(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("-run.cfg").write_text("n = 40\n")
+    args = cli._parse_args(["synth", "--yaw", "-30,30", "--config", "-run.cfg",
+                            "--out-train", "-a.csv", "--out-val", "-b.csv"])
+    assert (args.yaw_range, args.n, args.out_train, args.out_val) == (
+        (-30.0, 30.0), 40, "-a.csv", "-b.csv")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "--out-train", "--out-val", "x"], "argument --out-train: expected one argument"),
+        (["synth", "--n", "--seed", "3"], "argument --n: expected one argument"),
+        (["synth", "--yaw-range", "-30", "--out-train", "a", "--out-val", "b"],
+         "argument --yaw-range: expected 'lo,hi', got '-30'"),
+        (["ablate", "--train", "a", "--val", "b", "--seeds", ""],
+         "argument --seeds: expected comma-separated integers, got ''"),
+        (["train", "--train", "a", "--val", "b", "--checkpoint-out", "c", "--betas", "-1,x"],
+         "argument --betas: expected comma-separated numbers, got '-1,x'"),
+        (["synth", "--n", "-1.5", "--out-train", "a", "--out-val", "b"],
+         "argument --n: expected an integer, got '-1.5'"),
+    ],
+)
+def test_bad_flag_fails_naming_the_expected_form(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}\n" in err
+    assert "_pair" not in err and "_list" not in err
+
+
 def train_tiny(tmp_path, capsys, *extra):
     train, val = make_split(tmp_path, capsys, n=30)
     ckpt = tmp_path / "net.json"
@@ -491,6 +544,21 @@ def test_ablate_worker_count_is_capped_by_cores_and_runs(tmp_path, capsys, monke
         monkeypatch.setattr(os, "cpu_count", lambda cpu_count=cpu_count: cpu_count)
         ablate()
     assert counts == [1, 3, 4, 3, 1]
+
+
+def _grid_seen_by_worker(_):
+    return os.getpid(), cli.DEFAULT_WEIGHT_GRID
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
+def test_workers_fork_from_the_parent_state(monkeypatch):
+    # A spawned worker would import cli afresh and see the original grid.
+    marker = ((1.0, 2.0, 3.0, 4.0, 5.0, 6.0),)
+    monkeypatch.setattr(cli, "DEFAULT_WEIGHT_GRID", marker)
+    with cli._run_map(2) as run_map:
+        results = list(run_map(_grid_seen_by_worker, range(4)))
+    assert [grid for _, grid in results] == [marker] * 4
+    assert os.getpid() not in {pid for pid, _ in results}
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

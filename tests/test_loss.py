@@ -243,10 +243,10 @@ def test_coarse_labels_are_coarsened_fine_labels(b, lo, w):
 
     # With uniform logits and CE weights only, each row's gradient is
     # (1/k - onehot) / n: negative at the label the batched core used.
-    logits = [np.zeros((len(angles), s.n_bins)) for s in hierarchy.levels]
+    logits = [np.zeros((1, len(angles), s.n_bins)) for s in hierarchy.levels]
     weights = LossWeights(0.0, (1.0,) * hierarchy.depth)
-    _, _, grads = _angle_terms(logits, angles, weights, hierarchy, decode_positions(finest))
-    used = np.stack([g.argmin(axis=1) for g in grads], axis=1)
+    _, _, grads = _angle_terms(logits, angles[None], weights, hierarchy, decode_positions(finest))
+    used = np.stack([g[0].argmin(axis=1) for g in grads], axis=1)
     assert (used == labels).all()
 
 
