@@ -91,12 +91,20 @@ class MaeReport:
             )
 
 
+def _check_tol(tol: float) -> None:
+    """A NaN tolerance would accept any matrix and a negative one none."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
 def check_rotation_matrix(rotation, tol: float = 1e-6) -> np.ndarray:
     """Validate a 3x3 rotation matrix and return it as a float array.
 
     Rejects matrices whose R^T R deviates from the identity by more than
-    ``tol`` in any entry, and reflections (determinant near -1).
+    ``tol`` in any entry, and reflections (determinant near -1).  ``tol``
+    itself must be finite and nonnegative.
     """
+    _check_tol(tol)
     r = np.asarray(rotation, dtype=float)
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")

@@ -10,7 +10,7 @@ degrees with 198/66/18/6/2 bins (widths 1/3/11/33/99 degrees).
 
 Decoding supports two conventions for the representative position of bin i:
 its center ``min + (i + 0.5) * width`` (default) or its left edge
-``min + i * width``.
+``min + i * width``, the position Hopenet (arXiv 1710.00925) decodes with.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BinScheme",
     "BinHierarchy",
     "make_hierarchy",
     "encode",
@@ -35,6 +34,10 @@ __all__ = [
 CANONICAL_BIN_COUNTS = (198, 66, 18, 6, 2)
 CANONICAL_MIN_ANGLE = -99.0
 CANONICAL_MAX_ANGLE = 99.0
+
+# Each decode convention's bin position, in bin widths past the bin's left edge.
+_DECODE_OFFSETS = {"center": 0.5, "edge": 0.0}
+DECODE_CONVENTIONS = tuple(_DECODE_OFFSETS)
 
 _PROB_SUM_TOL = 1e-6
 
@@ -158,12 +161,9 @@ def bin_center(index: int, scheme: BinScheme) -> float:
 
 def decode_positions(scheme: BinScheme, convention: str = "center") -> np.ndarray:
     """Representative angle of every bin under the given convention."""
-    if convention == "center":
-        offset = 0.5
-    elif convention == "edge":
-        offset = 0.0
-    else:
+    if convention not in DECODE_CONVENTIONS:
         raise ValueError(f"unknown decode convention {convention!r}")
+    offset = _DECODE_OFFSETS[convention]
     return scheme.min_angle + (np.arange(scheme.n_bins) + offset) * scheme.bin_width
 
 

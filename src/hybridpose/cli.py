@@ -26,8 +26,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .angles import mae, rotation_to_euler
-from .binning import make_hierarchy
+from .angles import _check_tol, mae, rotation_to_euler
+from .binning import DECODE_CONVENTIONS, make_hierarchy
 from .data import (
     ParseError,
     _check_ids,
@@ -177,17 +177,20 @@ def _train_report_csv(report, hierarchy) -> str:
 def _training_options(args: argparse.Namespace) -> dict:
     """The options of ``_run_training`` besides seed, weights and data."""
     return dict(
-        hidden=args.hidden, epochs=args.epochs, learning_rate=args.lr,
-        batch_size=args.batch_size, convention=args.decode_convention,
+        hidden=args.hidden, decode_convention=args.decode_convention, epochs=args.epochs,
+        learning_rate=args.lr, batch_size=args.batch_size,
     )
 
 
-def _run_training(seed: int, weights, train_samples, val_samples, hidden, **options):
+def _run_training(
+    seed: int, weights, train_samples, val_samples, hidden, decode_convention, **options
+):
     config = NetConfig(
         input_dim=train_samples.features.shape[1],
         hidden_dims=hidden,
         hierarchy=make_hierarchy(),
         seed=seed,
+        decode_convention=decode_convention,
     )
     return train(config, train_samples, val_samples, weights, **options)
 
@@ -311,20 +314,28 @@ def _match_by_id(pred_ids, pred: np.ndarray, truth_ids) -> np.ndarray:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.pred and args.truth:
+        mode, others = "--pred and --truth", ("checkpoint", "data", "pred_out")
+    elif args.checkpoint and args.data:
+        mode, others = "--checkpoint and --data", ("pred", "truth")
+    else:
+        raise ValueError("provide either --pred and --truth, or --checkpoint and --data")
+    stray = ["--" + name.replace("_", "-") for name in others if getattr(args, name) is not None]
+    if stray:
+        raise ValueError(f"eval from {mode} takes no {' or '.join(stray)}")
+
+    if args.pred:
         pred_ids, pred = _read_annotations(args.pred)
         truth_ids, truth = _read_annotations(args.truth)
         report = mae(_match_by_id(pred_ids, pred, truth_ids), truth)
-    elif args.checkpoint and args.data:
+    else:
         net = load_checkpoint(args.checkpoint)
         data = load_dataset(args.data)
-        pred = net.predict_batch(data.features, args.decode_convention)
-        # The same arithmetic as train's per-epoch validation MAE.
+        # The same arithmetic, and decode convention, as train's per-epoch validation MAE.
+        pred = net.predict_batch(data.features)
         report = mae(pred, data.angles)
         if args.pred_out:
             ids = [str(i) for i in range(len(pred))]
             _write_atomic(args.pred_out, format_predictions_csv(ids, pred, data.angles))
-    else:
-        raise ValueError("provide either --pred and --truth, or --checkpoint and --data")
 
     print(_mae_table(report))
     if args.out:
@@ -402,6 +413,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_parse_biwi(args: argparse.Namespace) -> int:
+    # Checked once here: each file's rejection would only skip that file.
+    _check_tol(args.tol)
     directory = Path(args.dir)
     if not directory.is_dir():
         raise ValueError(f"not a directory: {directory}")
@@ -458,9 +471,6 @@ class _Option(NamedTuple):
         return self.help if self.default is None else f"{self.help} (default {_show(self.default)})"
 
 
-_CONVENTION = _Option("decode_convention", "expectation over bin centers or left edges",
-                      default="center", choices=("center", "edge"))
-
 # The options that train and ablate share.
 _TRAINING = (
     _Option("train", "training dataset path", required=True),
@@ -469,7 +479,8 @@ _TRAINING = (
     _Option("lr", "Adam learning rate", float, 1e-3),
     _Option("batch_size", "samples per Adam step", int, 64),
     _Option("hidden", "trunk layer widths", _int_list, (64, 64)),
-    _CONVENTION,
+    _Option("decode_convention", "expectation over bin centers or left edges; "
+            "the checkpoint stores it", default="center", choices=DECODE_CONVENTIONS),
 )
 
 # Subcommand: (function, help, options).  Each also takes --config FILE.
@@ -498,7 +509,6 @@ _COMMANDS = {
         _Option("truth", "ground truth CSV (id,yaw,pitch,roll)"),
         _Option("checkpoint", "checkpoint to evaluate"),
         _Option("data", "dataset file to evaluate on"),
-        _CONVENTION,
         _Option("out", "metrics CSV output path"),
         _Option("pred_out", "per-sample predictions CSV output path"),
     )),

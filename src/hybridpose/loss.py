@@ -23,11 +23,9 @@ from .binning import BinHierarchy, _bin_index, decode_positions, encode, encode_
 
 __all__ = [
     "LossWeights",
-    "LossBreakdown",
     "DEFAULT_WEIGHTS",
     "FINE_ONLY_WEIGHTS",
     "softmax",
-    "cross_entropy",
     "hybrid_loss",
     "hybrid_loss_grad",
 ]

@@ -22,8 +22,6 @@ from .angles import ANGLE_NAMES, PoseAngles, euler_to_rotation
 from .binning import CANONICAL_MAX_ANGLE, CANONICAL_MIN_ANGLE
 
 __all__ = [
-    "Rig",
-    "DEFAULT_RIG",
     "SynthConfig",
     "Dataset",
     "make_dataset",

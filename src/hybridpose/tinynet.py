@@ -14,6 +14,10 @@ block, and the training step and the batched decode run the three angles
 of a level as one stacked operation.  ``head_weights[angle][level]`` and
 ``head_biases[angle][level]`` are views of single heads in those blocks.
 
+The config also fixes the net's decode convention, the bin positions its
+expectation decode integrates over; training and prediction both read it
+from there, and the checkpoint stores it.
+
 Training is deterministic given the config seed: initialization draws from
 one seeded generator, and each epoch's shuffle is reseeded from the master
 seed and the epoch index.
@@ -30,15 +34,20 @@ from pathlib import Path
 import numpy as np
 
 from .angles import MaeReport, PoseAngles, mae
-from .binning import BinHierarchy, _check_in_range, decode_positions, expect_decode, make_hierarchy
+from .binning import (
+    DECODE_CONVENTIONS,
+    BinHierarchy,
+    _check_in_range,
+    decode_positions,
+    expect_decode,
+    make_hierarchy,
+)
 from .loss import LossWeights, _angle_terms, _check_loss_args, softmax
 from .synth import Dataset
 
 __all__ = [
     "NetConfig",
-    "HeadOutputs",
     "TinyNet",
-    "TrainReport",
     "init_net",
     "train",
     "checkpoint_text",
@@ -48,7 +57,7 @@ __all__ = [
 N_ANGLES = 3
 
 CHECKPOINT_FORMAT = "hybridpose-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # predict_batch decodes rows in blocks of this many.  BLAS results can depend
 # on the matrix shape, so one fixed split makes every caller decode a row to
@@ -59,13 +68,13 @@ PREDICT_BLOCK_ROWS = 512
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Architecture plus the master seed for init and shuffling."""
+    """Architecture, the master seed for init and shuffling, and the decode convention."""
 
     input_dim: int
     hidden_dims: tuple[int, ...] = (64, 64)
     hierarchy: BinHierarchy = field(default_factory=make_hierarchy)
     seed: int = 0
-    activation: str = "relu"
+    decode_convention: str = "center"
 
     def __post_init__(self) -> None:
         if self.input_dim < 1:
@@ -75,8 +84,11 @@ class NetConfig:
             raise ValueError(f"hidden dims must all be positive, got {self.hidden_dims!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
+        if self.decode_convention not in DECODE_CONVENTIONS:
+            raise ValueError(
+                f"unknown decode convention {self.decode_convention!r} "
+                f"(choose from {', '.join(map(repr, DECODE_CONVENTIONS))})"
+            )
         object.__setattr__(self, "hidden_dims", dims)
 
 
@@ -103,43 +115,25 @@ class _ParamViews(list):
 
 
 class TinyNet:
-    """Weights for the trunk and heads; see module docstring for layout."""
+    """Weights for the trunk and heads; see module docstring for layout.
 
-    def __init__(self, config, trunk_weights, trunk_biases, head_weights, head_biases):
+    A new net's parameters are all zero: ``init_net`` draws them, and
+    ``load_checkpoint`` fills them from a file, through the views.
+    """
+
+    def __init__(self, config: NetConfig):
         self.config = config
-        self.trunk_weights = [np.asarray(w, dtype=float) for w in trunk_weights]
-        self.trunk_biases = [np.asarray(b, dtype=float) for b in trunk_biases]
-        self.head_weights = [
-            [np.asarray(w, dtype=float) for w in per_angle] for per_angle in head_weights
-        ]
-        self.head_biases = [
-            [np.asarray(b, dtype=float) for b in per_angle] for per_angle in head_biases
-        ]
-        self._validate_shapes()
-        self._flatten()
-        if not np.isfinite(self.flat).all():
-            raise ValueError("parameters contain non-finite values")
-
-    def _flatten(self) -> None:
-        """Copy the parameters into one buffer, ``flat``, in parameters() order.
-
-        Every trunk and head array is then rebound to a view of that buffer,
-        so Adam and the finiteness guard each run as one pass over it, and
-        ``head_blocks`` holds each level's stacked head views.
-        """
-        params = self.parameters()
-        self.flat = np.empty(sum(p.size for p in params))
+        self.flat = np.zeros(sum(math.prod(shape) for shape in self._shapes()))
         views = self._views(self.flat)
-        for view, p in zip(views, params):
-            view[...] = p
-        n = 2 * len(self.trunk_weights)
+        n = 2 * len(config.hidden_dims)
         self.trunk_weights, self.trunk_biases = views[0:n:2], views[1:n:2]
         self.head_blocks = views.head_blocks
         self.head_weights = [[w[a] for w, _ in self.head_blocks] for a in range(N_ANGLES)]
         self.head_biases = [[b[a] for _, b in self.head_blocks] for a in range(N_ANGLES)]
 
-    def _views(self, buffer: np.ndarray) -> _ParamViews:
-        """Views of a buffer the size of ``flat``, shaped like parameters() and in its order."""
+    def _shapes(self) -> list[tuple[int, ...]]:
+        """The blocks of ``flat`` in order: each trunk layer's weight and bias,
+        then each level's stacked head weights and biases."""
         cfg = self.config
         dims = (cfg.input_dim, *cfg.hidden_dims)
         shapes = []
@@ -147,38 +141,21 @@ class TinyNet:
             shapes += [(fan_in, fan_out), (fan_out,)]
         for scheme in cfg.hierarchy.levels:
             shapes += [(N_ANGLES, dims[-1], scheme.n_bins), (N_ANGLES, scheme.n_bins)]
+        return shapes
+
+    def _views(self, buffer: np.ndarray) -> _ParamViews:
+        """Views of a buffer the size of ``flat``, shaped like parameters() and in its order."""
         blocks, offset = [], 0
-        for shape in shapes:
+        for shape in self._shapes():
             size = math.prod(shape)
             blocks.append(buffer[offset : offset + size].reshape(shape))
             offset += size
-        n = 2 * len(cfg.hidden_dims)
+        n = 2 * len(self.config.hidden_dims)
         views = _ParamViews(blocks[:n])
         views.head_blocks = list(zip(blocks[n::2], blocks[n + 1 :: 2]))
         for w, b in views.head_blocks:
             views += [*w, *b]
         return views
-
-    def _validate_shapes(self) -> None:
-        cfg = self.config
-        dims = (cfg.input_dim, *cfg.hidden_dims)
-        if len(self.trunk_weights) != len(dims) - 1 or len(self.trunk_biases) != len(dims) - 1:
-            raise ValueError("trunk layer count does not match config")
-        for i, (w, b) in enumerate(zip(self.trunk_weights, self.trunk_biases)):
-            if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
-                raise ValueError(f"trunk layer {i} has shape {w.shape}, expected {(dims[i], dims[i+1])}")
-        hidden = dims[-1]
-        if len(self.head_weights) != N_ANGLES or len(self.head_biases) != N_ANGLES:
-            raise ValueError(f"expected heads for {N_ANGLES} angles")
-        for per_angle_w, per_angle_b in zip(self.head_weights, self.head_biases):
-            if len(per_angle_w) != cfg.hierarchy.depth:
-                raise ValueError("head level count does not match hierarchy depth")
-            for scheme, w, b in zip(cfg.hierarchy.levels, per_angle_w, per_angle_b):
-                if w.shape != (hidden, scheme.n_bins) or b.shape != (scheme.n_bins,):
-                    raise ValueError(
-                        f"head for {scheme.n_bins} bins has shape {w.shape}, "
-                        f"expected {(hidden, scheme.n_bins)}"
-                    )
 
     def parameters(self) -> list[np.ndarray]:
         """All parameter arrays in a fixed order: trunk, then heads by level.
@@ -237,10 +214,10 @@ class TinyNet:
         per_angle = (tuple(level[a, 0] for level in logits) for a in range(N_ANGLES))
         return HeadOutputs(*per_angle)
 
-    def predict(self, features, convention: str = "center") -> PoseAngles:
+    def predict(self, features) -> PoseAngles:
         """Expectation-decoded angles from the finest heads."""
         out = self.forward(features)
-        finest = self.config.hierarchy.finest
+        finest, convention = self.config.hierarchy.finest, self.config.decode_convention
         return PoseAngles(
             *(
                 expect_decode(softmax(levels[0]), finest, convention=convention)
@@ -248,14 +225,14 @@ class TinyNet:
             )
         )
 
-    def predict_batch(self, x, convention: str = "center") -> np.ndarray:
+    def predict_batch(self, x) -> np.ndarray:
         """Decoded (n, 3) angle array for an (n, input_dim) feature array.
 
         Runs the trunk and the finest heads only, in blocks of
         PREDICT_BLOCK_ROWS rows; the coarse heads do not affect the decode.
         """
         x = self._check_features(x, ndim=2)
-        positions = decode_positions(self.config.hierarchy.finest, convention)
+        positions = decode_positions(self.config.hierarchy.finest, self.config.decode_convention)
         out = np.empty((x.shape[0], N_ANGLES))
         for lo in range(0, x.shape[0], PREDICT_BLOCK_ROWS):
             hi = lo + PREDICT_BLOCK_ROWS
@@ -273,23 +250,17 @@ class TinyNet:
 
 
 def init_net(config: NetConfig) -> TinyNet:
-    """He-scaled Gaussian weights, zero biases, drawn from the config seed."""
+    """He-scaled Gaussian weights, zero biases, drawn from the config seed.
+
+    The trunk layers are drawn in order, then the heads angle by angle,
+    each angle's levels finest first.
+    """
     rng = np.random.default_rng(config.seed)
-    dims = (config.input_dim, *config.hidden_dims)
-    trunk_w, trunk_b = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        trunk_w.append(rng.standard_normal((fan_in, fan_out)) * math.sqrt(2.0 / fan_in))
-        trunk_b.append(np.zeros(fan_out))
-    hidden = dims[-1]
-    head_w, head_b = [], []
-    for _ in range(N_ANGLES):
-        per_w, per_b = [], []
-        for scheme in config.hierarchy.levels:
-            per_w.append(rng.standard_normal((hidden, scheme.n_bins)) * math.sqrt(2.0 / hidden))
-            per_b.append(np.zeros(scheme.n_bins))
-        head_w.append(per_w)
-        head_b.append(per_b)
-    return TinyNet(config, trunk_w, trunk_b, head_w, head_b)
+    net = TinyNet(config)
+    for w in [*net.trunk_weights, *(w for per_angle in net.head_weights for w in per_angle)]:
+        fan_in = w.shape[0]
+        w[...] = rng.standard_normal(w.shape) * math.sqrt(2.0 / fan_in)
+    return net
 
 
 @dataclass
@@ -403,7 +374,6 @@ def _batch_loss_and_grads(
     x: np.ndarray,
     targets: np.ndarray,
     weights: LossWeights,
-    convention: str = "center",
     out: _ParamViews | None = None,
 ):
     """Mean loss over the batch and its gradient in parameters() order.
@@ -420,7 +390,7 @@ def _batch_loss_and_grads(
     """
     hierarchy = net.config.hierarchy
     _check_loss_args(weights, hierarchy)
-    positions = decode_positions(hierarchy.finest, convention)
+    positions = decode_positions(hierarchy.finest, net.config.decode_convention)
     n = x.shape[0]
     grads = net._views(np.empty_like(net.flat)) if out is None else out
 
@@ -486,8 +456,8 @@ def _assert_finite_params(net: TinyNet, optimizer: AdamState, loss: float) -> No
     raise FloatingPointError(f"training diverged: non-finite {what} at update {optimizer.step}")
 
 
-def _evaluate(net: TinyNet, x: np.ndarray, targets: np.ndarray, convention: str) -> MaeReport:
-    return mae(net.predict_batch(x, convention), targets)
+def _evaluate(net: TinyNet, x: np.ndarray, targets: np.ndarray) -> MaeReport:
+    return mae(net.predict_batch(x), targets)
 
 
 def train(
@@ -498,7 +468,6 @@ def train(
     epochs: int = 30,
     learning_rate: float = 1e-3,
     batch_size: int = 64,
-    convention: str = "center",
 ) -> tuple[TinyNet, TrainReport]:
     """Train a fresh net from the config seed; fully deterministic.
 
@@ -535,7 +504,7 @@ def train(
             idx = order[lo : lo + batch_size]
             # The gradient fills the flat ``grad`` through its views.
             stats, _ = _batch_loss_and_grads(
-                net, x_train[idx], t_train[idx], weights, convention, grad_views
+                net, x_train[idx], t_train[idx], weights, grad_views
             )
             adam_update(net.flat, grad, optimizer)
             _assert_finite_params(net, optimizer, stats.total)
@@ -545,7 +514,7 @@ def train(
         epoch_total.append(total_sum / n)
         epoch_regression.append(reg_sum / n)
         epoch_ce.append(tuple((ce_sum / n).tolist()))
-        val_reports.append(_evaluate(net, x_val, t_val, convention))
+        val_reports.append(_evaluate(net, x_val, t_val))
     report = TrainReport(
         epoch_total=tuple(epoch_total),
         epoch_regression=tuple(epoch_regression),
@@ -570,7 +539,7 @@ def checkpoint_text(net: TinyNet) -> str:
             "input_dim": cfg.input_dim,
             "hidden_dims": list(cfg.hidden_dims),
             "seed": cfg.seed,
-            "activation": cfg.activation,
+            "decode_convention": cfg.decode_convention,
             "hierarchy": {
                 "min_angle": cfg.hierarchy.finest.min_angle,
                 "max_angle": cfg.hierarchy.finest.max_angle,
@@ -605,6 +574,14 @@ def _config_ints(name: str, values) -> tuple[int, ...]:
     return tuple(_config_int(f"{name}[{i}]", v) for i, v in enumerate(values))
 
 
+def _fill(view: np.ndarray, name: str, value) -> None:
+    """Copy a checkpoint array into its view of ``flat``; the shapes must match."""
+    a = np.array(value, dtype=float)
+    if a.shape != view.shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {view.shape}")
+    view[...] = a
+
+
 def load_checkpoint(path) -> TinyNet:
     """Rebuild a TinyNet from a checkpoint file."""
     try:
@@ -615,12 +592,13 @@ def load_checkpoint(path) -> TinyNet:
         raise ValueError(f"{path}: not a checkpoint file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(
-            f"{path}: unsupported checkpoint version {doc.get('version')!r}"
+            f"{path}: unsupported checkpoint version {doc.get('version')!r}; "
+            f"retrain the net to write a version {CHECKPOINT_VERSION} checkpoint"
         )
     try:
         c = doc["config"]
         h = c["hierarchy"]
-        config = NetConfig(
+        net = TinyNet(NetConfig(
             input_dim=_config_int("input_dim", c["input_dim"]),
             hidden_dims=_config_ints("hidden_dims", c["hidden_dims"]),
             hierarchy=make_hierarchy(
@@ -629,19 +607,26 @@ def load_checkpoint(path) -> TinyNet:
                 float(h["max_angle"]),
             ),
             seed=_config_int("seed", c["seed"]),
-            activation=str(c["activation"]),
-        )
-        trunk_w = [np.array(layer["weight"], dtype=float) for layer in doc["trunk"]]
-        trunk_b = [np.array(layer["bias"], dtype=float) for layer in doc["trunk"]]
-        head_w = [
-            [np.array(level["weight"], dtype=float) for level in per_angle]
-            for per_angle in doc["heads"]
-        ]
-        head_b = [
-            [np.array(level["bias"], dtype=float) for level in per_angle]
-            for per_angle in doc["heads"]
-        ]
-        return TinyNet(config, trunk_w, trunk_b, head_w, head_b)
+            decode_convention=c["decode_convention"],
+        ))
+        trunk, heads = doc["trunk"], doc["heads"]
+        depth = net.config.hierarchy.depth
+        levels = [len(per_angle) for per_angle in heads]
+        if len(trunk) != len(net.trunk_weights) or levels != [depth] * N_ANGLES:
+            raise ValueError(
+                f"expected {len(net.trunk_weights)} trunk layers and "
+                f"{N_ANGLES} heads of {depth} levels"
+            )
+        for i, layer in enumerate(trunk):
+            _fill(net.trunk_weights[i], f"trunk[{i}].weight", layer["weight"])
+            _fill(net.trunk_biases[i], f"trunk[{i}].bias", layer["bias"])
+        for a, per_angle in enumerate(heads):
+            for level, stored in enumerate(per_angle):
+                _fill(net.head_weights[a][level], f"heads[{a}][{level}].weight", stored["weight"])
+                _fill(net.head_biases[a][level], f"heads[{a}][{level}].bias", stored["bias"])
+        if not np.isfinite(net.flat).all():
+            raise ValueError("parameters contain non-finite values")
+        return net
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed checkpoint: {exc!r}") from None
     except ValueError as exc:

@@ -130,7 +130,8 @@ def test_config_value_outside_choices_names_file_and_line(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# decoding\ndecode-convention = middle\n")
     for argv in (
-        ["eval", "--checkpoint", str(ckpt), "--data", str(val)],
+        ["train", "--train", str(train), "--val", str(val), "--epochs", "1", "--hidden", "8",
+         "--checkpoint-out", str(tmp_path / "out.json")],
         ["ablate", "--train", str(train), "--val", str(val), "--grid-file", str(grid),
          "--seeds", "0", "--epochs", "1", "--hidden", "8"],
     ):
@@ -141,6 +142,12 @@ def test_config_value_outside_choices_names_file_and_line(tmp_path, capsys):
             "invalid choice (choose from 'center', 'edge')"
         ) in err
         assert out == "" and "median val MAE" not in err
+    assert not (tmp_path / "out.json").exists()
+    # The checkpoint carries the convention, so eval has no such option.
+    rc, out, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(val),
+                       "--config", str(cfg))
+    assert rc == 1 and out == ""
+    assert f"error: {cfg}: line 2: unknown option 'decode_convention' for eval" in err
 
 
 def _sample_text(option):
@@ -171,7 +178,7 @@ def test_config_key_gives_the_flag_value(tmp_path, command, option):
 
 @pytest.mark.parametrize(
     "command, shown",
-    [("synth", "-75,75"), ("train", "7,5,3,1,1"), ("eval", "center"), ("ablate", "0,1,2,3,4"),
+    [("synth", "-75,75"), ("train", "7,5,3,1,1"), ("eval", None), ("ablate", "0,1,2,3,4"),
      ("parse-biwi", "*.txt")],
 )
 def test_help_lists_every_default(capsys, command, shown):
@@ -180,7 +187,8 @@ def test_help_lists_every_default(capsys, command, shown):
     assert exit_info.value.code == 0
     # argparse wraps help lines wherever it likes; compare without whitespace.
     out = "".join(capsys.readouterr().out.split())
-    assert f"(default{shown})" in out
+    # shown is None for a command whose options have no default.
+    assert (f"(default{shown})" in out) if shown else ("(default" not in out)
     for option in cli._COMMANDS[command][2]:
         assert option.flag in out
         if option.required:
@@ -372,12 +380,15 @@ def test_eval_checkpoint_mode(tmp_path, capsys):
     assert len(lines) == 7
 
 
-def test_eval_mae_equals_train_final_val_mae(tmp_path, capsys):
+@pytest.mark.parametrize("convention", ["center", "edge"])
+def test_eval_mae_equals_train_final_val_mae(tmp_path, capsys, convention):
+    # eval takes no convention: it decodes with the one the checkpoint stores.
     train, val = make_split(tmp_path, capsys, n=300)
     ckpt = tmp_path / "net.json"
     report = tmp_path / "report.csv"
     rc, _, err = run(
         capsys, "train", "--train", str(train), "--val", str(val), "--epochs", "2",
+        "--decode-convention", convention,
         "--checkpoint-out", str(ckpt), "--report-out", str(report),
     )
     assert rc == 0, err
@@ -418,10 +429,24 @@ def test_write_atomic_failure_leaves_no_files(tmp_path):
     assert target.read_text() == "kept\n"
 
 
-def test_eval_requires_one_mode(capsys):
+def test_eval_requires_one_mode(tmp_path, capsys):
     rc, _, err = run(capsys, "eval")
     assert rc == 1
     assert "provide either" in err
+    # A flag of the other mode fails by name, before any file is read.
+    pred, ckpt, data = ("--pred", "p.csv"), ("--checkpoint", "c.json"), ("--data", "d.csv")
+    truth, pred_out = ("--truth", "t.csv"), ("--pred-out", str(tmp_path / "o.csv"))
+    for flags, message in [
+        ((*pred, *ckpt, *data), "eval from --checkpoint and --data takes no --pred"),
+        ((*truth, *ckpt, *data), "eval from --checkpoint and --data takes no --truth"),
+        ((*pred, *truth, *ckpt, *data),
+         "eval from --pred and --truth takes no --checkpoint or --data"),
+        ((*pred, *truth, *pred_out), "eval from --pred and --truth takes no --pred-out"),
+    ]:
+        rc, out, err = run(capsys, "eval", *flags)
+        assert (rc, out) == (1, "")
+        assert err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ablate_with_grid_file(tmp_path, capsys):
@@ -625,6 +650,22 @@ def test_parse_biwi_skips_ids_that_cannot_round_trip(tmp_path, capsys):
     # What parse-biwi writes, eval reads back.
     rc, _, err = run(capsys, "eval", "--pred", str(out), "--truth", str(out))
     assert rc == 0, err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_parse_biwi_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tmp_path, capsys, tol):
+    poses = tmp_path / "poses"
+    poses.mkdir()
+    # With tol nan, the scaled matrix and the reflection used to parse.
+    for name, matrix in [("a", "1 0 0\n0 1 0\n0 0 1"), ("b", "2 0 0\n0 1 0\n0 0 1"),
+                         ("c", "1 0 0\n0 1 0\n0 0 -1")]:
+        (poses / f"{name}.txt").write_text(f"{matrix}\n\n0 0 0\n")
+    out = tmp_path / "annotations.csv"
+    rc, stdout, err = run(capsys, "parse-biwi", "--dir", str(poses), "--out", str(out),
+                          f"--tol={tol}")
+    assert (rc, stdout) == (1, "")
+    assert err == f"error: tol must be finite and nonnegative, got {float(tol)!r}\n"
+    assert not out.exists()
 
 
 def test_parse_biwi_requires_directory(tmp_path, capsys):

@@ -7,6 +7,8 @@ in the order the stacked code must keep.  Every comparison is ``==``: the
 stacked code must give the same bits, not merely close values.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -46,10 +48,10 @@ def oracle_angle_terms(logits, truth, weights, hierarchy, positions):
     return reg_sum, ce_sums, grads
 
 
-def oracle_step(net, x, targets, weights, convention):
+def oracle_step(net, x, targets, weights):
     """(total, regression, ce terms) and gradients in parameters() order, head by head."""
     hierarchy = net.config.hierarchy
-    positions = decode_positions(hierarchy.finest, convention)
+    positions = decode_positions(hierarchy.finest, net.config.decode_convention)
     n = x.shape[0]
     pre_acts, acts = [], [x]
     for w, b in zip(net.trunk_weights, net.trunk_biases):
@@ -86,9 +88,9 @@ def oracle_step(net, x, targets, weights, convention):
     return (total, reg_sum / n, tuple((ce_sums / n).tolist())), grads
 
 
-def oracle_predict(net, x, convention):
+def oracle_predict(net, x):
     """Decoded (n, 3) angles from the finest heads, one angle at a time."""
-    positions = decode_positions(net.config.hierarchy.finest, convention)
+    positions = decode_positions(net.config.hierarchy.finest, net.config.decode_convention)
     a = x
     for w, b in zip(net.trunk_weights, net.trunk_biases):
         a = np.maximum(a @ w + b, 0.0)
@@ -114,7 +116,7 @@ def perturbed_net(config, seed):
 @pytest.mark.parametrize("n", [1, 8, 13, 64])
 @pytest.mark.parametrize("config", [TOY, CANONICAL], ids=["toy", "canonical"])
 def test_stacked_step_and_decode_match_per_head_oracle(config, n, convention, alpha):
-    net = perturbed_net(config, seed=n)
+    net = perturbed_net(replace(config, decode_convention=convention), seed=n)
     rng = np.random.default_rng(100 + n)
     x = rng.normal(size=(n, config.input_dim))
     lo, hi = config.hierarchy.finest.min_angle, config.hierarchy.finest.max_angle
@@ -122,14 +124,14 @@ def test_stacked_step_and_decode_match_per_head_oracle(config, n, convention, al
     betas = np.linspace(3.0, 0.5, config.hierarchy.depth)
     weights = LossWeights(alpha, tuple(betas))
 
-    stats, grads = _batch_loss_and_grads(net, x, targets, weights, convention)
-    (total, regression, ce_terms), expected = oracle_step(net, x, targets, weights, convention)
+    stats, grads = _batch_loss_and_grads(net, x, targets, weights)
+    (total, regression, ce_terms), expected = oracle_step(net, x, targets, weights)
     assert (stats.total, stats.regression_term, stats.ce_terms) == (total, regression, ce_terms)
     assert len(grads) == len(expected)
     for g, e in zip(grads, expected):
         assert g.shape == e.shape and (g == e).all()
 
-    assert (net.predict_batch(x, convention) == oracle_predict(net, x, convention)).all()
+    assert (net.predict_batch(x) == oracle_predict(net, x)).all()
 
 
 def test_each_level_is_one_weight_block_and_one_bias_block_of_flat():

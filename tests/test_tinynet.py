@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,8 +39,10 @@ def test_net_config_validation():
         NetConfig(input_dim=4, hidden_dims=(16, 0))
     with pytest.raises(ValueError, match="seed"):
         NetConfig(input_dim=4, seed=-1)
-    with pytest.raises(ValueError, match="activation"):
-        NetConfig(input_dim=4, activation="tanh")
+    message = r"unknown decode convention 'middle' \(choose from 'center', 'edge'\)"
+    with pytest.raises(ValueError, match=message):
+        NetConfig(input_dim=4, decode_convention="middle")
+    assert NetConfig(input_dim=4).decode_convention == "center"
 
 
 def test_init_is_deterministic_and_seed_sensitive():
@@ -123,9 +126,9 @@ def test_forward_rejects_bad_features():
         net.predict_batch(x)
 
 
-def block_rows():
+def block_rows(convention="center"):
     """A net with peaked heads and 1,300 rows: two full 512-row blocks and a partial one."""
-    net = init_net(NetConfig(input_dim=24, seed=3))
+    net = init_net(NetConfig(input_dim=24, seed=3, decode_convention=convention))
     for per_angle in net.head_weights:
         per_angle[0] *= 4.0
     x = np.random.default_rng(8).normal(size=(1300, 24))
@@ -142,18 +145,18 @@ def test_predict_batch_is_row_blocked():
 
 
 def test_predict_batch_agrees_with_per_row_predict():
-    net, x = block_rows()
-    batch = net.predict_batch(x, convention="edge")
+    net, x = block_rows("edge")
+    batch = net.predict_batch(x)
     assert np.ptp(batch, axis=0).min() > 1.0
     for i in range(x.shape[0]):
-        assert np.abs(batch[i] - net.predict(x[i], convention="edge").as_array()).max() < 1e-9
+        assert np.abs(batch[i] - net.predict(x[i]).as_array()).max() < 1e-9
 
 
 @pytest.mark.parametrize(
     "convention", ["center", "edge"], ids=["degrees-center", "degrees-edge"]
 )
 def test_batch_gradients_match_finite_differences(convention):
-    net = init_net(TOY)
+    net = init_net(replace(TOY, decode_convention=convention))
     x, targets = toy_batch()
 
     # keep every ReLU pre-activation away from its kink by more than the
@@ -162,7 +165,7 @@ def test_batch_gradients_match_finite_differences(convention):
     assert min(np.abs(z).min() for z in pre_acts) > 1e-3
 
     weights = LossWeights(alpha=1.5, betas=(2.0, 0.5))
-    stats, grads = _batch_loss_and_grads(net, x, targets, weights, convention)
+    stats, grads = _batch_loss_and_grads(net, x, targets, weights)
     params = net.parameters()
     base = flatten_params(params)
 
@@ -391,6 +394,21 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
     assert checkpoint_text(net) == checkpoint_text(net)
 
 
+def test_checkpoint_stores_the_decode_convention(tmp_path):
+    net = init_net(NetConfig(input_dim=24, hidden_dims=(16,), seed=4, decode_convention="edge"))
+    net.flat += np.random.default_rng(6).normal(scale=0.1, size=net.flat.size)
+    path = tmp_path / "net.json"
+    path.write_text(checkpoint_text(net))
+    assert json.loads(path.read_text())["config"]["decode_convention"] == "edge"
+    loaded = load_checkpoint(path)
+    assert loaded.config.decode_convention == "edge"
+    x = np.random.default_rng(7).normal(size=(9, 24))
+    assert (loaded.predict_batch(x) == net.predict_batch(x)).all()
+    centered = init_net(replace(net.config, decode_convention="center"))
+    centered.flat[...] = net.flat
+    assert (centered.predict_batch(x) != net.predict_batch(x)).any()
+
+
 def test_checkpoint_rejects_bad_files(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{ not json")
@@ -404,11 +422,20 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(path)
+    # Version 1 stored an activation where version 2 stores the decode convention.
+    old = json.loads(checkpoint_text(init_net(TOY)))
+    old["version"] = 1
+    old["config"]["activation"] = "relu"
+    del old["config"]["decode_convention"]
+    path.write_text(json.dumps(old))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: unsupported checkpoint version 1; retrain")
     del doc["version"]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(path)
-    doc["version"] = 1
+    doc["version"] = 2
     del doc["trunk"]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="malformed"):
@@ -420,7 +447,16 @@ def test_checkpoint_rejects_bad_files(tmp_path):
 
     bad_values = [
         (lambda d: d["heads"][0][0].__setitem__("weight", [[0.0] * 7] * 5),
-         "head for 6 bins has shape (5, 7), expected (8, 6)"),
+         "heads[0][0].weight has shape (5, 7), expected (8, 6)"),
+        (lambda d: d["heads"][2][1].__setitem__("bias", [0.0] * 3),
+         "heads[2][1].bias has shape (3,), expected (2,)"),
+        (lambda d: d["trunk"][0].__setitem__("weight", [[0.0] * 8] * 3),
+         "trunk[0].weight has shape (3, 8), expected (4, 8)"),
+        (lambda d: d["trunk"].append(d["trunk"][0]),
+         "expected 1 trunk layers and 3 heads of 2 levels"),
+        (lambda d: d["heads"][1].pop(), "expected 1 trunk layers and 3 heads of 2 levels"),
+        (lambda d: d["config"].__setitem__("decode_convention", "middle"),
+         "unknown decode convention 'middle' (choose from 'center', 'edge')"),
         (trunk_bias([[0.0], [0.0, 1.0]]), "setting an array element with a sequence"),
         (trunk_bias(["abc"] * 8), "could not convert string to float: 'abc'"),
         (lambda d: d["config"]["hierarchy"].__setitem__("bin_counts", [198, 67]),
