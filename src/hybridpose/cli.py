@@ -19,7 +19,7 @@ os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS
 import argparse
 import statistics
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -37,8 +37,15 @@ from .data import (
     parse_biwi_pose,
 )
 from .loss import LossWeights
-from .synth import SynthConfig, format_dataset, load_dataset, make_dataset
-from .tinynet import NetConfig, checkpoint_text, load_checkpoint, train
+from .synth import (
+    Dataset,
+    SynthConfig,
+    format_dataset,
+    load_dataset,
+    make_dataset,
+    read_dataset_blocks,
+)
+from .tinynet import PREDICT_BLOCK_ROWS, NetConfig, checkpoint_text, load_checkpoint, train
 
 __all__ = ["main"]
 
@@ -56,23 +63,30 @@ DEFAULT_WEIGHT_GRID = (
 )
 
 
-def _write_atomic(path, text: str) -> None:
-    """Write ``text`` to a sibling temp file, then rename it over ``path``.
+@contextmanager
+def _atomic_file(path):
+    """A text file to write ``path`` through: a sibling temp file, renamed
+    over ``path`` when the block ends.
 
     The temp name is random and created exclusively, so concurrent runs never
-    share one; it is removed if writing or renaming fails.  Mode 0o666 lets
-    the umask set the permissions, as a plain open would.
+    share one; it is removed if the block, writing or renaming fails.  Mode
+    0o666 lets the umask set the permissions, as a plain open would.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_atomic(path, text: str) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(text)
 
 
 def load_config_file(path) -> dict[str, tuple[str, int]]:
@@ -148,8 +162,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         noise_sigma=args.noise_sigma, val_fraction=args.val_fraction,
     )
     train_samples, val_samples = make_dataset(cfg)
-    _write_atomic(args.out_train, format_dataset(train_samples))
-    _write_atomic(args.out_val, format_dataset(val_samples))
+    for path, data in ((args.out_train, train_samples), (args.out_val, val_samples)):
+        # Block by block, so the text never exists whole; any block size gives the same bytes.
+        with _atomic_file(path) as fh:
+            for lo in range(0, len(data), PREDICT_BLOCK_ROWS):
+                hi = lo + PREDICT_BLOCK_ROWS
+                fh.write(format_dataset(Dataset(data.features[lo:hi], data.angles[lo:hi])))
     print(f"wrote {len(train_samples)} train samples to {args.out_train}")
     print(f"wrote {len(val_samples)} val samples to {args.out_val}")
     return 0
@@ -329,13 +347,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report = mae(_match_by_id(pred_ids, pred, truth_ids), truth)
     else:
         net = load_checkpoint(args.checkpoint)
-        data = load_dataset(args.data)
-        # The same arithmetic, and decode convention, as train's per-epoch validation MAE.
-        pred = net.predict_batch(data.features)
-        report = mae(pred, data.angles)
-        if args.pred_out:
-            ids = [str(i) for i in range(len(pred))]
-            _write_atomic(args.pred_out, format_predictions_csv(ids, pred, data.angles))
+        # Read, decode and write one predict_batch block at a time, keeping only
+        # each row's prediction and truth: the same bits, and decode convention,
+        # as predict_batch on the whole file and train's per-epoch validation MAE.
+        preds, truths, n = [], [], 0
+        with _atomic_file(args.pred_out) if args.pred_out else nullcontext() as out:
+            for block in read_dataset_blocks(args.data, PREDICT_BLOCK_ROWS):
+                preds.append(net.predict_batch(block.features))
+                truths.append(block.angles)
+                if out is not None:
+                    ids = [str(i) for i in range(n, n + len(block))]
+                    text = format_predictions_csv(ids, preds[-1], block.angles)
+                    out.write(text if n == 0 else text.partition("\n")[2])
+                n += len(block)
+        report = mae(np.concatenate(preds), np.concatenate(truths))
 
     print(_mae_table(report))
     if args.out:
@@ -365,6 +390,12 @@ def _load_grid_file(path) -> list[LossWeights]:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
+    # Checked before any work: a negative seed would fail only once its run starts,
+    # and a repeated one would train the same run twice into the row's median.
+    if min(args.seeds) < 0:
+        raise ValueError(f"--seeds must be nonnegative, got {_show(args.seeds)}")
+    if len(set(args.seeds)) != len(args.seeds):
+        raise ValueError(f"--seeds must not repeat a seed, got {_show(args.seeds)}")
     train_samples = load_dataset(args.train)
     val_samples = load_dataset(args.val)
     if args.grid_file:

@@ -62,13 +62,22 @@ class LossBreakdown:
     decoded_angle: float
 
 
-def softmax(logits) -> np.ndarray:
-    """Numerically stable softmax of a logit vector."""
+def _check_logits(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=float)
     if z.ndim != 1 or z.shape[0] < 1:
         raise ValueError(f"logits must be a nonempty vector, got shape {z.shape}")
     if not np.isfinite(z).all():
         raise ValueError("logits contain non-finite entries")
+    return z
+
+
+def softmax(logits) -> np.ndarray:
+    """Numerically stable softmax of a logit vector."""
+    return _softmax(_check_logits(logits))
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """``softmax`` of an already checked float vector."""
     shifted = z - z.max()
     e = np.exp(shifted)
     return e / e.sum()
@@ -76,13 +85,14 @@ def softmax(logits) -> np.ndarray:
 
 def cross_entropy(logits, target: int) -> float:
     """Negative log softmax probability of the target index."""
-    z = np.asarray(logits, dtype=float)
-    if z.ndim != 1 or z.shape[0] < 1:
-        raise ValueError(f"logits must be a nonempty vector, got shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("logits contain non-finite entries")
+    z = _check_logits(logits)
     if not 0 <= target < z.shape[0]:
         raise IndexError(f"target {target} out of range [0, {z.shape[0]})")
+    return _cross_entropy(z, target)
+
+
+def _cross_entropy(z: np.ndarray, target: int) -> float:
+    """``cross_entropy`` of an already checked float vector and in-range target."""
     m = z.max()
     return float(np.log(np.exp(z - m).sum()) - (z[target] - m))
 
@@ -119,18 +129,23 @@ def hybrid_loss(
     hierarchy: BinHierarchy,
     convention: str = "center",
 ) -> LossBreakdown:
-    """Loss for one angle given per-level logits and the true angle in degrees."""
+    """Loss for one angle given per-level logits and the true angle in degrees.
+
+    The one-row oracle that the batched ``_angle_terms`` is tested against.
+    Its inputs are checked once here, so it runs the unchecked softmax and
+    cross-entropy; the targets ``encode_all`` returns are in range.
+    """
     _check_loss_args(weights, hierarchy)
     logits = _check_heads(heads, hierarchy)
     targets = encode_all(truth, hierarchy)
 
     finest = hierarchy.finest
-    probs = softmax(logits[0])
+    probs = _softmax(logits[0])
     decoded = float(probs @ decode_positions(finest, convention))
     diff = decoded - float(truth)
     regression = diff * diff
 
-    ce_terms = tuple(cross_entropy(z, t) for z, t in zip(logits, targets))
+    ce_terms = tuple(_cross_entropy(z, t) for z, t in zip(logits, targets))
     total = weights.alpha * regression + float(np.dot(weights.betas, ce_terms))
     return LossBreakdown(total, regression, ce_terms, decoded)
 

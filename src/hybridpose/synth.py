@@ -13,8 +13,10 @@ from a single noiseless projection.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -27,6 +29,7 @@ __all__ = [
     "make_dataset",
     "format_dataset",
     "load_dataset",
+    "read_dataset_blocks",
 ]
 
 DEFAULT_YAW_RANGE = (-75.0, 75.0)
@@ -229,8 +232,15 @@ def format_dataset(data: Dataset) -> str:
     return "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
 
 
-def load_dataset(path) -> Dataset:
-    """Parse a dataset file in the format_dataset layout into two flat buffers."""
+def read_dataset_blocks(path, block_rows: int) -> Iterator[Dataset]:
+    """The rows of a file in the format_dataset layout, as Datasets of
+    ``block_rows`` rows each (the last may be shorter); blank lines are skipped.
+
+    The first bad line in file order raises, naming the file and line: too
+    few fields or a different count from the first row's, a non-numeric
+    field, or a non-finite value.  A block is yielded once all its rows have
+    passed, so a caller has seen every row before the bad one.
+    """
     features, angles, line_numbers = array("d"), array("d"), array("l")
     arity = None
     with open(path) as fh:
@@ -239,31 +249,45 @@ def load_dataset(path) -> Dataset:
             if not line:
                 continue
             parts = line.split(",")
+            error = None
             if len(parts) < 5:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected at least 5 fields, got {len(parts)}"
-                )
-            if arity is None:
+                error = f"expected at least 5 fields, got {len(parts)}"
+            elif arity is None:
                 arity = len(parts)
             elif len(parts) != arity:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {arity} fields, got {len(parts)}"
-                )
-            try:
-                features.extend(map(float, parts[:-3]))
-                angles.extend(map(float, parts[-3:]))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
+                error = f"expected {arity} fields, got {len(parts)}"
+            if error is None:
+                try:
+                    features.extend(map(float, parts[:-3]))
+                    angles.extend(map(float, parts[-3:]))
+                except ValueError:
+                    error = "non-numeric field"
+            if error is not None:
+                # A non-finite value on an earlier line of this block comes first.
+                n = len(line_numbers)
+                if n:
+                    del features[n * (arity - 3) :], angles[n * 3 :]
+                    _checked_block(path, features, angles, line_numbers)
+                raise ValueError(f"{path}: line {lineno}: {error}")
             line_numbers.append(lineno)
-    if not line_numbers:
+            if len(line_numbers) == block_rows:
+                yield _checked_block(path, features, angles, line_numbers)
+                features, angles, line_numbers = array("d"), array("d"), array("l")
+    if line_numbers:
+        yield _checked_block(path, features, angles, line_numbers)
+    elif arity is None:
         raise ValueError(f"{path}: dataset file is empty")
+
+
+def _checked_block(path, features: array, angles: array, line_numbers: array) -> Dataset:
+    """Parsed rows as a Dataset over their two flat buffers; the first row with
+    a non-finite value raises, naming its line, with angles reported first."""
     # Only these views reach the buffers, so read-only they pass into Dataset uncopied.
     x, y = np.frombuffer(features), np.frombuffer(angles)
     x.setflags(write=False)
     y.setflags(write=False)
-    x = x.reshape(-1, arity - 3)
+    x = x.reshape(len(line_numbers), -1)
     y = y.reshape(-1, 3)
-    # The first row with a non-finite value (row 0 if none); angles are reported first.
     finite_y = np.isfinite(y)
     row = int(np.argmin(np.isfinite(x).all(axis=1) & finite_y.all(axis=1)))
     where = f"{path}: line {line_numbers[row]}"
@@ -273,3 +297,9 @@ def load_dataset(path) -> Dataset:
     if not np.isfinite(x[row]).all():
         raise ValueError(f"{where}: features contain non-finite values")
     return Dataset(x, y)
+
+
+def load_dataset(path) -> Dataset:
+    """The whole dataset file as one Dataset, checked as read_dataset_blocks checks it."""
+    (data,) = read_dataset_blocks(path, sys.maxsize)
+    return data

@@ -574,6 +574,23 @@ def _config_ints(name: str, values) -> tuple[int, ...]:
     return tuple(_config_int(f"{name}[{i}]", v) for i, v in enumerate(values))
 
 
+def _config_number(name: str, value) -> float:
+    """A checkpoint config number as parsed from JSON: a string or a bool is an error."""
+    if type(value) not in (int, float):
+        raise ValueError(f"config {name} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _check_keys(name: str, obj, keys: set[str]) -> None:
+    """A checkpoint object must hold exactly ``keys``: any other is an error, not ignored."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed checkpoint: {name} must be an object, got {type(obj).__name__}")
+    problems = [f"unexpected key {k!r}" for k in sorted(obj.keys() - keys)]
+    problems += [f"missing key {k!r}" for k in sorted(keys - obj.keys())]
+    if problems:
+        raise ValueError(f"malformed checkpoint: {name}: {', '.join(problems)}")
+
+
 def _fill(view: np.ndarray, name: str, value) -> None:
     """Copy a checkpoint array into its view of ``flat``; the shapes must match."""
     a = np.array(value, dtype=float)
@@ -590,21 +607,27 @@ def load_checkpoint(path) -> TinyNet:
         raise ValueError(f"{path}: not a valid checkpoint: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a checkpoint file")
-    if doc.get("version") != CHECKPOINT_VERSION:
+    version = doc.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise ValueError(
-            f"{path}: unsupported checkpoint version {doc.get('version')!r}; "
+            f"{path}: unsupported checkpoint version {version!r}; "
             f"retrain the net to write a version {CHECKPOINT_VERSION} checkpoint"
         )
     try:
+        _check_keys("top level", doc, {"format", "version", "config", "trunk", "heads"})
         c = doc["config"]
+        _check_keys("config", c, {
+            "input_dim", "hidden_dims", "seed", "decode_convention", "hierarchy",
+        })
         h = c["hierarchy"]
+        _check_keys("config.hierarchy", h, {"min_angle", "max_angle", "bin_counts"})
         net = TinyNet(NetConfig(
             input_dim=_config_int("input_dim", c["input_dim"]),
             hidden_dims=_config_ints("hidden_dims", c["hidden_dims"]),
             hierarchy=make_hierarchy(
                 _config_ints("hierarchy.bin_counts", h["bin_counts"]),
-                float(h["min_angle"]),
-                float(h["max_angle"]),
+                _config_number("hierarchy.min_angle", h["min_angle"]),
+                _config_number("hierarchy.max_angle", h["max_angle"]),
             ),
             seed=_config_int("seed", c["seed"]),
             decode_convention=c["decode_convention"],
@@ -618,10 +641,12 @@ def load_checkpoint(path) -> TinyNet:
                 f"{N_ANGLES} heads of {depth} levels"
             )
         for i, layer in enumerate(trunk):
+            _check_keys(f"trunk[{i}]", layer, {"weight", "bias"})
             _fill(net.trunk_weights[i], f"trunk[{i}].weight", layer["weight"])
             _fill(net.trunk_biases[i], f"trunk[{i}].bias", layer["bias"])
         for a, per_angle in enumerate(heads):
             for level, stored in enumerate(per_angle):
+                _check_keys(f"heads[{a}][{level}]", stored, {"weight", "bias"})
                 _fill(net.head_weights[a][level], f"heads[{a}][{level}].weight", stored["weight"])
                 _fill(net.head_biases[a][level], f"heads[{a}][{level}].bias", stored["bias"])
         if not np.isfinite(net.flat).all():

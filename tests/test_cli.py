@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,17 @@ import pytest
 
 import hybridpose
 from hybridpose import cli
-from hybridpose.angles import PoseAngles, euler_to_rotation
+from hybridpose.angles import PoseAngles, euler_to_rotation, mae
 from hybridpose.cli import DEFAULT_WEIGHT_GRID, _write_atomic, main
-from hybridpose.data import PREDICTIONS_HEADER, format_biwi_pose
-from hybridpose.tinynet import NetConfig, checkpoint_text, init_net
+from hybridpose.data import PREDICTIONS_HEADER, format_biwi_pose, format_predictions_csv
+from hybridpose.synth import Dataset, format_dataset, load_dataset
+from hybridpose.tinynet import (
+    PREDICT_BLOCK_ROWS,
+    NetConfig,
+    checkpoint_text,
+    init_net,
+    load_checkpoint,
+)
 
 
 def run(capsys, *argv):
@@ -416,6 +424,77 @@ def test_eval_rejects_feature_length_mismatch(tmp_path, capsys):
     assert "expected feature vector of length 24, got shape (6, 22)" in err
 
 
+def write_eval_inputs(tmp_path, n, seed=0):
+    """A random net's checkpoint and an n-row dataset file of random rows."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    ckpt = tmp_path / "net.json"
+    ckpt.write_text(checkpoint_text(init_net(NetConfig(input_dim=24, hidden_dims=(8,), seed=3))))
+    rng = np.random.default_rng(seed)
+    data = tmp_path / f"data{n}.csv"
+    data.write_text(format_dataset(
+        Dataset(rng.normal(size=(n, 24)), rng.uniform(-60.0, 60.0, size=(n, 3)))
+    ))
+    return ckpt, data
+
+
+def test_eval_over_several_blocks_matches_the_whole_file_oracle(tmp_path, capsys):
+    ckpt, data = write_eval_inputs(tmp_path, 1300)
+    lines = data.read_text().splitlines()
+    # Blank lines shift line numbers but not the row ids or the blocks.
+    data.write_text("\n" + "".join(line + "\n" * (1 + i % 3) for i, line in enumerate(lines)))
+    assert 1300 > 2 * PREDICT_BLOCK_ROWS
+    metrics, preds = tmp_path / "metrics.csv", tmp_path / "preds.csv"
+    rc, out, err = run(
+        capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
+        "--out", str(metrics), "--pred-out", str(preds),
+    )
+    assert rc == 0, err
+    whole = load_dataset(data)
+    pred = load_checkpoint(ckpt).predict_batch(whole.features)
+    ids = [str(i) for i in range(1300)]
+    assert preds.read_text() == format_predictions_csv(ids, pred, whole.angles)
+    report = mae(pred, whole.angles)
+    assert metrics.read_text() == cli._metrics_csv(report)
+    assert out == cli._mae_table(report) + "\n"
+
+
+def test_eval_bad_line_in_a_late_block_leaves_no_output(tmp_path, capsys):
+    ckpt, data = write_eval_inputs(tmp_path, 1300)
+    lines = data.read_text().splitlines()
+    lines[1100] = lines[1100].replace(",", ";", 1)  # row 1101, in the third block
+    data.write_text("\n".join(lines) + "\n")
+    rc, _, err = run(
+        capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
+        "--out", str(tmp_path / "metrics.csv"), "--pred-out", str(tmp_path / "preds.csv"),
+    )
+    assert rc == 1
+    assert err == f"error: {data}: line 1101: expected 27 fields, got 26\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [data.name, ckpt.name]
+
+
+def test_eval_memory_does_not_grow_with_the_row_count(tmp_path, capsys):
+    # Parsing the whole file and rendering all its predictions at once costs
+    # several hundred bytes per row; eval keeps a prediction and a truth, 48 bytes.
+    inputs = {n: write_eval_inputs(tmp_path / str(n), n) for n in (1024, 4096)}
+
+    def peak(n):
+        ckpt, data = inputs[n]
+        tracemalloc.start()
+        try:
+            rc, _, err = run(
+                capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
+                "--out", str(tmp_path / "metrics.csv"), "--pred-out", str(tmp_path / "preds.csv"),
+            )
+            assert rc == 0, err
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1024)  # warm up: one-time allocations land outside the comparison
+    growth = peak(4096) - peak(1024)
+    assert growth < 3072 * 100, growth
+
+
 def test_write_atomic_failure_leaves_no_files(tmp_path):
     target = tmp_path / "out.csv"
     unencodable = "a\ud800\n"
@@ -508,6 +587,22 @@ def test_ablate_rejects_malformed_grid_row(tmp_path, capsys):
     assert rc == 1
     assert f"{grid}: line 2: betas must be finite and nonnegative" in err
     assert "median val MAE" not in err
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ("0,-1", "--seeds must be nonnegative, got 0,-1"),
+    ("0,0", "--seeds must not repeat a seed, got 0,0"),
+    ("3,1,3", "--seeds must not repeat a seed, got 3,1,3"),
+])
+def test_ablate_checks_seeds_before_any_work(tmp_path, capsys, monkeypatch, seeds, message):
+    counts = _record_worker_counts(monkeypatch)
+    # The data files do not exist: the seeds fail before they are read.
+    rc, out, err = run(
+        capsys, "ablate", "--train", str(tmp_path / "t.csv"), "--val", str(tmp_path / "v.csv"),
+        "--seeds", seeds,
+    )
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+    assert counts == []
 
 
 def _record_worker_counts(monkeypatch, run_as=None):

@@ -10,6 +10,7 @@ from hybridpose.synth import (
     format_dataset,
     load_dataset,
     make_dataset,
+    read_dataset_blocks,
     render_features,
     sample_pose,
 )
@@ -183,6 +184,53 @@ def test_load_dataset_errors(tmp_path):
     path.write_text("\n1.0,2.0,0.5,1.0,2.0,inf\n")
     with pytest.raises(ValueError, match=r"bad\.csv: line 2: roll must be finite, got inf"):
         load_dataset(path)
+
+
+def test_dataset_blocks_split_the_rows_of_load_dataset(tmp_path):
+    train, _ = make_dataset(SynthConfig(n_samples=12, seed=5))
+    path = tmp_path / "train.csv"
+    lines = format_dataset(train).splitlines()
+    path.write_text("\n" + "\n\n".join(lines) + "\n\n")
+    whole = load_dataset(path)
+    blocks = list(read_dataset_blocks(path, 4))
+    assert [len(b) for b in blocks] == [4, 4, 2]
+    assert (np.concatenate([b.features for b in blocks]) == whole.features).all()
+    assert (np.concatenate([b.angles for b in blocks]) == whole.angles).all()
+
+
+GOOD = "1.0,2.0,0.5,1.0,2.0,3.0"
+NAN = "1.0,nan,0.5,1.0,2.0,3.0"
+
+
+@pytest.mark.parametrize("lines, bad_line, message", [
+    # A non-finite value wins over a later line's field-count or non-numeric error.
+    ([GOOD, NAN, "1.0,2.0,3.0"], 2, "features contain non-finite values"),
+    ([GOOD, "1.0,2.0,0.5,1.0,2.0,-inf", GOOD + ",4.0"], 2, "roll must be finite, got -inf"),
+    ([NAN, GOOD, GOOD, "x" + GOOD], 1, "features contain non-finite values"),
+    ([GOOD, GOOD, GOOD, NAN, "x" + GOOD], 4, "features contain non-finite values"),
+    # And the parse error wins over a later non-finite value.
+    ([GOOD, "1.0,2.0,3.0", NAN], 2, "expected at least 5 fields, got 3"),
+    ([GOOD, GOOD, GOOD + ",4.0", NAN], 3, "expected 6 fields, got 7"),
+])
+def test_first_bad_line_wins(tmp_path, lines, bad_line, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    for block_rows in (1, 2, 3, 1000):  # within one block and across blocks
+        with pytest.raises(ValueError) as info:
+            list(read_dataset_blocks(path, block_rows))
+        assert str(info.value) == f"{path}: line {bad_line}: {message}", block_rows
+    with pytest.raises(ValueError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}: line {bad_line}: {message}"
+
+
+def test_dataset_blocks_before_the_bad_line_are_yielded(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([GOOD] * 5 + ["x"]) + "\n")
+    blocks = read_dataset_blocks(path, 2)
+    assert [len(next(blocks)), len(next(blocks))] == [2, 2]
+    with pytest.raises(ValueError, match="line 6: expected at least 5 fields, got 1"):
+        next(blocks)
 
 
 def test_dataset_validation():

@@ -486,3 +486,43 @@ def test_checkpoint_rejects_bad_files(tmp_path):
         with pytest.raises(ValueError) as info:
             load_checkpoint(path)
         assert str(info.value).startswith(f"{path}: {message}"), info.value
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.__setitem__("version", 2.0),
+     "unsupported checkpoint version 2.0; retrain the net"),
+    (lambda d: d.__setitem__("notes", "hand edited"),
+     "malformed checkpoint: top level: unexpected key 'notes'"),
+    (lambda d: d["config"].__setitem__("activation", "tanh"),
+     "malformed checkpoint: config: unexpected key 'activation'"),
+    (lambda d: d["config"].pop("seed"), "malformed checkpoint: config: missing key 'seed'"),
+    (lambda d: d["config"]["hierarchy"].__setitem__("bin_width", 33.0),
+     "malformed checkpoint: config.hierarchy: unexpected key 'bin_width'"),
+    (lambda d: d["trunk"][0].__setitem__("scale", 1.0),
+     "malformed checkpoint: trunk[0]: unexpected key 'scale'"),
+    (lambda d: d["heads"][2].__setitem__(1, [0.0]),
+     "malformed checkpoint: heads[2][1] must be an object, got list"),
+    (lambda d: d["config"]["hierarchy"].__setitem__("min_angle", "-99"),
+     'config hierarchy.min_angle must be a number, got "-99"'),
+    (lambda d: d["config"]["hierarchy"].__setitem__("min_angle", True),
+     "config hierarchy.min_angle must be a number, got true"),
+    (lambda d: d["config"]["hierarchy"].__setitem__("max_angle", None),
+     "config hierarchy.max_angle must be a number, got null"),
+])
+def test_checkpoint_schema_is_exact(tmp_path, mutate, message):
+    # Each edit would otherwise load, ignored or silently converted.
+    doc = json.loads(checkpoint_text(init_net(TOY)))
+    mutate(doc)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: {message}"), info.value
+
+
+def test_checkpoint_angles_may_be_json_integers(tmp_path):
+    doc = json.loads(checkpoint_text(init_net(TOY)))
+    doc["config"]["hierarchy"].update(min_angle=-99, max_angle=99)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert checkpoint_text(load_checkpoint(path)) == checkpoint_text(init_net(TOY))
+
