@@ -37,36 +37,10 @@ DEFAULT_PITCH_RANGE = (-60.0, 60.0)
 DEFAULT_ROLL_RANGE = (-50.0, 50.0)
 
 
-@dataclass(frozen=True, eq=False)
-class Rig:
-    """Constant 3D landmark points, shape (n_points, 3), in head coordinates."""
-
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 4:
-            raise ValueError(f"rig needs at least 4 points of shape (n, 3), got {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise ValueError("rig points contain non-finite values")
-        centered = pts - pts.mean(axis=0)
-        if np.linalg.matrix_rank(centered) != 3:
-            raise ValueError("rig points are coplanar; orientation would be ambiguous")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def max_norm(self) -> float:
-        return float(np.linalg.norm(self.points, axis=1).max())
-
-
-# Stylized head landmarks: frontal x, lateral y (left positive), vertical z.
-# The right ear, crown and the single left cheek point break mirror symmetry
-# so that the sign of yaw is observable.  Scaled to max point norm 1.
+# The rig, RIG_POINTS: 12 stylized head landmarks, frontal x, lateral y (left
+# positive), vertical z.  The right ear, crown and the single left cheek point
+# break mirror symmetry so that the sign of yaw is observable.  Scaled to max
+# point norm 1 and read-only.
 _RAW_RIG_POINTS = np.array(
     [
         [1.00, 0.00, 0.00],   # nose tip
@@ -84,7 +58,8 @@ _RAW_RIG_POINTS = np.array(
     ]
 )
 
-DEFAULT_RIG = Rig(_RAW_RIG_POINTS / np.linalg.norm(_RAW_RIG_POINTS, axis=1).max())
+RIG_POINTS = _RAW_RIG_POINTS / np.linalg.norm(_RAW_RIG_POINTS, axis=1).max()
+RIG_POINTS.setflags(write=False)
 
 
 def _check_range(name: str, bounds: tuple[float, float]) -> tuple[float, float]:
@@ -127,43 +102,20 @@ class SynthConfig:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction!r}")
 
 
-def _read_only(values) -> np.ndarray:
-    """``values`` as a read-only C-contiguous float64 array.
-
-    A float64 C-contiguous array is kept as it is if it and every array in its
-    ``.base`` chain are read-only; anything else is copied, since whoever holds
-    a writeable array over the same memory may still write to it.
-    """
-    a = np.asarray(values)
-    base = a
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    if isinstance(base, np.ndarray):
-        a = np.array(a, dtype=float, order="C")
-    else:
-        a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """(n, d) features and (n, 3) yaw, pitch, roll in degrees, one row per sample.
 
-    Both are float64, C-contiguous and read-only, checked once on
-    construction: shapes, n >= 1, every value finite.  An input array is
-    copied unless it and every array it views are read-only, so writing to
-    such an array later cannot change the dataset; the read-only arrays that
-    ``load_dataset`` and ``make_dataset`` pass are kept without a copy.  The
-    memory under a read-only array that no array owns (``np.frombuffer``) is
-    trusted not to change."""
+    Both are read-only C-contiguous float64 copies of the arrays given,
+    checked once on construction: shapes, n >= 1, every value finite.
+    Writing to an input array later cannot change the dataset."""
 
     features: np.ndarray
     angles: np.ndarray
 
     def __post_init__(self) -> None:
-        f = _read_only(self.features)
-        a = _read_only(self.angles)
+        f = np.array(self.features, dtype=float, order="C")
+        a = np.array(self.angles, dtype=float, order="C")
         if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] < 1:
             raise ValueError(f"features must be a nonempty (n, d) array, got shape {f.shape}")
         if a.shape != (f.shape[0], 3):
@@ -172,6 +124,8 @@ class Dataset:
             raise ValueError("features contain non-finite values")
         if not np.isfinite(a).all():
             raise ValueError("angles contain non-finite values")
+        f.setflags(write=False)
+        a.setflags(write=False)
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "angles", a)
 
@@ -189,10 +143,7 @@ def sample_pose(rng: np.random.Generator, cfg: SynthConfig) -> PoseAngles:
 
 
 def render_features(
-    rig: Rig,
-    pose: PoseAngles,
-    noise_sigma: float = 0.0,
-    rng: np.random.Generator | None = None,
+    pose: PoseAngles, noise_sigma: float = 0.0, rng: np.random.Generator | None = None
 ) -> np.ndarray:
     """Rotate the rig, drop the frontal coordinate, flatten, add noise.
 
@@ -201,7 +152,7 @@ def render_features(
     """
     if noise_sigma < 0.0:
         raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma!r}")
-    rotated = rig.points @ euler_to_rotation(pose).T
+    rotated = RIG_POINTS @ euler_to_rotation(pose).T
     features = rotated[:, 1:3].ravel()
     if noise_sigma > 0.0:
         if rng is None:
@@ -210,17 +161,15 @@ def render_features(
     return features
 
 
-def make_dataset(cfg: SynthConfig, rig: Rig = DEFAULT_RIG) -> tuple[Dataset, Dataset]:
+def make_dataset(cfg: SynthConfig) -> tuple[Dataset, Dataset]:
     """Generate samples and split deterministically, last fraction as validation."""
     rng = np.random.default_rng(cfg.seed)
-    features = np.empty((cfg.n_samples, 2 * rig.n_points))
+    features = np.empty((cfg.n_samples, 2 * len(RIG_POINTS)))
     angles = np.empty((cfg.n_samples, 3))
     for i in range(cfg.n_samples):
         pose = sample_pose(rng, cfg)
-        features[i] = render_features(rig, pose, cfg.noise_sigma, rng)
+        features[i] = render_features(pose, cfg.noise_sigma, rng)
         angles[i] = (pose.yaw, pose.pitch, pose.roll)
-    features.setflags(write=False)
-    angles.setflags(write=False)
     n_val = int(round(cfg.n_samples * cfg.val_fraction))
     n = cfg.n_samples - min(max(n_val, 1), cfg.n_samples - 1)
     return Dataset(features[:n], angles[:n]), Dataset(features[n:], angles[n:])
@@ -280,14 +229,10 @@ def read_dataset_blocks(path, block_rows: int) -> Iterator[Dataset]:
 
 
 def _checked_block(path, features: array, angles: array, line_numbers: array) -> Dataset:
-    """Parsed rows as a Dataset over their two flat buffers; the first row with
+    """Parsed rows, from their two flat buffers, as a Dataset; the first row with
     a non-finite value raises, naming its line, with angles reported first."""
-    # Only these views reach the buffers, so read-only they pass into Dataset uncopied.
-    x, y = np.frombuffer(features), np.frombuffer(angles)
-    x.setflags(write=False)
-    y.setflags(write=False)
-    x = x.reshape(len(line_numbers), -1)
-    y = y.reshape(-1, 3)
+    x = np.frombuffer(features).reshape(len(line_numbers), -1)
+    y = np.frombuffer(angles).reshape(-1, 3)
     finite_y = np.isfinite(y)
     row = int(np.argmin(np.isfinite(x).all(axis=1) & finite_y.all(axis=1)))
     where = f"{path}: line {line_numbers[row]}"

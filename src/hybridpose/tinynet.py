@@ -65,6 +65,11 @@ CHECKPOINT_VERSION = 2
 # and eval agree exactly.  It also bounds the working memory of a large eval.
 PREDICT_BLOCK_ROWS = 512
 
+# Adam's moment decay rates and denominator offset, at the values of Kingma & Ba.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class NetConfig:
@@ -124,12 +129,13 @@ class TinyNet:
     def __init__(self, config: NetConfig):
         self.config = config
         self.flat = np.zeros(sum(math.prod(shape) for shape in self._shapes()))
-        views = self._views(self.flat)
+        self._params = views = self._views(self.flat)
         n = 2 * len(config.hidden_dims)
         self.trunk_weights, self.trunk_biases = views[0:n:2], views[1:n:2]
         self.head_blocks = views.head_blocks
-        self.head_weights = [[w[a] for w, _ in self.head_blocks] for a in range(N_ANGLES)]
-        self.head_biases = [[b[a] for _, b in self.head_blocks] for a in range(N_ANGLES)]
+        # Each level holds six views: the three angles' weights, then their biases.
+        self.head_weights = [views[n + a :: 2 * N_ANGLES] for a in range(N_ANGLES)]
+        self.head_biases = [views[n + N_ANGLES + a :: 2 * N_ANGLES] for a in range(N_ANGLES)]
 
     def _shapes(self) -> list[tuple[int, ...]]:
         """The blocks of ``flat`` in order: each trunk layer's weight and bias,
@@ -162,14 +168,7 @@ class TinyNet:
 
         Per level, the three angles' weights, then their three biases.
         """
-        params = []
-        for w, b in zip(self.trunk_weights, self.trunk_biases):
-            params.append(w)
-            params.append(b)
-        for level in range(self.config.hierarchy.depth):
-            params += [per_angle[level] for per_angle in self.head_weights]
-            params += [per_angle[level] for per_angle in self.head_biases]
-        return params
+        return list(self._params)
 
     @property
     def param_count(self) -> int:
@@ -272,9 +271,6 @@ class AdamState:
     """
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -287,21 +283,10 @@ class AdamState:
     def __post_init__(self) -> None:
         if not math.isfinite(self.learning_rate) or self.learning_rate < 0.0:
             raise ValueError(f"learning_rate must be nonnegative, got {self.learning_rate!r}")
-        for name in ("beta1", "beta2"):
-            b = getattr(self, name)
-            if not 0.0 <= b < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {b!r}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
 
     @classmethod
-    def for_net(cls, net: TinyNet, learning_rate: float = 1e-3, **kwargs) -> "AdamState":
-        return cls(
-            learning_rate=learning_rate,
-            m=np.zeros_like(net.flat),
-            v=np.zeros_like(net.flat),
-            **kwargs,
-        )
+    def for_net(cls, net: TinyNet, learning_rate: float = 1e-3) -> "AdamState":
+        return cls(learning_rate, m=np.zeros_like(net.flat), v=np.zeros_like(net.flat))
 
 
 def adam_update(p: np.ndarray, g: np.ndarray, state: AdamState) -> None:
@@ -322,7 +307,7 @@ def adam_update(p: np.ndarray, g: np.ndarray, state: AdamState) -> None:
         state._scratch = (np.empty_like(m), np.empty_like(m))
     s1, s2 = state._scratch
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     correction1 = 1.0 - b1 ** state.step
     correction2 = 1.0 - b2 ** state.step
     np.multiply(g, 1.0 - b1, out=s1)
@@ -336,7 +321,7 @@ def adam_update(p: np.ndarray, g: np.ndarray, state: AdamState) -> None:
     s1 *= state.learning_rate
     np.divide(v, correction2, out=s2)
     np.sqrt(s2, out=s2)
-    s2 += state.epsilon
+    s2 += ADAM_EPSILON
     s1 /= s2
     p -= s1
 
@@ -592,10 +577,13 @@ def _check_keys(name: str, obj, keys: set[str]) -> None:
 
 
 def _fill(view: np.ndarray, name: str, value) -> None:
-    """Copy a checkpoint array into its view of ``flat``; the shapes must match."""
-    a = np.array(value, dtype=float)
+    """Copy a checkpoint array into its view of ``flat``; the shapes must match,
+    and every value must be a JSON number: a string or a bool is an error."""
+    a = np.array(value, dtype=object)
     if a.shape != view.shape:
         raise ValueError(f"{name} has shape {a.shape}, expected {view.shape}")
+    if not set(map(type, a.ravel().tolist())) <= {int, float}:
+        raise ValueError(f"{name} must hold JSON numbers")
     view[...] = a
 
 

@@ -1,11 +1,12 @@
+from array import array
+
 import numpy as np
 import pytest
 
 from hybridpose.angles import PoseAngles, euler_to_rotation, rotation_to_euler
 from hybridpose.synth import (
-    DEFAULT_RIG,
+    RIG_POINTS,
     Dataset,
-    Rig,
     SynthConfig,
     format_dataset,
     load_dataset,
@@ -16,39 +17,34 @@ from hybridpose.synth import (
 )
 
 
-def recover_pose(features, rig):
+def recover_pose(features):
     """Least-squares oracle: solve rows 1 and 2 of R from the projection.
 
     The observed lateral column is P @ R[1] and the vertical column is
     P @ R[2]; the remaining row follows from orthonormality.
     """
     obs = features.reshape(-1, 2)
-    row1, *_ = np.linalg.lstsq(rig.points, obs[:, 0], rcond=None)
-    row2, *_ = np.linalg.lstsq(rig.points, obs[:, 1], rcond=None)
+    row1, *_ = np.linalg.lstsq(RIG_POINTS, obs[:, 0], rcond=None)
+    row2, *_ = np.linalg.lstsq(RIG_POINTS, obs[:, 1], rcond=None)
     row0 = np.cross(row1, row2)
     return rotation_to_euler(np.vstack([row0, row1, row2]), tol=1e-6)
 
 
 def test_default_rig_geometry():
-    assert DEFAULT_RIG.n_points == 12
-    assert abs(DEFAULT_RIG.max_norm - 1.0) < 1e-12
-    centered = DEFAULT_RIG.points - DEFAULT_RIG.points.mean(axis=0)
+    assert RIG_POINTS.shape == (12, 3) and RIG_POINTS.dtype == np.float64
+    assert not RIG_POINTS.flags.writeable
+    assert np.isfinite(RIG_POINTS).all()
+    assert abs(np.linalg.norm(RIG_POINTS, axis=1).max() - 1.0) < 1e-12
+    # Not coplanar, otherwise the orientation would be ambiguous.
+    centered = RIG_POINTS - RIG_POINTS.mean(axis=0)
     assert np.linalg.matrix_rank(centered) == 3
 
 
 def test_default_rig_is_asymmetric():
     # No mirror symmetry about the sagittal plane, otherwise yaw sign darkens.
-    mirrored = DEFAULT_RIG.points * np.array([1.0, -1.0, 1.0])
-    dists = np.linalg.norm(mirrored[:, None, :] - DEFAULT_RIG.points[None, :, :], axis=2)
+    mirrored = RIG_POINTS * np.array([1.0, -1.0, 1.0])
+    dists = np.linalg.norm(mirrored[:, None, :] - RIG_POINTS[None, :, :], axis=2)
     assert dists.min(axis=1).max() > 0.01
-
-
-def test_rig_rejects_coplanar_points():
-    flat = np.column_stack([np.arange(6.0), np.arange(6.0) ** 2, np.zeros(6)])
-    with pytest.raises(ValueError, match="coplanar"):
-        Rig(flat)
-    with pytest.raises(ValueError, match="at least 4"):
-        Rig(np.eye(3))
 
 
 def test_sample_pose_respects_ranges():
@@ -89,34 +85,34 @@ def test_synth_config_validation():
 
 
 def test_render_identity_pose_is_canonical_projection():
-    features = render_features(DEFAULT_RIG, PoseAngles(0.0, 0.0, 0.0))
-    assert (features == DEFAULT_RIG.points[:, 1:3].ravel()).all()
+    features = render_features(PoseAngles(0.0, 0.0, 0.0))
+    assert (features == RIG_POINTS[:, 1:3].ravel()).all()
 
 
 def test_render_matches_rotation_matrix():
     rng = np.random.default_rng(1)
     for _ in range(50):
         pose = PoseAngles(rng.uniform(-75, 75), rng.uniform(-60, 60), rng.uniform(-50, 50))
-        features = render_features(DEFAULT_RIG, pose)
-        rotated = DEFAULT_RIG.points @ euler_to_rotation(pose).T
+        features = render_features(pose)
+        rotated = RIG_POINTS @ euler_to_rotation(pose).T
         assert np.abs(features - rotated[:, 1:3].ravel()).max() == 0.0
 
 
 def test_render_noise_is_seed_deterministic():
     pose = PoseAngles(10.0, -5.0, 3.0)
-    a = render_features(DEFAULT_RIG, pose, 0.01, np.random.default_rng(9))
-    b = render_features(DEFAULT_RIG, pose, 0.01, np.random.default_rng(9))
+    a = render_features(pose, 0.01, np.random.default_rng(9))
+    b = render_features(pose, 0.01, np.random.default_rng(9))
     assert (a == b).all()
     with pytest.raises(ValueError, match="rng"):
-        render_features(DEFAULT_RIG, pose, 0.01, None)
+        render_features(pose, 0.01, None)
 
 
 def test_noiseless_features_bounded_by_rig_norm():
     rng = np.random.default_rng(2)
     cfg = SynthConfig(n_samples=2)
     for _ in range(200):
-        features = render_features(DEFAULT_RIG, sample_pose(rng, cfg))
-        assert np.abs(features).max() <= DEFAULT_RIG.max_norm + 1e-12
+        features = render_features(sample_pose(rng, cfg))
+        assert np.abs(features).max() <= 1.0 + 1e-12
 
 
 def test_pose_recoverable_from_noiseless_features():
@@ -124,8 +120,8 @@ def test_pose_recoverable_from_noiseless_features():
     cfg = SynthConfig(n_samples=2)
     for _ in range(100):
         pose = sample_pose(rng, cfg)
-        features = render_features(DEFAULT_RIG, pose)
-        got = recover_pose(features, DEFAULT_RIG)
+        features = render_features(pose)
+        got = recover_pose(features)
         assert abs(got.yaw - pose.yaw) < 1e-6
         assert abs(got.pitch - pose.pitch) < 1e-6
         assert abs(got.roll - pose.roll) < 1e-6
@@ -139,9 +135,6 @@ def test_make_dataset_split_sizes():
     assert train.features.shape == (2000, 24) and val.angles.shape == (500, 3)
     for part in (train, val):
         assert part.features.flags.c_contiguous and part.angles.flags.c_contiguous
-    # Both splits are views of make_dataset's own tables, not copies.
-    assert train.features.base is val.features.base is not None
-    assert train.angles.base is val.angles.base is not None
 
 
 def test_make_dataset_is_deterministic():
@@ -163,8 +156,6 @@ def test_dataset_file_roundtrip(tmp_path):
     assert (loaded.features == train.features).all()
     assert (loaded.angles == train.angles).all()
     assert loaded.features.flags.c_contiguous and loaded.angles.flags.c_contiguous
-    # Views of load_dataset's parse buffers, not copies.
-    assert not loaded.features.flags.owndata and not loaded.angles.flags.owndata
 
 
 def test_load_dataset_errors(tmp_path):
@@ -241,15 +232,8 @@ def test_dataset_validation():
         data.features[0, 0] = 1.0
     features[0, 1] = np.nan
     angles[0, 0] = np.nan
-    # Writeable inputs were copied: writing to them later leaves the dataset as checked.
+    # The inputs were copied: writing to them later leaves the dataset as checked.
     assert np.isfinite(data.features).all() and np.isfinite(data.angles).all()
-    # So was a read-only view of a writeable array.
-    base = np.zeros((2, 4))
-    view = base.view()
-    view.setflags(write=False)
-    data = Dataset(view, np.zeros((2, 3)))
-    base[0, 0] = np.nan
-    assert np.isfinite(data.features).all()
     with pytest.raises(ValueError, match="features contain non-finite"):
         Dataset(features, angles)
     angles[1, 2] = np.inf
@@ -261,3 +245,26 @@ def test_dataset_validation():
         Dataset(np.zeros(4), np.zeros(3))
     with pytest.raises(ValueError, match=r"angles must have shape \(2, 3\)"):
         Dataset(np.zeros((2, 4)), np.zeros((3, 3)))
+
+
+def read_only_view(a):
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
+def read_only_frombuffer(a):
+    view = np.frombuffer(array("d", a.ravel().tolist())).reshape(a.shape)
+    view.setflags(write=False)
+    return view
+
+
+@pytest.mark.parametrize("wrap", [np.asarray, read_only_view, read_only_frombuffer],
+                         ids=["writeable", "read-only view", "frombuffer"])
+def test_dataset_never_shares_memory_with_its_input(wrap):
+    features, angles = wrap(np.arange(8.0).reshape(2, 4)), wrap(np.ones((2, 3)))
+    data = Dataset(features, angles)
+    for got, given in ((data.features, features), (data.angles, angles)):
+        assert not np.shares_memory(got, given)
+        assert got.flags.owndata and got.flags.c_contiguous and not got.flags.writeable
+        assert (got == given).all()
