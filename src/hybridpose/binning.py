@@ -1,16 +1,17 @@
 """Nested angle-bin schemes and the encode/decode operations on them.
 
-A BinScheme splits a closed angle range into equal-width bins; a
-BinHierarchy stacks several schemes over the same range, finest first, with
-every coarser bin count dividing the finest one.  An angle is floored into
-its bin once, at the finest level; every coarser label is derived from that
-fine label by integer division (``coarsen``), so the coarse bin always
-contains the fine one.  The canonical hierarchy covers [-99, +99]
-degrees with 198/66/18/6/2 bins (widths 1/3/11/33/99 degrees).
+Every angle is binned over one fixed range, [MIN_ANGLE, MAX_ANGLE] =
+[-99, +99] degrees, as in the paper and in Hopenet (arXiv 1710.00925).  A
+BinScheme splits that range into equal-width bins; a BinHierarchy stacks
+several schemes, finest first, with every coarser bin count dividing the
+finest one.  An angle is floored into its bin once, at the finest level;
+every coarser label is derived from that fine label by integer division
+(``coarsen``), so the coarse bin always contains the fine one.  The
+canonical hierarchy has 198/66/18/6/2 bins (widths 1/3/11/33/99 degrees).
 
 Decoding supports two conventions for the representative position of bin i:
-its center ``min + (i + 0.5) * width`` (default) or its left edge
-``min + i * width``, the position Hopenet (arXiv 1710.00925) decodes with.
+its center ``MIN_ANGLE + (i + 0.5) * width`` (default) or its left edge
+``MIN_ANGLE + i * width``, the position Hopenet decodes with.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ __all__ = [
 ]
 
 CANONICAL_BIN_COUNTS = (198, 66, 18, 6, 2)
-CANONICAL_MIN_ANGLE = -99.0
-CANONICAL_MAX_ANGLE = 99.0
+MIN_ANGLE = -99.0
+MAX_ANGLE = 99.0
 
 # Each decode convention's bin position, in bin widths past the bin's left edge.
 _DECODE_OFFSETS = {"center": 0.5, "edge": 0.0}
@@ -42,34 +43,30 @@ DECODE_CONVENTIONS = tuple(_DECODE_OFFSETS)
 _PROB_SUM_TOL = 1e-6
 
 
+def _check_int(name: str, value, minimum: int) -> None:
+    """An integer field: a float, a bool or a value below ``minimum`` is a ValueError."""
+    if type(value) is not int or value < minimum:
+        kind = "positive" if minimum == 1 else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BinScheme:
-    """Equal-width binning of the closed range [min_angle, max_angle]."""
+    """Equal-width binning of the closed range [MIN_ANGLE, MAX_ANGLE]."""
 
-    min_angle: float
-    max_angle: float
     n_bins: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.min_angle) and math.isfinite(self.max_angle)):
-            raise ValueError("bin range must be finite")
-        if not self.max_angle > self.min_angle:
-            raise ValueError(
-                f"max_angle must exceed min_angle, got [{self.min_angle}, {self.max_angle}]"
-            )
-        if not isinstance(self.n_bins, int) or self.n_bins < 1:
-            raise ValueError(f"n_bins must be a positive integer, got {self.n_bins!r}")
-        object.__setattr__(self, "min_angle", float(self.min_angle))
-        object.__setattr__(self, "max_angle", float(self.max_angle))
+        _check_int("n_bins", self.n_bins, 1)
 
     @property
     def bin_width(self) -> float:
-        return (self.max_angle - self.min_angle) / self.n_bins
+        return (MAX_ANGLE - MIN_ANGLE) / self.n_bins
 
 
 @dataclass(frozen=True)
 class BinHierarchy:
-    """Bin schemes over one shared range, ordered finest to coarsest."""
+    """Bin schemes ordered finest to coarsest."""
 
     levels: tuple[BinScheme, ...]
 
@@ -77,19 +74,13 @@ class BinHierarchy:
         if not self.levels:
             raise ValueError("hierarchy needs at least one level")
         levels = tuple(self.levels)
-        first = levels[0]
-        for scheme in levels[1:]:
-            if scheme.min_angle != first.min_angle or scheme.max_angle != first.max_angle:
-                raise ValueError("all hierarchy levels must share the same angle range")
         counts = [s.n_bins for s in levels]
         for coarse, fine in zip(counts[1:], counts[:-1]):
             if coarse >= fine:
                 raise ValueError(f"bin counts must strictly decrease, got {counts}")
-        for scheme in levels[1:]:
-            if first.n_bins % scheme.n_bins != 0:
-                raise ValueError(
-                    f"coarse bin count {scheme.n_bins} does not divide finest {first.n_bins}"
-                )
+        for coarse in counts[1:]:
+            if counts[0] % coarse != 0:
+                raise ValueError(f"coarse bin count {coarse} does not divide finest {counts[0]}")
         object.__setattr__(self, "levels", levels)
 
     @property
@@ -101,28 +92,26 @@ class BinHierarchy:
         return len(self.levels)
 
 
-def make_hierarchy(
-    bin_counts: tuple[int, ...] = CANONICAL_BIN_COUNTS,
-    min_angle: float = CANONICAL_MIN_ANGLE,
-    max_angle: float = CANONICAL_MAX_ANGLE,
-) -> BinHierarchy:
+def make_hierarchy(bin_counts: tuple[int, ...] = CANONICAL_BIN_COUNTS) -> BinHierarchy:
     """Build a hierarchy; with no arguments, the canonical 198/66/18/6/2 one."""
-    return BinHierarchy(tuple(BinScheme(min_angle, max_angle, n) for n in bin_counts))
+    if not isinstance(bin_counts, (list, tuple)):
+        raise ValueError(f"bin_counts must be a list or tuple, got {bin_counts!r}")
+    return BinHierarchy(tuple(BinScheme(n) for n in bin_counts))
 
 
-def _check_in_range(angles, scheme: BinScheme) -> None:
+def _check_in_range(angles) -> None:
+    """The one check of the bin range: every angle must lie in [MIN_ANGLE, MAX_ANGLE]."""
     a = np.asarray(angles, dtype=float)
-    outside = (a < scheme.min_angle) | (a > scheme.max_angle)
+    outside = (a < MIN_ANGLE) | (a > MAX_ANGLE)
     if outside.any():
         raise ValueError(
-            f"angle {float(a[outside].flat[0])} outside bin range "
-            f"[{scheme.min_angle}, {scheme.max_angle}]"
+            f"angle {float(a[outside].flat[0])} outside bin range [{MIN_ANGLE}, {MAX_ANGLE}]"
         )
 
 
 def _bin_index(angles, scheme: BinScheme):
     """Floor into bins, the top edge joining the last bin; callers range-check first."""
-    index = np.floor((angles - scheme.min_angle) / scheme.bin_width).astype(int)
+    index = np.floor((angles - MIN_ANGLE) / scheme.bin_width).astype(int)
     return np.minimum(index, scheme.n_bins - 1)
 
 
@@ -131,7 +120,7 @@ def encode(angle: float, scheme: BinScheme) -> int:
     a = float(angle)
     if not math.isfinite(a):
         raise ValueError(f"angle must be finite, got {angle!r}")
-    _check_in_range(a, scheme)
+    _check_in_range(a)
     return int(_bin_index(a, scheme))
 
 
@@ -156,7 +145,7 @@ def bin_center(index: int, scheme: BinScheme) -> float:
     """Angle at the center of bin ``index``."""
     if not 0 <= index < scheme.n_bins:
         raise IndexError(f"bin index {index} out of range [0, {scheme.n_bins})")
-    return scheme.min_angle + (index + 0.5) * scheme.bin_width
+    return MIN_ANGLE + (index + 0.5) * scheme.bin_width
 
 
 def decode_positions(scheme: BinScheme, convention: str = "center") -> np.ndarray:
@@ -164,7 +153,7 @@ def decode_positions(scheme: BinScheme, convention: str = "center") -> np.ndarra
     if convention not in DECODE_CONVENTIONS:
         raise ValueError(f"unknown decode convention {convention!r}")
     offset = _DECODE_OFFSETS[convention]
-    return scheme.min_angle + (np.arange(scheme.n_bins) + offset) * scheme.bin_width
+    return MIN_ANGLE + (np.arange(scheme.n_bins) + offset) * scheme.bin_width
 
 
 def expect_decode(probs, scheme: BinScheme, convention: str = "center") -> float:

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .angles import _check_tol, mae, rotation_to_euler
-from .binning import DECODE_CONVENTIONS, make_hierarchy
+from .binning import DECODE_CONVENTIONS, _check_in_range
 from .data import (
     ParseError,
     _check_ids,
@@ -206,11 +206,24 @@ def _run_training(
     config = NetConfig(
         input_dim=train_samples.features.shape[1],
         hidden_dims=hidden,
-        hierarchy=make_hierarchy(),
         seed=seed,
         decode_convention=decode_convention,
     )
     return train(config, train_samples, val_samples, weights, **options)
+
+
+def _load_training_data(args: argparse.Namespace) -> tuple[Dataset, Dataset]:
+    """The --train and --val datasets, checked before training: angles in range, same width."""
+    train_samples, val_samples = load_dataset(args.train), load_dataset(args.val)
+    for path, data in ((args.train, train_samples), (args.val, val_samples)):
+        try:
+            _check_in_range(data.angles)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    dim, val_dim = train_samples.features.shape[1], val_samples.features.shape[1]
+    if val_dim != dim:
+        raise ValueError(f"{args.val}: rows have {val_dim} features, {args.train} has {dim}")
+    return train_samples, val_samples
 
 
 def _final_val_mae(seed: int, weights, train_samples, val_samples, options: dict) -> float:
@@ -285,8 +298,7 @@ def _run_map(jobs: int):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    train_samples = load_dataset(args.train)
-    val_samples = load_dataset(args.val)
+    train_samples, val_samples = _load_training_data(args)
     weights = LossWeights(args.alpha, args.betas)
     net, report = _run_training(
         args.seed, weights, train_samples, val_samples, **_training_options(args)
@@ -353,7 +365,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         preds, truths, n = [], [], 0
         with _atomic_file(args.pred_out) if args.pred_out else nullcontext() as out:
             for block in read_dataset_blocks(args.data, PREDICT_BLOCK_ROWS):
-                preds.append(net.predict_batch(block.features))
+                try:
+                    preds.append(net.predict_batch(block.features))
+                except ValueError as exc:  # rows of another width than the net's input
+                    raise ValueError(f"{args.data}: {exc}") from None
                 truths.append(block.angles)
                 if out is not None:
                     ids = [str(i) for i in range(n, n + len(block))]
@@ -396,8 +411,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         raise ValueError(f"--seeds must be nonnegative, got {_show(args.seeds)}")
     if len(set(args.seeds)) != len(args.seeds):
         raise ValueError(f"--seeds must not repeat a seed, got {_show(args.seeds)}")
-    train_samples = load_dataset(args.train)
-    val_samples = load_dataset(args.val)
+    train_samples, val_samples = _load_training_data(args)
     if args.grid_file:
         grid = _load_grid_file(args.grid_file)
     else:

@@ -83,6 +83,17 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def _softmax_inplace(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite ``s`` with its softmax over the last axis; return the max it
+    shifted by and the sum it divided by, both with the last axis kept."""
+    m = s.max(axis=-1, keepdims=True)
+    s -= m
+    np.exp(s, out=s)
+    z = s.sum(axis=-1, keepdims=True)
+    s /= z
+    return m, z
+
+
 def cross_entropy(logits, target: int) -> float:
     """Negative log softmax probability of the target index."""
     z = _check_logits(logits)
@@ -185,15 +196,12 @@ def _angle_terms(
     reg_sums = np.zeros(a)
     ce_sums = np.zeros((a, hierarchy.depth))
     for li, (s, scheme) in enumerate(zip(logits, hierarchy.levels)):
-        # s becomes the shifted logits, then p = softmax(s), then the gradient.
-        m = s.max(axis=2, keepdims=True)
-        s -= m
+        # s becomes p = softmax(s), then the gradient.  The label's shifted
+        # logit raw - m has the bits of (s - m)[label].
         label = (angles, rows, fine * scheme.n_bins // finest.n_bins)
-        shifted = s[label]
-        np.exp(s, out=s)
-        z = s.sum(axis=2, keepdims=True)
-        s /= z
-        ce_sums[:, li] = (np.log(z[..., 0]) - shifted).sum(axis=1)
+        raw = s[label]
+        m, z = _softmax_inplace(s)
+        ce_sums[:, li] = (np.log(z[..., 0]) - (raw - m[..., 0])).sum(axis=1)
 
         reg_grad = None
         if li == 0:

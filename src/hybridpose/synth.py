@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .angles import ANGLE_NAMES, PoseAngles, euler_to_rotation
-from .binning import CANONICAL_MAX_ANGLE, CANONICAL_MIN_ANGLE
+from .binning import MAX_ANGLE, MIN_ANGLE
 
 __all__ = [
     "SynthConfig",
@@ -68,11 +68,8 @@ def _check_range(name: str, bounds: tuple[float, float]) -> tuple[float, float]:
         raise ValueError(f"{name} bounds must be finite, got {bounds!r}")
     if lo > hi:
         raise ValueError(f"{name} lower bound {lo} exceeds upper bound {hi}")
-    if lo < CANONICAL_MIN_ANGLE or hi > CANONICAL_MAX_ANGLE:
-        raise ValueError(
-            f"{name} must lie within [{CANONICAL_MIN_ANGLE}, {CANONICAL_MAX_ANGLE}], "
-            f"got ({lo}, {hi})"
-        )
+    if lo < MIN_ANGLE or hi > MAX_ANGLE:
+        raise ValueError(f"{name} must lie within [{MIN_ANGLE}, {MAX_ANGLE}], got ({lo}, {hi})")
     return (lo, hi)
 
 

@@ -36,13 +36,16 @@ import numpy as np
 from .angles import MaeReport, PoseAngles, mae
 from .binning import (
     DECODE_CONVENTIONS,
+    MAX_ANGLE,
+    MIN_ANGLE,
     BinHierarchy,
     _check_in_range,
+    _check_int,
     decode_positions,
     expect_decode,
     make_hierarchy,
 )
-from .loss import LossWeights, _angle_terms, _check_loss_args, softmax
+from .loss import LossWeights, _angle_terms, _check_loss_args, _softmax_inplace, softmax
 from .synth import Dataset
 
 __all__ = [
@@ -82,19 +85,20 @@ class NetConfig:
     decode_convention: str = "center"
 
     def __post_init__(self) -> None:
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be positive, got {self.input_dim}")
-        dims = tuple(int(d) for d in self.hidden_dims)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"hidden dims must all be positive, got {self.hidden_dims!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _check_int("input_dim", self.input_dim, 1)
+        if not isinstance(self.hidden_dims, (list, tuple)):
+            raise ValueError(f"hidden_dims must be a list or tuple, got {self.hidden_dims!r}")
+        for i, d in enumerate(self.hidden_dims):
+            _check_int(f"hidden_dims[{i}]", d, 1)
+        if not isinstance(self.hierarchy, BinHierarchy):
+            raise ValueError(f"hierarchy must be a BinHierarchy, got {self.hierarchy!r}")
+        _check_int("seed", self.seed, 0)
         if self.decode_convention not in DECODE_CONVENTIONS:
             raise ValueError(
                 f"unknown decode convention {self.decode_convention!r} "
                 f"(choose from {', '.join(map(repr, DECODE_CONVENTIONS))})"
             )
-        object.__setattr__(self, "hidden_dims", dims)
+        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,9 +246,7 @@ class TinyNet:
         # A separate frame, so one block's arrays are freed before the next
         # block's are made; the softmax runs in place on the (3, n, k) logits.
         _, _, (s,) = self._forward_batch(x, depth=1)
-        s -= s.max(axis=2, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=2, keepdims=True)
+        _softmax_inplace(s)
         return (s @ positions).T
 
 
@@ -416,9 +418,9 @@ def _batch_loss_and_grads(
     return stats, grads
 
 
-def _batch_arrays(data: Dataset, hierarchy: BinHierarchy) -> tuple[np.ndarray, np.ndarray]:
-    """A dataset's features and targets; the targets must lie in the hierarchy's bin range."""
-    _check_in_range(data.angles, hierarchy.finest)
+def _batch_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """A dataset's features and targets; the targets must lie in the bin range."""
+    _check_in_range(data.angles)
     return data.features, data.angles
 
 
@@ -464,8 +466,8 @@ def train(
         raise ValueError(f"epochs must be nonnegative, got {epochs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
-    x_train, t_train = _batch_arrays(train_samples, config.hierarchy)
-    x_val, t_val = _batch_arrays(val_samples, config.hierarchy)
+    x_train, t_train = _batch_arrays(train_samples)
+    x_val, t_val = _batch_arrays(val_samples)
     for arr in (x_train, x_val):
         if arr.shape[1] != config.input_dim:
             raise ValueError(
@@ -526,8 +528,8 @@ def checkpoint_text(net: TinyNet) -> str:
             "seed": cfg.seed,
             "decode_convention": cfg.decode_convention,
             "hierarchy": {
-                "min_angle": cfg.hierarchy.finest.min_angle,
-                "max_angle": cfg.hierarchy.finest.max_angle,
+                "min_angle": MIN_ANGLE,
+                "max_angle": MAX_ANGLE,
                 "bin_counts": [s.n_bins for s in cfg.hierarchy.levels],
             },
         },
@@ -544,26 +546,6 @@ def checkpoint_text(net: TinyNet) -> str:
         ],
     }
     return json.dumps(doc, allow_nan=False, separators=(",", ":")) + "\n"
-
-
-def _config_int(name: str, value) -> int:
-    """A checkpoint config integer as parsed from JSON: a float or a bool is an error."""
-    if type(value) is not int:
-        raise ValueError(f"config {name} must be an integer, got {json.dumps(value)}")
-    return value
-
-
-def _config_ints(name: str, values) -> tuple[int, ...]:
-    if not isinstance(values, list):
-        raise ValueError(f"config {name} must be a list of integers, got {json.dumps(values)}")
-    return tuple(_config_int(f"{name}[{i}]", v) for i, v in enumerate(values))
-
-
-def _config_number(name: str, value) -> float:
-    """A checkpoint config number as parsed from JSON: a string or a bool is an error."""
-    if type(value) not in (int, float):
-        raise ValueError(f"config {name} must be a number, got {json.dumps(value)}")
-    return float(value)
 
 
 def _check_keys(name: str, obj, keys: set[str]) -> None:
@@ -609,15 +591,18 @@ def load_checkpoint(path) -> TinyNet:
         })
         h = c["hierarchy"]
         _check_keys("config.hierarchy", h, {"min_angle", "max_angle", "bin_counts"})
+        # The bin range is fixed; the file stores it to describe the net in full.
+        for key, limit in (("min_angle", MIN_ANGLE), ("max_angle", MAX_ANGLE)):
+            if h[key] != limit:
+                raise ValueError(
+                    f"config hierarchy.{key} must be a number equal to {limit}, "
+                    f"got {json.dumps(h[key])}"
+                )
         net = TinyNet(NetConfig(
-            input_dim=_config_int("input_dim", c["input_dim"]),
-            hidden_dims=_config_ints("hidden_dims", c["hidden_dims"]),
-            hierarchy=make_hierarchy(
-                _config_ints("hierarchy.bin_counts", h["bin_counts"]),
-                _config_number("hierarchy.min_angle", h["min_angle"]),
-                _config_number("hierarchy.max_angle", h["max_angle"]),
-            ),
-            seed=_config_int("seed", c["seed"]),
+            input_dim=c["input_dim"],
+            hidden_dims=c["hidden_dims"],
+            hierarchy=make_hierarchy(h["bin_counts"]),
+            seed=c["seed"],
             decode_convention=c["decode_convention"],
         ))
         trunk, heads = doc["trunk"], doc["heads"]

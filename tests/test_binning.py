@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hybridpose.binning import (
+    MAX_ANGLE,
+    MIN_ANGLE,
     BinHierarchy,
     BinScheme,
     bin_center,
@@ -24,17 +26,13 @@ in_range_angles = st.floats(min_value=-99.0, max_value=99.0, allow_nan=False)
 def test_canonical_hierarchy_shape():
     assert tuple(s.n_bins for s in HIERARCHY.levels) == (198, 66, 18, 6, 2)
     assert [s.bin_width for s in HIERARCHY.levels] == [1.0, 3.0, 11.0, 33.0, 99.0]
-    for s in HIERARCHY.levels:
-        assert (s.min_angle, s.max_angle) == (-99.0, 99.0)
+    assert (MIN_ANGLE, MAX_ANGLE) == (-99.0, 99.0)
 
 
 def test_scheme_validation():
-    with pytest.raises(ValueError, match="n_bins"):
-        BinScheme(-99.0, 99.0, 0)
-    with pytest.raises(ValueError, match="max_angle"):
-        BinScheme(10.0, 10.0, 4)
-    with pytest.raises(ValueError, match="finite"):
-        BinScheme(float("-inf"), 99.0, 4)
+    for n_bins in (0, -3, 4.0, True, "4"):
+        with pytest.raises(ValueError, match=f"n_bins must be a positive integer, got {n_bins!r}"):
+            BinScheme(n_bins)
 
 
 def test_hierarchy_validation():
@@ -44,8 +42,11 @@ def test_hierarchy_validation():
         make_hierarchy((66, 66))
     with pytest.raises(ValueError, match="at least one"):
         BinHierarchy(())
-    with pytest.raises(ValueError, match="range"):
-        BinHierarchy((BinScheme(-99.0, 99.0, 6), BinScheme(-90.0, 90.0, 2)))
+    # A bool is not a bin count: True would otherwise build a 1-bin hierarchy.
+    with pytest.raises(ValueError, match="n_bins must be a positive integer, got True"):
+        make_hierarchy((True,))
+    with pytest.raises(ValueError, match="bin_counts must be a list or tuple, got 198"):
+        make_hierarchy(198)
 
 
 def test_encode_examples():
@@ -161,7 +162,7 @@ def test_expect_decode_stays_inside_range():
         for _ in range(50):
             probs = rng.dirichlet(np.full(scheme.n_bins, 0.3))
             value = expect_decode(probs, scheme)
-            assert scheme.min_angle < value < scheme.max_angle
+            assert MIN_ANGLE < value < MAX_ANGLE
 
 
 def test_expect_decode_is_linear():

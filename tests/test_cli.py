@@ -419,9 +419,39 @@ def test_eval_rejects_feature_length_mismatch(tmp_path, capsys):
         ",".join(line.split(",")[2:]) + "\n"
         for line in (tmp_path / "val.csv").read_text().splitlines()
     ))
-    rc, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(short))
-    assert rc == 1
-    assert "expected feature vector of length 24, got shape (6, 22)" in err
+    preds = tmp_path / "preds.csv"
+    rc, out, err = run(
+        capsys, "eval", "--checkpoint", str(ckpt), "--data", str(short), "--pred-out", str(preds),
+    )
+    assert (rc, out) == (1, "")
+    assert err == f"error: {short}: expected feature vector of length 24, got shape (6, 22)\n"
+    assert not preds.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_training_data_errors_name_the_file_before_any_work(tmp_path, capsys, monkeypatch, command):
+    counts = _record_worker_counts(monkeypatch)
+    train, val = make_split(tmp_path, capsys, n=30)
+    data = load_dataset(train)
+    short = tmp_path / "short.csv"
+    short.write_text(format_dataset(Dataset(data.features[:, 2:], data.angles)))
+    angles = data.angles.copy()
+    angles[3, 1] = 120.0
+    outlier = tmp_path / "outlier.csv"
+    outlier.write_text(format_dataset(Dataset(data.features, angles)))
+    ckpt = tmp_path / "net.json"
+    extra = ["--checkpoint-out", str(ckpt)] if command == "train" else []
+    for train_file, val_file, message in [
+        (train, short, f"{short}: rows have 22 features, {train} has 24"),
+        (outlier, val, f"{outlier}: angle 120.0 outside bin range [-99.0, 99.0]"),
+        (train, outlier, f"{outlier}: angle 120.0 outside bin range [-99.0, 99.0]"),
+    ]:
+        rc, out, err = run(
+            capsys, command, "--train", str(train_file), "--val", str(val_file), *extra,
+        )
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
+    assert counts == []
+    assert not ckpt.exists()
 
 
 def write_eval_inputs(tmp_path, n, seed=0):

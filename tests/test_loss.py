@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import fd_gradient, relative_error
-from hybridpose.binning import coarsen, decode_positions, encode, encode_all, make_hierarchy
+from hybridpose.binning import (
+    MAX_ANGLE,
+    MIN_ANGLE,
+    coarsen,
+    decode_positions,
+    encode,
+    encode_all,
+    make_hierarchy,
+)
 from hybridpose.loss import (
     DEFAULT_WEIGHTS,
     FINE_ONLY_WEIGHTS,
@@ -216,17 +224,22 @@ def test_hybrid_loss_validation():
         hybrid_loss([np.zeros(197), *heads[1:]], 0.0, DEFAULT_WEIGHTS, HIERARCHY)
 
 
+# 12 * b bins never divide the 198-degree range evenly: the finest width is
+# 16.5 / b degrees, so these hierarchies have non-integer bin widths.
+random_bin_counts = st.integers(1, 30).map(lambda b: (12 * b, 6 * b, 2 * b, b))
+
+
 @settings(deadline=None)
-@given(
-    b=st.sampled_from([2, 3, 5, 7]),
-    lo=st.floats(-100.0, 100.0),
-    w=st.floats(0.01, 200.0),
-)
-def test_coarse_labels_are_coarsened_fine_labels(b, lo, w):
-    """Every coarse bin boundary, and 1e-12 either side, on a random range."""
-    hierarchy = make_hierarchy((12 * b, 6 * b, 2 * b, b), lo, lo + w)
+@given(counts=random_bin_counts)
+@example(counts=(24, 12, 4, 2))
+@example(counts=(36, 18, 6, 3))
+@example(counts=(60, 30, 10, 5))
+@example(counts=(84, 42, 14, 7))
+def test_coarse_labels_are_coarsened_fine_labels(counts):
+    """Every coarse bin boundary, and 1e-12 either side, for random bin counts."""
+    hierarchy = make_hierarchy(counts)
     finest = hierarchy.finest
-    hi = finest.max_angle
+    lo, hi, w = MIN_ANGLE, MAX_ANGLE, MAX_ANGLE - MIN_ANGLE
     angles = np.array(
         sorted(
             {
@@ -251,21 +264,19 @@ def test_coarse_labels_are_coarsened_fine_labels(b, lo, w):
 
 
 @settings(deadline=None)
-@given(
-    b=st.sampled_from([2, 3, 5, 7]),
-    lo=st.floats(-100.0, 100.0),
-    w=st.floats(0.01, 200.0),
-)
-def test_angles_outside_bin_range_are_rejected(b, lo, w):
-    """Just below lo or above hi fails everywhere a label is made; lo and hi pass."""
-    hierarchy = make_hierarchy((12 * b, 6 * b, 2 * b, b), lo, lo + w)
+@given(counts=random_bin_counts)
+@example(counts=(24, 12, 4, 2))
+@example(counts=(84, 42, 14, 7))
+def test_angles_outside_bin_range_are_rejected(counts):
+    """Just below -99 or above 99 fails everywhere a label is made; -99 and 99 pass."""
+    hierarchy = make_hierarchy(counts)
     finest = hierarchy.finest
     weights = LossWeights(1.0, (1.0,) * hierarchy.depth)
     heads = [np.zeros(s.n_bins) for s in hierarchy.levels]
     config = NetConfig(input_dim=2, hidden_dims=(2,), hierarchy=hierarchy)
 
     def checks(angle):
-        data = Dataset(np.zeros((1, 2)), [[angle, finest.min_angle, finest.max_angle]])
+        data = Dataset(np.zeros((1, 2)), [[angle, MIN_ANGLE, MAX_ANGLE]])
         return [
             lambda: encode(angle, finest),
             lambda: encode_all(angle, hierarchy),
@@ -274,10 +285,10 @@ def test_angles_outside_bin_range_are_rejected(b, lo, w):
             lambda: train(config, data, data, weights, epochs=0),
         ]
 
-    for angle in (np.nextafter(finest.min_angle, -np.inf), np.nextafter(finest.max_angle, np.inf)):
+    for angle in (np.nextafter(MIN_ANGLE, -np.inf), np.nextafter(MAX_ANGLE, np.inf)):
         for check in checks(angle):
             with pytest.raises(ValueError, match="outside bin range"):
                 check()
-    for angle in (finest.min_angle, finest.max_angle):
+    for angle in (MIN_ANGLE, MAX_ANGLE):
         for check in checks(angle):
             check()

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hybridpose.binning import _bin_index, decode_positions, make_hierarchy
+from hybridpose.binning import MAX_ANGLE, MIN_ANGLE, _bin_index, decode_positions, make_hierarchy
 from hybridpose.loss import LossWeights
 from hybridpose.tinynet import NetConfig, _batch_loss_and_grads, init_net
 
@@ -119,8 +119,7 @@ def test_stacked_step_and_decode_match_per_head_oracle(config, n, convention, al
     net = perturbed_net(replace(config, decode_convention=convention), seed=n)
     rng = np.random.default_rng(100 + n)
     x = rng.normal(size=(n, config.input_dim))
-    lo, hi = config.hierarchy.finest.min_angle, config.hierarchy.finest.max_angle
-    targets = rng.uniform(lo, hi, size=(n, 3))
+    targets = rng.uniform(MIN_ANGLE, MAX_ANGLE, size=(n, 3))
     betas = np.linspace(3.0, 0.5, config.hierarchy.depth)
     weights = LossWeights(alpha, tuple(betas))
 

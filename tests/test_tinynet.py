@@ -36,12 +36,25 @@ def toy_batch(seed=10, n=3):
 
 
 def test_net_config_validation():
-    with pytest.raises(ValueError, match="input_dim"):
-        NetConfig(input_dim=0)
-    with pytest.raises(ValueError, match="hidden dims"):
-        NetConfig(input_dim=4, hidden_dims=(16, 0))
-    with pytest.raises(ValueError, match="seed"):
-        NetConfig(input_dim=4, seed=-1)
+    # Each field names itself; a float or a bool is rejected, not rounded.
+    bad = [
+        (dict(input_dim=0), "input_dim must be a positive integer, got 0"),
+        (dict(input_dim=4.5), "input_dim must be a positive integer, got 4.5"),
+        (dict(input_dim=4, hidden_dims=(16, 0)),
+         "hidden_dims[1] must be a positive integer, got 0"),
+        (dict(input_dim=4, hidden_dims=(3.7,)),
+         "hidden_dims[0] must be a positive integer, got 3.7"),
+        (dict(input_dim=4, hidden_dims=8), "hidden_dims must be a list or tuple, got 8"),
+        (dict(input_dim=4, seed=-1), "seed must be a nonnegative integer, got -1"),
+        (dict(input_dim=4, seed=1.5), "seed must be a nonnegative integer, got 1.5"),
+        (dict(input_dim=4, seed=True), "seed must be a nonnegative integer, got True"),
+        (dict(input_dim=4, hierarchy=(198, 66)), "hierarchy must be a BinHierarchy, got (198, 66)"),
+    ]
+    for kwargs, message in bad:
+        with pytest.raises(ValueError) as info:
+            NetConfig(**kwargs)
+        assert str(info.value) == message
+    assert NetConfig(input_dim=4, hidden_dims=[16, 8]).hidden_dims == (16, 8)
     message = r"unknown decode convention 'middle' \(choose from 'center', 'edge'\)"
     with pytest.raises(ValueError, match=message):
         NetConfig(input_dim=4, decode_convention="middle")
@@ -367,17 +380,8 @@ def test_train_validation_errors():
     with pytest.raises(ValueError, match="dim 24"):
         train(bad_dim, train_samples, val_samples, DEFAULT_WEIGHTS, epochs=1)
     outlier = Dataset(np.zeros((1, 24)), [[120.0, 0.0, 0.0]])
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=r"angle 120.0 outside bin range \[-99.0, 99.0\]"):
         train(config, outlier, val_samples, DEFAULT_WEIGHTS, epochs=1)
-    # Below a narrower hierarchy's range, a label would wrap to the top bins.
-    narrow = NetConfig(input_dim=24, hidden_dims=(16,),
-                       hierarchy=make_hierarchy((20, 10, 2), -50.0, 50.0))
-    weights = LossWeights(alpha=2.0, betas=(3.0, 1.0, 1.0))
-    below = Dataset(np.zeros((1, 24)), [[-60.0, 0.0, 0.0]])
-    with pytest.raises(ValueError, match=r"-60.0 outside bin range \[-50.0, 50.0\]"):
-        train(narrow, below, below, weights, epochs=1)
-    with pytest.raises(ValueError, match="outside bin range"):
-        train(narrow, train_samples, val_samples, weights, epochs=1)
 
 
 def test_checkpoint_roundtrip_is_exact(tmp_path):
@@ -470,22 +474,26 @@ def test_checkpoint_rejects_bad_files(tmp_path):
          "heads[1][0].weight must hold JSON numbers"),
         (lambda d: d["config"]["hierarchy"].__setitem__("bin_counts", [198, 67]),
          "coarse bin count 67 does not divide finest 198"),
-        (lambda d: d["config"].__setitem__("seed", -1), "seed must be nonnegative, got -1"),
+        (lambda d: d["config"].__setitem__("seed", -1),
+         "seed must be a nonnegative integer, got -1"),
         (trunk_bias(["INF"] * 8), "parameters contain non-finite values"),
         # Integers must be JSON integers, not floats or booleans rounded by int().
         (lambda d: d["config"].__setitem__("input_dim", 4.9),
-         "config input_dim must be an integer, got 4.9"),
-        (lambda d: d["config"].__setitem__("seed", 2.7), "config seed must be an integer, got 2.7"),
+         "input_dim must be a positive integer, got 4.9"),
+        (lambda d: d["config"].__setitem__("seed", 2.7),
+         "seed must be a nonnegative integer, got 2.7"),
         (lambda d: d["config"].__setitem__("seed", True),
-         "config seed must be an integer, got true"),
+         "seed must be a nonnegative integer, got True"),
         (lambda d: d["config"].__setitem__("hidden_dims", [8.0]),
-         "config hidden_dims[0] must be an integer, got 8.0"),
+         "hidden_dims[0] must be a positive integer, got 8.0"),
         (lambda d: d["config"].__setitem__("hidden_dims", 8),
-         "config hidden_dims must be a list of integers, got 8"),
+         "hidden_dims must be a list or tuple, got 8"),
         (lambda d: d["config"]["hierarchy"].__setitem__("bin_counts", [6.5, 2.2]),
-         "config hierarchy.bin_counts[0] must be an integer, got 6.5"),
+         "n_bins must be a positive integer, got 6.5"),
         (lambda d: d["config"]["hierarchy"].__setitem__("bin_counts", [6, False]),
-         "config hierarchy.bin_counts[1] must be an integer, got false"),
+         "n_bins must be a positive integer, got False"),
+        (lambda d: d["config"]["hierarchy"].__setitem__("bin_counts", 6),
+         "bin_counts must be a list or tuple, got 6"),
     ]
     for mutate, message in bad_values:
         doc = json.loads(checkpoint_text(init_net(TOY)))
@@ -510,12 +518,17 @@ def test_checkpoint_rejects_bad_files(tmp_path):
      "malformed checkpoint: trunk[0]: unexpected key 'scale'"),
     (lambda d: d["heads"][2].__setitem__(1, [0.0]),
      "malformed checkpoint: heads[2][1] must be an object, got list"),
+    # The bin range is fixed: the stored angles must be the JSON numbers -99 and 99.
     (lambda d: d["config"]["hierarchy"].__setitem__("min_angle", "-99"),
-     'config hierarchy.min_angle must be a number, got "-99"'),
+     'config hierarchy.min_angle must be a number equal to -99.0, got "-99"'),
     (lambda d: d["config"]["hierarchy"].__setitem__("min_angle", True),
-     "config hierarchy.min_angle must be a number, got true"),
+     "config hierarchy.min_angle must be a number equal to -99.0, got true"),
     (lambda d: d["config"]["hierarchy"].__setitem__("max_angle", None),
-     "config hierarchy.max_angle must be a number, got null"),
+     "config hierarchy.max_angle must be a number equal to 99.0, got null"),
+    (lambda d: d["config"]["hierarchy"].__setitem__("min_angle", -90),
+     "config hierarchy.min_angle must be a number equal to -99.0, got -90"),
+    (lambda d: d["config"]["hierarchy"].__setitem__("max_angle", "99"),
+     'config hierarchy.max_angle must be a number equal to 99.0, got "99"'),
 ])
 def test_checkpoint_schema_is_exact(tmp_path, mutate, message):
     # Each edit would otherwise load, ignored or silently converted.
