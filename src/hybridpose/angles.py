@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binning import _check_int, _check_real
+
 __all__ = [
     "PoseAngles",
     "MaeReport",
@@ -79,22 +81,13 @@ class MaeReport:
 
     def __post_init__(self) -> None:
         for name in ("yaw_mae", "pitch_mae", "roll_mae", "mean_mae"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be positive, got {self.n_samples}")
+            _check_real(name, getattr(self, name))
+        _check_int("n_samples", self.n_samples, 1)
         recombined = (self.yaw_mae + self.pitch_mae + self.roll_mae) / 3.0
         if abs(recombined - self.mean_mae) > 1e-9:
             raise ValueError(
                 f"mean_mae {self.mean_mae!r} does not match per-angle mean {recombined!r}"
             )
-
-
-def _check_tol(tol: float) -> None:
-    """A NaN tolerance would accept any matrix and a negative one none."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
 
 
 def check_rotation_matrix(rotation, tol: float = 1e-6) -> np.ndarray:
@@ -104,7 +97,7 @@ def check_rotation_matrix(rotation, tol: float = 1e-6) -> np.ndarray:
     ``tol`` in any entry, and reflections (determinant near -1).  ``tol``
     itself must be finite and nonnegative.
     """
-    _check_tol(tol)
+    _check_real("tol", tol)
     r = np.asarray(rotation, dtype=float)
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")

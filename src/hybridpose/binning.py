@@ -16,7 +16,9 @@ its center ``MIN_ANGLE + (i + 0.5) * width`` (default) or its left edge
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +48,19 @@ _PROB_SUM_TOL = 1e-6
 def _check_int(name: str, value, minimum: int) -> None:
     """An integer field: a float, a bool or a value below ``minimum`` is a ValueError."""
     if type(value) is not int or value < minimum:
-        kind = "positive" if minimum == 1 else "nonnegative"
-        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+        kinds = {0: "a nonnegative integer", 1: "a positive integer"}
+        kind = kinds.get(minimum, f"an integer of at least {minimum}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _check_real(name: str, value, minimum: float = 0.0) -> float:
+    """A real field, numpy scalars included, as a float: a bool, a string, a
+    non-finite value or one below ``minimum`` is a ValueError."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value >= minimum):
+        kind = {0: " and nonnegative", -math.inf: ""}.get(minimum, f" and at least {minimum}")
+        raise ValueError(f"{name} must be finite{kind}, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -148,12 +161,15 @@ def bin_center(index: int, scheme: BinScheme) -> float:
     return MIN_ANGLE + (index + 0.5) * scheme.bin_width
 
 
+@functools.cache
 def decode_positions(scheme: BinScheme, convention: str = "center") -> np.ndarray:
-    """Representative angle of every bin under the given convention."""
+    """Representative angle of every bin under the convention; cached, read-only."""
     if convention not in DECODE_CONVENTIONS:
         raise ValueError(f"unknown decode convention {convention!r}")
     offset = _DECODE_OFFSETS[convention]
-    return MIN_ANGLE + (np.arange(scheme.n_bins) + offset) * scheme.bin_width
+    positions = MIN_ANGLE + (np.arange(scheme.n_bins) + offset) * scheme.bin_width
+    positions.setflags(write=False)
+    return positions
 
 
 def expect_decode(probs, scheme: BinScheme, convention: str = "center") -> float:

@@ -26,8 +26,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .angles import _check_tol, mae, rotation_to_euler
-from .binning import DECODE_CONVENTIONS, _check_in_range
+from .angles import mae, rotation_to_euler
+from .binning import DECODE_CONVENTIONS, _check_in_range, _check_real
 from .data import (
     ParseError,
     _check_ids,
@@ -459,7 +459,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_parse_biwi(args: argparse.Namespace) -> int:
     # Checked once here: each file's rejection would only skip that file.
-    _check_tol(args.tol)
+    _check_real("tol", args.tol)
     directory = Path(args.dir)
     if not directory.is_dir():
         raise ValueError(f"not a directory: {directory}")

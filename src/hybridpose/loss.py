@@ -13,13 +13,12 @@ with the squared error measured in degrees.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .binning import BinHierarchy, _bin_index, decode_positions, encode, encode_all
+from .binning import BinHierarchy, _bin_index, _check_real, decode_positions, encode, encode_all
 
 __all__ = [
     "LossWeights",
@@ -38,13 +37,10 @@ class LossWeights:
     betas: tuple[float, ...] = (7.0, 5.0, 3.0, 1.0, 1.0)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha) or self.alpha < 0.0:
-            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
-        betas = tuple(float(b) for b in self.betas)
-        for b in betas:
-            if not math.isfinite(b) or b < 0.0:
-                raise ValueError(f"betas must be finite and nonnegative, got {self.betas!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", _check_real("alpha", self.alpha))
+        if not isinstance(self.betas, (list, tuple)):
+            raise ValueError(f"betas must be a list or tuple, got {self.betas!r}")
+        betas = tuple(_check_real(f"betas[{i}]", b) for i, b in enumerate(self.betas))
         object.__setattr__(self, "betas", betas)
 
 
@@ -117,12 +113,10 @@ def _check_heads(heads: Sequence, hierarchy: BinHierarchy) -> list[np.ndarray]:
     for scheme, logits in zip(hierarchy.levels, heads):
         z = np.asarray(logits, dtype=float)
         if z.ndim != 1 or z.shape[0] != scheme.n_bins:
-            raise ValueError(
-                f"level with {scheme.n_bins} bins got logits of shape {z.shape}"
-            )
-        if not np.isfinite(z).all():
-            raise ValueError("logits contain non-finite entries")
+            raise ValueError(f"level with {scheme.n_bins} bins got logits of shape {z.shape}")
         out.append(z)
+    if not np.isfinite(np.concatenate(out)).all():
+        raise ValueError("logits contain non-finite entries")
     return out
 
 

@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .angles import ANGLE_NAMES, PoseAngles, euler_to_rotation
-from .binning import MAX_ANGLE, MIN_ANGLE
+from .binning import _check_in_range, _check_int, _check_real
 
 __all__ = [
     "SynthConfig",
@@ -63,13 +63,15 @@ RIG_POINTS.setflags(write=False)
 
 
 def _check_range(name: str, bounds: tuple[float, float]) -> tuple[float, float]:
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"{name} bounds must be finite, got {bounds!r}")
+    if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+        raise ValueError(f"{name} must be a (lower, upper) pair, got {bounds!r}")
+    lo, hi = (_check_real(f"{name}[{i}]", b, -math.inf) for i, b in enumerate(bounds))
     if lo > hi:
         raise ValueError(f"{name} lower bound {lo} exceeds upper bound {hi}")
-    if lo < MIN_ANGLE or hi > MAX_ANGLE:
-        raise ValueError(f"{name} must lie within [{MIN_ANGLE}, {MAX_ANGLE}], got ({lo}, {hi})")
+    try:
+        _check_in_range((lo, hi))
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
     return (lo, hi)
 
 
@@ -86,16 +88,12 @@ class SynthConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.n_samples < 2:
-            raise ValueError(f"n_samples must be at least 2, got {self.n_samples}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        object.__setattr__(self, "yaw_range", _check_range("yaw_range", self.yaw_range))
-        object.__setattr__(self, "pitch_range", _check_range("pitch_range", self.pitch_range))
-        object.__setattr__(self, "roll_range", _check_range("roll_range", self.roll_range))
-        if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0.0:
-            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma!r}")
-        if not 0.0 < self.val_fraction < 1.0:
+        _check_int("n_samples", self.n_samples, 2)
+        _check_int("seed", self.seed, 0)
+        for name in ("yaw_range", "pitch_range", "roll_range"):
+            object.__setattr__(self, name, _check_range(name, getattr(self, name)))
+        _check_real("noise_sigma", self.noise_sigma)
+        if not 0.0 < _check_real("val_fraction", self.val_fraction) < 1.0:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction!r}")
 
 
@@ -147,8 +145,7 @@ def render_features(
     The output has length 2 * n_points, laid out per point as (lateral,
     vertical), i.e. [y0, z0, y1, z1, ...].
     """
-    if noise_sigma < 0.0:
-        raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma!r}")
+    _check_real("noise_sigma", noise_sigma)
     rotated = RIG_POINTS @ euler_to_rotation(pose).T
     features = rotated[:, 1:3].ravel()
     if noise_sigma > 0.0:

@@ -41,6 +41,7 @@ from .binning import (
     BinHierarchy,
     _check_in_range,
     _check_int,
+    _check_real,
     decode_positions,
     expect_decode,
     make_hierarchy,
@@ -283,8 +284,7 @@ class AdamState:
     )
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.learning_rate) or self.learning_rate < 0.0:
-            raise ValueError(f"learning_rate must be nonnegative, got {self.learning_rate!r}")
+        _check_real("learning_rate", self.learning_rate)
 
     @classmethod
     def for_net(cls, net: TinyNet, learning_rate: float = 1e-3) -> "AdamState":
@@ -462,16 +462,14 @@ def train(
     (config.seed, epoch).  Recorded epoch losses are means over samples as
     visited (pre-update), and every epoch ends with a validation MAE pass.
     """
-    if epochs < 0:
-        raise ValueError(f"epochs must be nonnegative, got {epochs}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
+    _check_int("epochs", epochs, 0)
+    _check_int("batch_size", batch_size, 1)
     x_train, t_train = _batch_arrays(train_samples)
     x_val, t_val = _batch_arrays(val_samples)
-    for arr in (x_train, x_val):
+    for name, arr in (("train_samples", x_train), ("val_samples", x_val)):
         if arr.shape[1] != config.input_dim:
             raise ValueError(
-                f"data features have dim {arr.shape[1]}, config expects {config.input_dim}"
+                f"{name} features have dim {arr.shape[1]}, config expects {config.input_dim}"
             )
 
     net = init_net(config)

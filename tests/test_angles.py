@@ -113,6 +113,9 @@ def test_rejects_bad_shape_and_nan():
     bad[0, 0] = float("nan")
     with pytest.raises(ValueError, match="finite"):
         check_rotation_matrix(bad)
+    for tol in (True, "1e-6", float("nan"), -1.0):
+        with pytest.raises(ValueError, match=f"tol must be finite and nonnegative, got {tol!r}"):
+            check_rotation_matrix(np.eye(3), tol=tol)
 
 
 def test_mae_zero_and_offset():
@@ -152,6 +155,15 @@ def test_mae_errors():
         mae(p, np.zeros((1, 2)))
     with pytest.raises(ValueError, match=r"predictions must be an \(n, 3\) array, got shape \(3,\)"):
         mae(np.zeros(3), p)
+    with pytest.raises(ValueError, match="yaw_mae must be finite and nonnegative, got nan"):
+        MaeReport(float("nan"), 1.0, 1.0, 1.0, n_samples=1)
+    with pytest.raises(ValueError, match="roll_mae must be finite and nonnegative, got True"):
+        MaeReport(1.0, 1.0, True, 1.0, n_samples=1)
+    with pytest.raises(ValueError, match="mean_mae must be finite and nonnegative, got '1'"):
+        MaeReport(1.0, 1.0, 1.0, "1", n_samples=1)
+    for n in (1.5, True, 0):
+        with pytest.raises(ValueError, match=f"n_samples must be a positive integer, got {n!r}"):
+            MaeReport(1.0, 1.0, 1.0, 1.0, n_samples=n)
 
 
 def test_mae_report_consistency_enforced():

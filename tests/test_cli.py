@@ -615,7 +615,7 @@ def test_ablate_rejects_malformed_grid_row(tmp_path, capsys):
         "--grid-file", str(grid), "--epochs", "1", "--hidden", "8", "--seeds", "0",
     )
     assert rc == 1
-    assert f"{grid}: line 2: betas must be finite and nonnegative" in err
+    assert f"{grid}: line 2: betas[4] must be finite and nonnegative, got -1.0" in err
     assert "median val MAE" not in err
 
 

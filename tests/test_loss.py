@@ -92,8 +92,21 @@ def test_weights_validation():
         LossWeights(-1.0, (1.0,) * 5)
     with pytest.raises(ValueError, match="betas"):
         LossWeights(1.0, (1.0, -2.0, 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="alpha must be finite and nonnegative, got True"):
+        LossWeights(True, (3.0, 1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="alpha must be finite and nonnegative, got nan"):
+        LossWeights(float("nan"), (3.0, 1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match=r"betas\[0\] must be finite and nonnegative, got '3'"):
+        LossWeights(1.0, ("3", 1, 1, 1, 1))
+    with pytest.raises(ValueError, match=r"betas\[2\] must be finite and nonnegative, got False"):
+        LossWeights(1.0, (1.0, 1.0, False, 1.0, 1.0))
+    with pytest.raises(ValueError, match="betas must be a list or tuple, got 1.0"):
+        LossWeights(1.0, 1.0)
     w = LossWeights(2, (7, 5, 3, 1, 1))
     assert w.betas == (7.0, 5.0, 3.0, 1.0, 1.0)
+    # numpy scalars are real numbers too, and are stored as floats.
+    w = LossWeights(np.float64(2.0), tuple(np.array([7.0, 5.0, 3.0, 1.0, 1.0])))
+    assert type(w.alpha) is float and all(type(b) is float for b in w.betas)
     assert DEFAULT_WEIGHTS.betas == (7.0, 5.0, 3.0, 1.0, 1.0)
     assert FINE_ONLY_WEIGHTS.betas == (1.0, 0.0, 0.0, 0.0, 0.0)
 

@@ -82,6 +82,21 @@ def test_synth_config_validation():
         SynthConfig(n_samples=10, noise_sigma=-0.1)
     with pytest.raises(ValueError, match="val_fraction"):
         SynthConfig(n_samples=10, val_fraction=1.0)
+    with pytest.raises(ValueError, match="n_samples must be an integer of at least 2, got 1"):
+        SynthConfig(n_samples=1)
+    with pytest.raises(ValueError, match=r"yaw_range: angle -120.0 outside bin range"):
+        SynthConfig(n_samples=10, yaw_range=(-120.0, 0.0))
+    with pytest.raises(ValueError, match=r"roll_range must be a \(lower, upper\) pair"):
+        SynthConfig(n_samples=10, roll_range=(0.0, 1.0, 2.0))
+    # A float, bool, string or NaN fails naming the field, before make_dataset runs.
+    for field, value in [
+        ("n_samples", 10.7), ("n_samples", True), ("seed", 1.5), ("seed", "0"),
+        ("noise_sigma", float("nan")), ("noise_sigma", True), ("val_fraction", "0.2"),
+        ("yaw_range", (True, 1.0)), ("pitch_range", ("-10", 10.0)),
+        ("roll_range", (0.0, float("nan"))),
+    ]:
+        with pytest.raises(ValueError, match=f"^{field}"):
+            SynthConfig(**{"n_samples": 10, field: value})
 
 
 def test_render_identity_pose_is_canonical_projection():
@@ -105,6 +120,9 @@ def test_render_noise_is_seed_deterministic():
     assert (a == b).all()
     with pytest.raises(ValueError, match="rng"):
         render_features(pose, 0.01, None)
+    for sigma in (float("nan"), True, "0.01"):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and nonnegative"):
+            render_features(pose, sigma, np.random.default_rng(9))
 
 
 def test_noiseless_features_bounded_by_rig_norm():

@@ -256,6 +256,10 @@ def test_adam_state_validation():
         AdamState(learning_rate=-1.0)
     with pytest.raises(ValueError, match="learning_rate"):
         AdamState(learning_rate=float("nan"))
+    with pytest.raises(ValueError, match="learning_rate must be finite and nonnegative, got True"):
+        AdamState(True)
+    with pytest.raises(ValueError, match="learning_rate must be finite and nonnegative, got '0.1'"):
+        AdamState("0.1")
     state = AdamState(learning_rate=1e-3, m=np.zeros(2), v=np.zeros(2))
     with pytest.raises(ValueError, match="shapes must align"):
         adam_update(np.zeros(2), np.zeros(1), state)
@@ -376,9 +380,16 @@ def test_train_validation_errors():
         train(config, train_samples, val_samples, DEFAULT_WEIGHTS, epochs=-1)
     with pytest.raises(ValueError, match="batch_size"):
         train(config, train_samples, val_samples, DEFAULT_WEIGHTS, epochs=1, batch_size=0)
+    with pytest.raises(ValueError, match="epochs must be a nonnegative integer, got 1.5"):
+        train(config, train_samples, val_samples, DEFAULT_WEIGHTS, epochs=1.5)
+    with pytest.raises(ValueError, match="batch_size must be a positive integer, got True"):
+        train(config, train_samples, val_samples, DEFAULT_WEIGHTS, epochs=1, batch_size=True)
     bad_dim = NetConfig(input_dim=10, hidden_dims=(16,))
-    with pytest.raises(ValueError, match="dim 24"):
+    with pytest.raises(ValueError, match="train_samples features have dim 24, config expects 10"):
         train(bad_dim, train_samples, val_samples, DEFAULT_WEIGHTS, epochs=1)
+    narrow_val = Dataset(np.zeros((2, 22)), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="val_samples features have dim 22, config expects 24"):
+        train(config, train_samples, narrow_val, DEFAULT_WEIGHTS, epochs=1)
     outlier = Dataset(np.zeros((1, 24)), [[120.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match=r"angle 120.0 outside bin range \[-99.0, 99.0\]"):
         train(config, outlier, val_samples, DEFAULT_WEIGHTS, epochs=1)
