@@ -56,8 +56,11 @@ def _check_int(name: str, value, minimum: int) -> None:
 def _check_real(name: str, value, minimum: float = 0.0) -> float:
     """A real field, numpy scalars included, as a float: a bool, a string, a
     non-finite value or one below ``minimum`` is a ValueError."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and value >= minimum):
+    try:
+        finite = isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if isinstance(value, bool) or not (finite and value >= minimum):
         kind = {0: " and nonnegative", -math.inf: ""}.get(minimum, f" and at least {minimum}")
         raise ValueError(f"{name} must be finite{kind}, got {value!r}")
     return float(value)

@@ -74,7 +74,10 @@ def _atomic_file(path):
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the file the caller asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with open(fd, "w") as fh:
             yield fh
@@ -92,7 +95,7 @@ def _write_atomic(path, text: str) -> None:
 def load_config_file(path) -> dict[str, tuple[str, int]]:
     """Read ``key = value`` lines into {key: (value, line number)}; '#' starts a comment."""
     values: dict[str, tuple[str, int]] = {}
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -324,7 +327,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _read_annotations(path) -> tuple[list[str], np.ndarray]:
     try:
-        return parse_annotation_csv(Path(path).read_text())
+        return parse_annotation_csv(Path(path).read_text(errors="surrogateescape"))
     except ParseError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -386,7 +389,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _load_grid_file(path) -> list[LossWeights]:
     """One 'alpha,b1..b5' row per line, each checked before any training."""
     rows = []
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -401,6 +404,8 @@ def _load_grid_file(path) -> list[LossWeights]:
                 rows.append(LossWeights(values[0], values[1:]))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no weight rows")
     return rows
 
 
@@ -416,8 +421,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         grid = _load_grid_file(args.grid_file)
     else:
         grid = [LossWeights(row[0], row[1:]) for row in DEFAULT_WEIGHT_GRID]
-    if not grid:
-        raise ValueError("weight grid is empty")
     if args.epochs < 1:
         raise ValueError("ablate needs at least 1 epoch")
 
@@ -469,7 +472,7 @@ def cmd_parse_biwi(args: argparse.Namespace) -> int:
     for path in sorted(directory.glob(args.pattern)):
         try:
             _check_ids([path.stem])
-            rotation, _ = parse_biwi_pose(path.read_text(), tol=args.tol)
+            rotation, _ = parse_biwi_pose(path.read_text(errors="surrogateescape"), tol=args.tol)
             pose = rotation_to_euler(rotation, tol=args.tol)
         except (ValueError, OSError) as exc:
             rejected += 1

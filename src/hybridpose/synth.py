@@ -186,7 +186,7 @@ def read_dataset_blocks(path, block_rows: int) -> Iterator[Dataset]:
     """
     features, angles, line_numbers = array("d"), array("d"), array("l")
     arity = None
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

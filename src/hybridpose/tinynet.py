@@ -13,6 +13,8 @@ so it is one (3, hidden, n_bins) weight block and one (3, n_bins) bias
 block, and the training step and the batched decode run the three angles
 of a level as one stacked operation.  ``head_weights[angle][level]`` and
 ``head_biases[angle][level]`` are views of single heads in those blocks.
+The training step's gradient is itself a TinyNet of the same config, so
+``TinyNet.__init__`` alone lays out parameters and gradients alike.
 
 The config also fixes the net's decode convention, the bin positions its
 expectation decode integrates over; training and prediction both read it
@@ -114,16 +116,6 @@ class HeadOutputs:
         return (self.yaw, self.pitch, self.roll)
 
 
-class _ParamViews(list):
-    """Views of one flat buffer, in parameters() order.
-
-    ``head_blocks`` holds the head views again, stacked by level: one
-    (3, hidden, n_bins) weight block and one (3, n_bins) bias block each.
-    """
-
-    head_blocks: list[tuple[np.ndarray, np.ndarray]]
-
-
 class TinyNet:
     """Weights for the trunk and heads; see module docstring for layout.
 
@@ -133,40 +125,25 @@ class TinyNet:
 
     def __init__(self, config: NetConfig):
         self.config = config
-        self.flat = np.zeros(sum(math.prod(shape) for shape in self._shapes()))
-        self._params = views = self._views(self.flat)
-        n = 2 * len(config.hidden_dims)
-        self.trunk_weights, self.trunk_biases = views[0:n:2], views[1:n:2]
-        self.head_blocks = views.head_blocks
-        # Each level holds six views: the three angles' weights, then their biases.
-        self.head_weights = [views[n + a :: 2 * N_ANGLES] for a in range(N_ANGLES)]
-        self.head_biases = [views[n + N_ANGLES + a :: 2 * N_ANGLES] for a in range(N_ANGLES)]
-
-    def _shapes(self) -> list[tuple[int, ...]]:
-        """The blocks of ``flat`` in order: each trunk layer's weight and bias,
-        then each level's stacked head weights and biases."""
-        cfg = self.config
-        dims = (cfg.input_dim, *cfg.hidden_dims)
+        # The blocks of ``flat`` in order: each trunk layer's weight and bias,
+        # then each level's stacked head weights and biases.
+        dims = (config.input_dim, *config.hidden_dims)
         shapes = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             shapes += [(fan_in, fan_out), (fan_out,)]
-        for scheme in cfg.hierarchy.levels:
+        for scheme in config.hierarchy.levels:
             shapes += [(N_ANGLES, dims[-1], scheme.n_bins), (N_ANGLES, scheme.n_bins)]
-        return shapes
-
-    def _views(self, buffer: np.ndarray) -> _ParamViews:
-        """Views of a buffer the size of ``flat``, shaped like parameters() and in its order."""
-        blocks, offset = [], 0
-        for shape in self._shapes():
-            size = math.prod(shape)
-            blocks.append(buffer[offset : offset + size].reshape(shape))
-            offset += size
-        n = 2 * len(self.config.hidden_dims)
-        views = _ParamViews(blocks[:n])
-        views.head_blocks = list(zip(blocks[n::2], blocks[n + 1 :: 2]))
-        for w, b in views.head_blocks:
-            views += [*w, *b]
-        return views
+        sizes = [math.prod(shape) for shape in shapes]
+        self.flat = np.zeros(sum(sizes))
+        parts = np.split(self.flat, np.cumsum(sizes)[:-1])
+        blocks = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+        n = 2 * len(config.hidden_dims)
+        self.trunk_weights, self.trunk_biases = blocks[0:n:2], blocks[1:n:2]
+        self.head_blocks = list(zip(blocks[n::2], blocks[n + 1 :: 2]))
+        # Each level holds six views: the three angles' weights, then their biases.
+        self._params = blocks[:n] + [v for w, b in self.head_blocks for v in (*w, *b)]
+        self.head_weights = [self._params[n + a :: 2 * N_ANGLES] for a in range(N_ANGLES)]
+        self.head_biases = [self._params[n + N_ANGLES + a :: 2 * N_ANGLES] for a in range(N_ANGLES)]
 
     def parameters(self) -> list[np.ndarray]:
         """All parameter arrays in a fixed order: trunk, then heads by level.
@@ -361,7 +338,7 @@ def _batch_loss_and_grads(
     x: np.ndarray,
     targets: np.ndarray,
     weights: LossWeights,
-    out: _ParamViews | None = None,
+    out: TinyNet | None = None,
 ):
     """Mean loss over the batch and its gradient in parameters() order.
 
@@ -369,17 +346,16 @@ def _batch_loss_and_grads(
     stats and gradients are means over the batch.  ``loss._angle_terms`` gives
     each angle's loss terms and logit gradients; this runs the forward pass
     and backpropagates those gradients through the heads and the trunk, one
-    stacked block of three heads per level.  Each gradient is written into
-    its array of ``out`` (``net._views`` of a flat buffer, so training fills
-    its gradient buffer without a copy; the head gradients through its
-    ``head_blocks``), or into a new such list if ``out`` is None; the list
-    is returned.
+    stacked block of three heads per level.  The gradient is written into
+    ``out``, a TinyNet of ``net``'s config (so training fills its gradient's
+    ``flat`` without a copy), or into a new one if ``out`` is None; its
+    ``parameters()`` are returned.
     """
     hierarchy = net.config.hierarchy
     _check_loss_args(weights, hierarchy)
     positions = decode_positions(hierarchy.finest, net.config.decode_convention)
     n = x.shape[0]
-    grads = net._views(np.empty_like(net.flat)) if out is None else out
+    grads = TinyNet(net.config) if out is None else out
 
     pre_acts, acts, logits = net._forward_batch(x)
     hidden = acts[-1]
@@ -405,8 +381,8 @@ def _batch_loss_and_grads(
     d = d_hidden
     for i in reversed(range(len(net.trunk_weights))):
         dz = d * (pre_acts[i] > 0.0)
-        np.matmul(acts[i].T, dz, out=grads[2 * i])
-        dz.sum(axis=0, out=grads[2 * i + 1])
+        np.matmul(acts[i].T, dz, out=grads.trunk_weights[i])
+        dz.sum(axis=0, out=grads.trunk_biases[i])
         if i > 0:
             d = dz @ net.trunk_weights[i].T
 
@@ -415,7 +391,7 @@ def _batch_loss_and_grads(
         regression_term=reg_sum / n,
         ce_terms=tuple((ce_sums / n).tolist()),
     )
-    return stats, grads
+    return stats, grads.parameters()
 
 
 def _batch_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -474,8 +450,7 @@ def train(
 
     net = init_net(config)
     optimizer = AdamState.for_net(net, learning_rate)
-    grad = np.empty_like(net.flat)
-    grad_views = net._views(grad)
+    grad = TinyNet(config)
     n = x_train.shape[0]
 
     start = time.perf_counter()
@@ -487,11 +462,9 @@ def train(
         ce_sum = np.zeros(config.hierarchy.depth)
         for lo in range(0, n, batch_size):
             idx = order[lo : lo + batch_size]
-            # The gradient fills the flat ``grad`` through its views.
-            stats, _ = _batch_loss_and_grads(
-                net, x_train[idx], t_train[idx], weights, grad_views
-            )
-            adam_update(net.flat, grad, optimizer)
+            # grad is a TinyNet: the step writes the gradient into ``grad.flat`` through its views.
+            stats, _ = _batch_loss_and_grads(net, x_train[idx], t_train[idx], weights, grad)
+            adam_update(net.flat, grad.flat, optimizer)
             _assert_finite_params(net, optimizer, stats.total)
             total_sum += stats.total * len(idx)
             reg_sum += stats.regression_term * len(idx)
@@ -570,7 +543,7 @@ def _fill(view: np.ndarray, name: str, value) -> None:
 def load_checkpoint(path) -> TinyNet:
     """Rebuild a TinyNet from a checkpoint file."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(errors="surrogateescape"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a valid checkpoint: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:

@@ -92,6 +92,11 @@ def test_config_file_syntax_error(tmp_path, capsys):
     rc, _, err = run(capsys, "synth", "--config", str(cfg))
     assert rc == 1
     assert f"{cfg}: line 1: expected 'key = value'" in err
+    # An undecodable byte fails at its line, naming the file.
+    cfg.write_bytes(b"seed = 1\n\xff\n")
+    rc, _, err = run(capsys, "synth", "--config", str(cfg))
+    assert rc == 1
+    assert f"{cfg}: line 2: expected 'key = value', got '\\udcff'" in err
 
 
 def test_config_file_rejects_duplicate_keys(tmp_path, capsys):
@@ -371,6 +376,12 @@ def test_eval_parse_errors_name_the_file(tmp_path, capsys):
         rc, _, err = run(capsys, "eval", "--pred", str(pred), "--truth", str(truth))
         assert rc == 1
         assert f"error: {bad}: line 2: expected 4 fields, found 3" in err
+    undecodable = tmp_path / "undecodable.csv"
+    undecodable.write_bytes(b"id,yaw,pitch,roll\na,1,2,\xff\n")
+    for pred, truth in ((undecodable, good), (good, undecodable)):
+        rc, _, err = run(capsys, "eval", "--pred", str(pred), "--truth", str(truth))
+        assert rc == 1
+        assert f"error: {undecodable}: line 2: could not convert string to float" in err
 
 
 def test_eval_checkpoint_mode(tmp_path, capsys):
@@ -439,12 +450,16 @@ def test_training_data_errors_name_the_file_before_any_work(tmp_path, capsys, mo
     angles[3, 1] = 120.0
     outlier = tmp_path / "outlier.csv"
     outlier.write_text(format_dataset(Dataset(data.features, angles)))
+    lines = train.read_bytes().splitlines(keepends=True)
+    undecodable = tmp_path / "undecodable.csv"
+    undecodable.write_bytes(b"".join([lines[0], b"\xff" + lines[1][1:], *lines[2:]]))
     ckpt = tmp_path / "net.json"
     extra = ["--checkpoint-out", str(ckpt)] if command == "train" else []
     for train_file, val_file, message in [
         (train, short, f"{short}: rows have 22 features, {train} has 24"),
         (outlier, val, f"{outlier}: angle 120.0 outside bin range [-99.0, 99.0]"),
         (train, outlier, f"{outlier}: angle 120.0 outside bin range [-99.0, 99.0]"),
+        (train, undecodable, f"{undecodable}: line 2: non-numeric field"),
     ]:
         rc, out, err = run(
             capsys, command, "--train", str(train_file), "--val", str(val_file), *extra,
@@ -536,6 +551,11 @@ def test_write_atomic_failure_leaves_no_files(tmp_path):
         _write_atomic(target, unencodable)
     assert list(tmp_path.iterdir()) == [target]
     assert target.read_text() == "kept\n"
+    # An output path in a missing directory fails naming that path, not the temp file.
+    missing = tmp_path / "nodir" / "out.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        _write_atomic(missing, "x\n")
+    assert str(info.value) == f"[Errno 2] No such file or directory: '{missing}'"
 
 
 def test_eval_requires_one_mode(tmp_path, capsys):
@@ -582,13 +602,13 @@ def test_ablate_with_grid_file(tmp_path, capsys):
 def test_ablate_rejects_empty_grid(tmp_path, capsys):
     train, val = make_split(tmp_path, capsys, n=30)
     grid = tmp_path / "grid.txt"
-    grid.write_text("# nothing here\n")
+    grid.write_text("# nothing here\n\n   \n")
     rc, _, err = run(
         capsys, "ablate", "--train", str(train), "--val", str(val),
         "--grid-file", str(grid),
     )
     assert rc == 1
-    assert "empty" in err
+    assert err == f"error: {grid}: no weight rows\n"
 
 
 def test_ablate_rejects_malformed_grid_row(tmp_path, capsys):
@@ -608,6 +628,14 @@ def test_ablate_rejects_malformed_grid_row(tmp_path, capsys):
     )
     assert rc == 1
     assert f"{grid}: line 2: could not convert" in err
+    # An undecodable byte fails at its line.
+    grid.write_bytes(b"2,7,5,3,1,1\n2,7,\xff,3,1,1\n")
+    rc, _, err = run(
+        capsys, "ablate", "--train", str(train), "--val", str(val),
+        "--grid-file", str(grid),
+    )
+    assert rc == 1
+    assert f"{grid}: line 2: could not convert string to float" in err
     # A bad weight in a later row fails before the first row trains.
     grid.write_text("2,7,5,3,1,1\n2,7,5,3,1,-1\n")
     rc, _, err = run(
@@ -745,13 +773,15 @@ def test_parse_biwi_directory(tmp_path, capsys):
     (poses / "a.txt").write_text(format_biwi_pose(rot, translation=(1.0, 2.0, 3.0)))
     (poses / "c.txt").write_text(format_biwi_pose(euler_to_rotation(PoseAngles(0.0, 45.0, 0.0))))
     (poses / "bad.txt").write_text("1 0 0\nnot a matrix\n")
+    (poses / "bytes.txt").write_bytes(b"1 0 0\n0 \xff 0\n0 0 1\n\n0 0 0\n")
     (poses / "ignored.csv").write_text("not matched by the pattern")
 
     out = tmp_path / "annotations.csv"
     rc, stdout, err = run(capsys, "parse-biwi", "--dir", str(poses), "--out", str(out))
     assert rc == 0
     assert "skipped bad.txt" in err
-    assert "parsed 3 file(s), rejected 1" in stdout
+    assert "skipped bytes.txt: line 2: " in err
+    assert "parsed 3 file(s), rejected 2" in stdout
 
     lines = out.read_text().splitlines()
     assert lines[0] == "id,yaw,pitch,roll"

@@ -102,6 +102,11 @@ def test_weights_validation():
         LossWeights(1.0, (1.0, 1.0, False, 1.0, 1.0))
     with pytest.raises(ValueError, match="betas must be a list or tuple, got 1.0"):
         LossWeights(1.0, 1.0)
+    # An int too large for a float fails like any other non-finite value.
+    with pytest.raises(ValueError, match="^alpha must be finite and nonnegative, got 1000"):
+        LossWeights(10**400)
+    with pytest.raises(ValueError, match=r"^betas\[1\] must be finite and nonnegative"):
+        LossWeights(1.0, (1.0, -(10**400), 1.0, 1.0, 1.0))
     w = LossWeights(2, (7, 5, 3, 1, 1))
     assert w.betas == (7.0, 5.0, 3.0, 1.0, 1.0)
     # numpy scalars are real numbers too, and are stored as floats.

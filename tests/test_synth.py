@@ -88,12 +88,14 @@ def test_synth_config_validation():
         SynthConfig(n_samples=10, yaw_range=(-120.0, 0.0))
     with pytest.raises(ValueError, match=r"roll_range must be a \(lower, upper\) pair"):
         SynthConfig(n_samples=10, roll_range=(0.0, 1.0, 2.0))
-    # A float, bool, string or NaN fails naming the field, before make_dataset runs.
+    # A float, bool, string, NaN or too large an int fails naming the field,
+    # before make_dataset runs.
     for field, value in [
         ("n_samples", 10.7), ("n_samples", True), ("seed", 1.5), ("seed", "0"),
         ("noise_sigma", float("nan")), ("noise_sigma", True), ("val_fraction", "0.2"),
         ("yaw_range", (True, 1.0)), ("pitch_range", ("-10", 10.0)),
-        ("roll_range", (0.0, float("nan"))),
+        ("roll_range", (0.0, float("nan"))), ("yaw_range", (0, 10**400)),
+        ("noise_sigma", 10**400),
     ]:
         with pytest.raises(ValueError, match=f"^{field}"):
             SynthConfig(**{"n_samples": 10, field: value})

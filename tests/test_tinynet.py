@@ -205,12 +205,12 @@ def test_batch_gradients_fill_the_given_views():
     x, targets = toy_batch()
     weights = LossWeights(alpha=1.5, betas=(2.0, 0.5))
     _, fresh = _batch_loss_and_grads(net, x, targets, weights)
-    buffer = np.full_like(net.flat, np.nan)
-    views = net._views(buffer)
-    _, grads = _batch_loss_and_grads(net, x, targets, weights, out=views)
-    assert grads is views
+    out = TinyNet(TOY)
+    out.flat[...] = np.nan
+    _, grads = _batch_loss_and_grads(net, x, targets, weights, out=out)
+    assert all(g is p for g, p in zip(grads, out.parameters()))
     assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
-    assert buffer.tobytes() == flatten_params(fresh).tobytes()
+    assert out.flat.tobytes() == flatten_params(fresh).tobytes()
 
 
 def test_batch_stats_match_scalar_loss_terms():
@@ -260,6 +260,8 @@ def test_adam_state_validation():
         AdamState(True)
     with pytest.raises(ValueError, match="learning_rate must be finite and nonnegative, got '0.1'"):
         AdamState("0.1")
+    with pytest.raises(ValueError, match="^learning_rate must be finite and nonnegative, got 1000"):
+        AdamState(10**400)
     state = AdamState(learning_rate=1e-3, m=np.zeros(2), v=np.zeros(2))
     with pytest.raises(ValueError, match="shapes must align"):
         adam_update(np.zeros(2), np.zeros(1), state)
@@ -431,6 +433,11 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     path.write_text("{ not json")
     with pytest.raises(ValueError, match="not a valid checkpoint"):
         load_checkpoint(path)
+    # An undecodable byte fails as JSON does, at its line and column.
+    path.write_bytes(b'{"format":\n\xff}')
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: not a valid checkpoint: Expecting value: line 2")
     path.write_text(json.dumps({"format": "something-else"}))
     with pytest.raises(ValueError, match="not a checkpoint"):
         load_checkpoint(path)
