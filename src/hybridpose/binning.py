@@ -43,6 +43,19 @@ _DECODE_OFFSETS = {"center": 0.5, "edge": 0.0}
 DECODE_CONVENTIONS = tuple(_DECODE_OFFSETS)
 
 _PROB_SUM_TOL = 1e-6
+_SHOWN_CHARS = 40  # the most of a value that a field check's error shows
+
+
+def _shown(value) -> str:
+    """``repr(value)`` cut to _SHOWN_CHARS characters.  A longer int shows as its leading
+    digits and digit count, never as text whole: past 4,300 digits Python refuses that."""
+    n = abs(value) if type(value) is int else 0
+    if n >= 10**_SHOWN_CHARS:
+        digits = int(n.bit_length() * math.log10(2))  # the count, or one less
+        digits += n >= 10**digits
+        return f"{'-' * (value < 0)}{n // 10 ** (digits - _SHOWN_CHARS)}... ({digits} digits)"
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
 
 
 def _check_int(name: str, value, minimum: int) -> None:
@@ -50,7 +63,7 @@ def _check_int(name: str, value, minimum: int) -> None:
     if type(value) is not int or value < minimum:
         kinds = {0: "a nonnegative integer", 1: "a positive integer"}
         kind = kinds.get(minimum, f"an integer of at least {minimum}")
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
+        raise ValueError(f"{name} must be {kind}, got {_shown(value)}")
 
 
 def _check_real(name: str, value, minimum: float = 0.0) -> float:
@@ -62,7 +75,7 @@ def _check_real(name: str, value, minimum: float = 0.0) -> float:
         finite = False
     if isinstance(value, bool) or not (finite and value >= minimum):
         kind = {0: " and nonnegative", -math.inf: ""}.get(minimum, f" and at least {minimum}")
-        raise ValueError(f"{name} must be finite{kind}, got {value!r}")
+        raise ValueError(f"{name} must be finite{kind}, got {_shown(value)}")
     return float(value)
 
 

@@ -10,15 +10,17 @@ All parameters live in one buffer, ``TinyNet.flat``: each trunk layer's
 weight and bias, then the heads level by level, finest first.  A level
 holds the three angles' (hidden, n_bins) weights, then their three biases,
 so it is one (3, hidden, n_bins) weight block and one (3, n_bins) bias
-block, and the training step and the batched decode run the three angles
-of a level as one stacked operation.  ``head_weights[angle][level]`` and
-``head_biases[angle][level]`` are views of single heads in those blocks.
+block, and the training step runs the three angles of a level as one
+stacked operation; the batched decode runs the finest heads one angle at a
+time, so that one angle's logits exist at once.  ``head_weights[angle][level]``
+and ``head_biases[angle][level]`` are views of single heads in those blocks.
 The training step's gradient is itself a TinyNet of the same config, so
 ``TinyNet.__init__`` alone lays out parameters and gradients alike.
 
 The config also fixes the net's decode convention, the bin positions its
 expectation decode integrates over; training and prediction both read it
-from there, and the checkpoint stores it.
+from there, and the checkpoint stores it.  The checkpoint is serialized one
+parameter array at a time, so its whole text need never exist at once.
 
 Training is deterministic given the config seed: initialization draws from
 one seeded generator, and each epoch's shuffle is reseeded from the master
@@ -166,7 +168,8 @@ class TinyNet:
         acts = [x]
         a = x
         for w, b in zip(self.trunk_weights, self.trunk_biases):
-            z = a @ w + b
+            z = a @ w
+            z += b
             a = np.maximum(z, 0.0)
             pre_acts.append(z)
             acts.append(a)
@@ -221,11 +224,17 @@ class TinyNet:
         return out
 
     def _decode_block(self, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        # A separate frame, so one block's arrays are freed before the next
-        # block's are made; the softmax runs in place on the (3, n, k) logits.
-        _, _, (s,) = self._forward_batch(x, depth=1)
-        _softmax_inplace(s)
-        return (s @ positions).T
+        # A separate frame, so one block's arrays are freed before the next block's
+        # are made.  One angle at a time, so one (n, k) logit array exists at once,
+        # each with the stacked form's matmul, in-place softmax and decode: the same bits.
+        a = self._forward_batch(x, depth=0)[1][-1]
+        (w, b), out = self.head_blocks[0], np.empty((x.shape[0], N_ANGLES))
+        for i in range(N_ANGLES):
+            s = a @ w[i]
+            s += b[i]
+            _softmax_inplace(s)
+            out[:, i] = s @ positions
+        return out
 
 
 def init_net(config: NetConfig) -> TinyNet:
@@ -483,14 +492,16 @@ def train(
     return net, report
 
 
-def checkpoint_text(net: TinyNet) -> str:
-    """Serialize config, seed and all parameters to a JSON document.
+def _checkpoint_chunks(net: TinyNet):
+    """Serialize config, seed and all parameters to JSON, one array pair at a time.
 
+    The pieces: the header (format, version, config), one per ``{"weight",
+    "bias"}`` object with the separator before it, then the closing brackets.
     Floats round-trip exactly through their shortest decimal representation,
     so save followed by load reproduces every parameter bit for bit.
     """
     cfg = net.config
-    doc = {
+    header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": {
@@ -504,19 +515,22 @@ def checkpoint_text(net: TinyNet) -> str:
                 "bin_counts": [s.n_bins for s in cfg.hierarchy.levels],
             },
         },
-        "trunk": [
-            {"weight": w.tolist(), "bias": b.tolist()}
-            for w, b in zip(net.trunk_weights, net.trunk_biases)
-        ],
-        "heads": [
-            [
-                {"weight": w.tolist(), "bias": b.tolist()}
-                for w, b in zip(per_w, per_b)
-            ]
-            for per_w, per_b in zip(net.head_weights, net.head_biases)
-        ],
     }
-    return json.dumps(doc, allow_nan=False, separators=(",", ":")) + "\n"
+    dumps = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
+    # The trunk's layers, then each angle's heads, finest first.
+    groups = [zip(net.trunk_weights, net.trunk_biases), *map(zip, net.head_weights, net.head_biases)]
+    yield dumps(header)[:-1] + ',"trunk":['
+    for g, pairs in enumerate(groups):
+        if g:
+            yield '],"heads":[[' if g == 1 else "],["
+        for i, (w, b) in enumerate(pairs):
+            yield ("," if i else "") + dumps({"weight": w.tolist(), "bias": b.tolist()})
+    yield "]]}\n"
+
+
+def checkpoint_text(net: TinyNet) -> str:
+    """The checkpoint as one JSON document: ``_checkpoint_chunks`` joined."""
+    return "".join(_checkpoint_chunks(net))
 
 
 def _check_keys(name: str, obj, keys: set[str]) -> None:

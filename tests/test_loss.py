@@ -107,6 +107,19 @@ def test_weights_validation():
         LossWeights(10**400)
     with pytest.raises(ValueError, match=r"^betas\[1\] must be finite and nonnegative"):
         LossWeights(1.0, (1.0, -(10**400), 1.0, 1.0, 1.0))
+    # The message names the field and caps what it shows of the value, also past
+    # the 4,300 digits Python turns into text; its digit count stands in for the rest.
+    with pytest.raises(ValueError) as info:
+        LossWeights(10**400)
+    assert str(info.value) == f"alpha must be finite and nonnegative, got 1{'0' * 39}... (401 digits)"
+    with pytest.raises(ValueError) as info:
+        LossWeights(10**5000)
+    assert str(info.value) == f"alpha must be finite and nonnegative, got 1{'0' * 39}... (5001 digits)"
+    with pytest.raises(ValueError, match=r"^betas\[0\] must be finite and nonnegative, got -1"):
+        LossWeights(1.0, (-(10**5000), 1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError) as info:
+        LossWeights(1.0, ("7" * 100, 1.0, 1.0, 1.0, 1.0))
+    assert str(info.value) == f"betas[0] must be finite and nonnegative, got '{'7' * 39}..."
     w = LossWeights(2, (7, 5, 3, 1, 1))
     assert w.betas == (7.0, 5.0, 3.0, 1.0, 1.0)
     # numpy scalars are real numbers too, and are stored as floats.

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hybridpose.binning import expect_decode, make_hierarchy
-from hybridpose.loss import DEFAULT_WEIGHTS, LossWeights, hybrid_loss, softmax
+from hybridpose.binning import decode_positions, expect_decode, make_hierarchy
+from hybridpose.loss import DEFAULT_WEIGHTS, LossWeights, _softmax_inplace, hybrid_loss, softmax
 from hybridpose.synth import Dataset, SynthConfig, make_dataset
 from hybridpose.tinynet import (
     ADAM_BETA1,
@@ -22,6 +22,7 @@ from hybridpose.tinynet import (
     train,
     _assert_finite_params,
     _batch_loss_and_grads,
+    _checkpoint_chunks,
 )
 
 from helpers import fd_gradient, flatten_params, relative_error, set_params
@@ -49,6 +50,11 @@ def test_net_config_validation():
         (dict(input_dim=4, seed=1.5), "seed must be a nonnegative integer, got 1.5"),
         (dict(input_dim=4, seed=True), "seed must be a nonnegative integer, got True"),
         (dict(input_dim=4, hierarchy=(198, 66)), "hierarchy must be a BinHierarchy, got (198, 66)"),
+        # An int too long to show whole shows its first 40 digits and its digit count.
+        (dict(input_dim=-(10**5000)),
+         f"input_dim must be a positive integer, got -1{'0' * 39}... (5001 digits)"),
+        (dict(input_dim=4, seed=-(10**400)),
+         f"seed must be a nonnegative integer, got -1{'0' * 39}... (401 digits)"),
     ]
     for kwargs, message in bad:
         with pytest.raises(ValueError) as info:
@@ -160,6 +166,24 @@ def test_predict_batch_is_row_blocked():
     assert (whole == np.concatenate(parts)).all()
 
 
+def stacked_decode(net, x):
+    """predict_batch's decode with the three angles as one stacked (3, n, k) block."""
+    positions = decode_positions(net.config.hierarchy.finest, net.config.decode_convention)
+    out = []
+    for lo in range(0, x.shape[0], PREDICT_BLOCK_ROWS):
+        _, _, (s,) = net._forward_batch(x[lo : lo + PREDICT_BLOCK_ROWS], depth=1)
+        _softmax_inplace(s)
+        out.append((s @ positions).T)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("n", [1, 7, 500, 512, 1100])
+@pytest.mark.parametrize("convention", ["center", "edge"])
+def test_per_angle_decode_matches_stacked_decode(n, convention):
+    net, x = block_rows(convention)
+    assert (net.predict_batch(x[:n]) == stacked_decode(net, x[:n])).all()
+
+
 def test_predict_batch_agrees_with_per_row_predict():
     net, x = block_rows("edge")
     batch = net.predict_batch(x)
@@ -262,6 +286,11 @@ def test_adam_state_validation():
         AdamState("0.1")
     with pytest.raises(ValueError, match="^learning_rate must be finite and nonnegative, got 1000"):
         AdamState(10**400)
+    with pytest.raises(ValueError) as info:
+        AdamState(10**5000)
+    assert str(info.value) == (
+        f"learning_rate must be finite and nonnegative, got 1{'0' * 39}... (5001 digits)"
+    )
     state = AdamState(learning_rate=1e-3, m=np.zeros(2), v=np.zeros(2))
     with pytest.raises(ValueError, match="shapes must align"):
         adam_update(np.zeros(2), np.zeros(1), state)
@@ -411,6 +440,50 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
         assert (p == q).all()
     assert checkpoint_text(loaded) == checkpoint_text(net)
     assert checkpoint_text(net) == checkpoint_text(net)
+
+
+def whole_checkpoint_text(net):
+    """The checkpoint as one document, built whole and serialized in one call."""
+    cfg = net.config
+    doc = {
+        "format": "hybridpose-checkpoint",
+        "version": 2,
+        "config": {
+            "input_dim": cfg.input_dim,
+            "hidden_dims": list(cfg.hidden_dims),
+            "seed": cfg.seed,
+            "decode_convention": cfg.decode_convention,
+            "hierarchy": {
+                "min_angle": -99.0,
+                "max_angle": 99.0,
+                "bin_counts": [s.n_bins for s in cfg.hierarchy.levels],
+            },
+        },
+        "trunk": [
+            {"weight": w.tolist(), "bias": b.tolist()}
+            for w, b in zip(net.trunk_weights, net.trunk_biases)
+        ],
+        "heads": [
+            [{"weight": w.tolist(), "bias": b.tolist()} for w, b in zip(per_w, per_b)]
+            for per_w, per_b in zip(net.head_weights, net.head_biases)
+        ],
+    }
+    return json.dumps(doc, allow_nan=False, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("convention", ["center", "edge"])
+@pytest.mark.parametrize("bin_counts", [(198, 66, 18, 6, 2), (6, 2), (4,)])
+@pytest.mark.parametrize("hidden", [(8,), (16, 8, 4)])
+def test_streamed_checkpoint_equals_the_whole_document(hidden, bin_counts, convention):
+    config = NetConfig(input_dim=5, hidden_dims=hidden, hierarchy=make_hierarchy(bin_counts),
+                       seed=2, decode_convention=convention)
+    net = init_net(config)
+    net.flat += np.random.default_rng(1).normal(scale=0.1, size=net.flat.size)
+    chunks = list(_checkpoint_chunks(net))
+    # The header, one piece per weight/bias pair, and the closing brackets.
+    pairs = len(hidden) + 3 * len(bin_counts)
+    assert len(chunks) == 1 + pairs + 3 + 1
+    assert "".join(chunks) == checkpoint_text(net) == whole_checkpoint_text(net)
 
 
 def test_checkpoint_stores_the_decode_convention(tmp_path):
