@@ -17,9 +17,12 @@ import os
 os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 import argparse
+import gc
 import sys
+from array import array
+from collections import deque
 from contextlib import contextmanager, nullcontext
-from itertools import repeat
+from itertools import chain, count, islice, repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -39,10 +42,11 @@ from .loss import LossWeights
 from .synth import (
     Dataset,
     SynthConfig,
+    _frame_lines,
+    _parse_block,
     format_dataset,
     load_dataset,
     make_dataset,
-    read_dataset_blocks,
 )
 from .tinynet import PREDICT_BLOCK_ROWS, NetConfig, _checkpoint_chunks, load_checkpoint, train
 from .tinynet import checkpoint_text  # unused here; the benchmark's tracer wraps it by this name
@@ -247,8 +251,14 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _exit_with_parent(parent: int) -> None:
-    """Pool worker initializer: exit once process ``parent`` has ended.
+# The ``shared`` value of the _run_map block in progress, in this process and in
+# each of its workers; a call reads it here, so no call pickles it.
+_shared = None
+
+
+def _start_worker(parent: int, shared) -> None:
+    """Pool worker initializer: take the pool's shared value, and exit once
+    process ``parent`` has ended.
 
     A parent killed outright (SIGKILL, or SIGTERM's default action) cannot
     shut its pool down, and its idle workers would otherwise wait for work
@@ -257,6 +267,9 @@ def _exit_with_parent(parent: int) -> None:
     """
     import threading
     import time
+
+    global _shared
+    _shared = shared
 
     def watch() -> None:
         while os.getppid() == parent:
@@ -267,7 +280,7 @@ def _exit_with_parent(parent: int) -> None:
 
 
 @contextmanager
-def _run_map(jobs: int):
+def _run_map(jobs: int, shared=None):
     """A ``map`` that runs its calls in ``jobs`` processes and yields results in order.
 
     One job is the built-in ``map``, in this process.  More start a pool of
@@ -278,26 +291,52 @@ def _run_map(jobs: int):
     thread, and the pinned BLAS starts no threads, so this process has a
     single thread when it forks.  Elsewhere, where fork is unsafe or absent,
     the workers are spawned and inherit the pinning through the environment.
-    Either way every call computes the same bits wherever it runs.  On
-    leaving the block, also by an error, the pending calls are cancelled.
-    """
-    if jobs == 1:
-        yield map
-        return
-    # Imported here, not at the top: every CLI start-up would pay for them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    Either way every call computes the same bits wherever it runs.
 
-    pool = ProcessPoolExecutor(
-        jobs,
-        mp_context=multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn"),
-        initializer=_exit_with_parent,
-        initargs=(os.getpid(),),
-    )
+    ``shared`` is the module's ``_shared`` while the block runs, here and in
+    every worker, which takes it once, from the pool's initializer.  At most
+    2 * ``jobs`` calls are in flight: the next one is submitted only once the
+    oldest result is taken, so the pool reads its input no more than one item
+    further ahead and never holds a long input whole (``Executor.map`` would
+    submit every item at once).  On leaving the block, also by an error, the
+    pending calls are cancelled.
+    """
+    global _shared
+    _shared = shared
     try:
-        yield pool.map
+        if jobs == 1:
+            yield map
+            return
+        # Imported here, not at the top: every CLI start-up would pay for them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Everything made so far leaves the collector's reach, as the gc module
+        # advises before a fork: a worker's collections then never write to the
+        # pages it shares with this process, and this process's exit skips them.
+        gc.freeze()
+        pool = ProcessPoolExecutor(
+            jobs,
+            mp_context=multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn"),
+            initializer=_start_worker,
+            initargs=(os.getpid(), shared),
+        )
+
+        def bounded_map(fn, *iterables):
+            pending = deque()
+            for args in zip(*iterables):
+                if len(pending) == 2 * jobs:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(fn, *args))
+            while pending:
+                yield pending.popleft().result()
+
+        try:
+            yield bounded_map
+        finally:
+            pool.shutdown(cancel_futures=True)
     finally:
-        pool.shutdown(cancel_futures=True)
+        _shared = None
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -347,6 +386,27 @@ def _match_by_id(pred_ids, pred: np.ndarray, truth_ids) -> np.ndarray:
     return pred[[index[sample_id] for sample_id in truth_ids]]
 
 
+def _eval_block(start: int, block) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """One block of ``eval --data`` lines, whose first row is row ``start``:
+    its predictions, its truths and, if ``--pred-out`` is given, its rows of
+    that file's text.
+
+    Module-level, with the net from ``_run_map``'s shared value, so a worker
+    process can run it as well as this one.
+    """
+    net, with_text = _shared
+    rows = _parse_block(block)
+    try:
+        pred = net.predict_batch(rows.features)
+    except ValueError as exc:  # rows of another width than the net's input
+        raise ValueError(f"{block.path}: {exc}") from None
+    if not with_text:
+        return pred, rows.angles, None
+    ids = [str(i) for i in range(start, start + len(rows))]
+    text = format_predictions_csv(ids, pred, rows.angles)
+    return pred, rows.angles, text if start == 0 else text.partition("\n")[2]
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.pred and args.truth:
         mode, others = "--pred and --truth", ("checkpoint", "data", "pred_out")
@@ -364,23 +424,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report = mae(_match_by_id(pred_ids, pred, truth_ids), truth)
     else:
         net = load_checkpoint(args.checkpoint)
-        # Read, decode and write one predict_batch block at a time, keeping only
-        # each row's prediction and truth: the same bits, and decode convention,
-        # as predict_batch on the whole file and train's per-epoch validation MAE.
-        preds, truths, n = [], [], 0
+        # One predict_batch block per call, on one worker per usable core but no
+        # more than the file has blocks.  Results come in file order, and of each
+        # row only the prediction and truth the MAE needs are kept, 48 bytes: the
+        # same bits, and decode convention, as predict_batch on the whole file and
+        # train's per-epoch validation MAE.
+        preds, truths = array("d"), array("d")
         with _atomic_file(args.pred_out) if args.pred_out else nullcontext() as out:
-            for block in read_dataset_blocks(args.data, PREDICT_BLOCK_ROWS):
-                try:
-                    preds.append(net.predict_batch(block.features))
-                except ValueError as exc:  # rows of another width than the net's input
-                    raise ValueError(f"{args.data}: {exc}") from None
-                truths.append(block.angles)
-                if out is not None:
-                    ids = [str(i) for i in range(n, n + len(block))]
-                    text = format_predictions_csv(ids, preds[-1], block.angles)
-                    out.write(text if n == 0 else text.partition("\n")[2])
-                n += len(block)
-        report = mae(np.concatenate(preds), np.concatenate(truths))
+            blocks = _frame_lines(args.data, PREDICT_BLOCK_ROWS)
+            first = list(islice(blocks, _usable_cores()))
+            with _run_map(len(first), (net, out is not None)) as run_map:
+                blocks = chain(first, blocks)
+                del first  # else it would hold its blocks to the end
+                for pred, truth, text in run_map(_eval_block, count(0, PREDICT_BLOCK_ROWS), blocks):
+                    preds.frombytes(pred.tobytes())
+                    truths.frombytes(truth.tobytes())
+                    if out is not None:
+                        out.write(text)
+        report = mae(np.frombuffer(preds).reshape(-1, 3), np.frombuffer(truths).reshape(-1, 3))
 
     print(_mae_table(report))
     if args.out:

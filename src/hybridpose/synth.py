@@ -13,10 +13,9 @@ from a single noiseless projection.
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -184,42 +183,66 @@ def read_dataset_blocks(path, block_rows: int) -> Iterator[Dataset]:
     field, or a non-finite value.  A block is yielded once all its rows have
     passed, so a caller has seen every row before the bad one.
     """
-    features, angles, line_numbers = array("d"), array("d"), array("l")
-    arity = None
+    return map(_parse_block, _frame_lines(path, block_rows))
+
+
+class _LineBlock(NamedTuple):
+    """Nonblank, stripped lines of a dataset file, with their 1-based line
+    numbers and the field count of the file's first nonblank line."""
+
+    path: object
+    arity: int
+    lines: list
+    line_numbers: array
+
+
+def _frame_lines(path, block_rows: int) -> Iterator[_LineBlock]:
+    """The nonblank lines of a dataset file in blocks of ``block_rows`` (the
+    last may be shorter), unparsed; a file of none raises."""
+    arity, lines, line_numbers = None, [], array("l")
     with open(path, errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            error = None
-            if len(parts) < 5:
-                error = f"expected at least 5 fields, got {len(parts)}"
-            elif arity is None:
-                arity = len(parts)
-            elif len(parts) != arity:
-                error = f"expected {arity} fields, got {len(parts)}"
-            if error is None:
-                try:
-                    features.extend(map(float, parts[:-3]))
-                    angles.extend(map(float, parts[-3:]))
-                except ValueError:
-                    error = "non-numeric field"
-            if error is not None:
-                # A non-finite value on an earlier line of this block comes first.
-                n = len(line_numbers)
-                if n:
-                    del features[n * (arity - 3) :], angles[n * 3 :]
-                    _checked_block(path, features, angles, line_numbers)
-                raise ValueError(f"{path}: line {lineno}: {error}")
+            if arity is None:
+                arity = line.count(",") + 1
+            lines.append(line)
             line_numbers.append(lineno)
-            if len(line_numbers) == block_rows:
-                yield _checked_block(path, features, angles, line_numbers)
-                features, angles, line_numbers = array("d"), array("d"), array("l")
-    if line_numbers:
-        yield _checked_block(path, features, angles, line_numbers)
+            if len(lines) == block_rows:
+                yield _LineBlock(path, arity, lines, line_numbers)
+                lines, line_numbers = [], array("l")
+    if lines:
+        yield _LineBlock(path, arity, lines, line_numbers)
     elif arity is None:
         raise ValueError(f"{path}: dataset file is empty")
+
+
+def _parse_block(block: _LineBlock) -> Dataset:
+    """A block of lines as a Dataset; its first bad line raises, as
+    read_dataset_blocks describes."""
+    path, arity, lines, line_numbers = block
+    features, angles = array("d"), array("d")
+    for n, line in enumerate(lines):
+        parts = line.split(",")
+        error = None
+        if len(parts) < 5:
+            error = f"expected at least 5 fields, got {len(parts)}"
+        elif len(parts) != arity:
+            error = f"expected {arity} fields, got {len(parts)}"
+        else:
+            try:
+                features.extend(map(float, parts[:-3]))
+                angles.extend(map(float, parts[-3:]))
+            except ValueError:
+                error = "non-numeric field"
+        if error is not None:
+            # A non-finite value on an earlier line of this block comes first.
+            if n:
+                del features[n * (arity - 3) :], angles[n * 3 :]
+                _checked_block(path, features, angles, line_numbers[:n])
+            raise ValueError(f"{path}: line {line_numbers[n]}: {error}")
+    return _checked_block(path, features, angles, line_numbers)
 
 
 def _checked_block(path, features: array, angles: array, line_numbers: array) -> Dataset:
@@ -239,6 +262,10 @@ def _checked_block(path, features: array, angles: array, line_numbers: array) ->
 
 
 def load_dataset(path) -> Dataset:
-    """The whole dataset file as one Dataset, checked as read_dataset_blocks checks it."""
-    (data,) = read_dataset_blocks(path, sys.maxsize)
-    return data
+    """The whole dataset file as one Dataset, checked as read_dataset_blocks checks it.
+
+    Parsed 512 rows at a time, so the file's lines are never all held at once."""
+    blocks = list(read_dataset_blocks(path, 512))
+    return Dataset(
+        np.concatenate([b.features for b in blocks]), np.concatenate([b.angles for b in blocks])
+    )

@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 import os
 import re
 import subprocess
@@ -518,27 +519,115 @@ def test_eval_bad_line_in_a_late_block_leaves_no_output(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == [data.name, ckpt.name]
 
 
-def test_eval_memory_does_not_grow_with_the_row_count(tmp_path, capsys):
+def test_eval_output_does_not_depend_on_worker_count(tmp_path, capsys, monkeypatch):
+    counts = _record_worker_counts(monkeypatch)
+    ckpt, data = write_eval_inputs(tmp_path, 1300)
+    lines = data.read_text().splitlines()
+    data.write_text("\n" + "".join(line + "\n" * (1 + i % 3) for i, line in enumerate(lines)))
+    results = []
+    # One usable core runs in this process; two start a pool, whatever the machine has.
+    for cores in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        metrics, preds = tmp_path / f"metrics{len(cores)}.csv", tmp_path / f"preds{len(cores)}.csv"
+        rc, out, err = run(
+            capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
+            "--out", str(metrics), "--pred-out", str(preds),
+        )
+        assert rc == 0, err
+        results.append((preds.read_bytes(), metrics.read_bytes(), out, err))
+    assert counts == [1, 2]
+    assert results[0] == results[1]
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_eval_reports_the_first_bad_block_in_file_order(tmp_path, capsys, monkeypatch):
+    counts = _record_worker_counts(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    ckpt, data = write_eval_inputs(tmp_path, 2000)
+    lines = data.read_text().splitlines()
+    lines[600] = lines[600].replace(",", ";", 1)  # row 601, in the second block
+    lines[1100] = "x" + lines[1100]  # row 1101, in the third block
+    data.write_text("\n".join(lines) + "\n")
+    preds = tmp_path / "preds.csv"
+    argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--pred-out", str(preds)]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {data}: line 601: expected 27 fields, got 26\n"
+    assert not preds.exists()
+    assert multiprocessing.active_children() == []
+    # Rows of another width than the net's fail in whichever worker reads them.
+    data.write_text("".join(",".join(line.split(",")[2:]) + "\n" for line in lines[1200:]))
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {data}: expected feature vector of length 24, got shape (512, 22)\n"
+    assert not preds.exists()
+    assert multiprocessing.active_children() == []
+    assert counts == [2, 2]
+
+
+def test_one_block_eval_starts_no_worker(tmp_path, capsys, monkeypatch):
+    counts = _record_worker_counts(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    ckpt, data = write_eval_inputs(tmp_path, PREDICT_BLOCK_ROWS)
+    rc, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data))
+    assert rc == 0, err
+    assert counts == [1]
+
+
+def test_run_map_reads_at_most_two_calls_per_worker_ahead():
+    read = []
+
+    def items():
+        for i in range(20):
+            read.append(i)
+            yield i
+
+    with cli._run_map(2) as run_map:
+        results = run_map(abs, items())
+        assert next(results) == 0
+        # 2 * 2 calls in flight, and the item read while the first one ran.
+        assert len(read) == 5
+        assert list(results) == list(range(1, 20))
+    assert multiprocessing.active_children() == []
+
+
+def eval_peak_memory(tmp_path, capsys, ckpt, data) -> int:
+    """The peak of this process's traced memory over one eval --pred-out run."""
+    tracemalloc.start()
+    try:
+        rc, _, err = run(
+            capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
+            "--out", str(tmp_path / "metrics.csv"), "--pred-out", str(tmp_path / "preds.csv"),
+        )
+        assert rc == 0, err
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_memory_does_not_grow_with_the_row_count(tmp_path, capsys, monkeypatch):
     # Parsing the whole file and rendering all its predictions at once costs
     # several hundred bytes per row; eval keeps a prediction and a truth, 48 bytes.
+    # One usable core, so the decode runs in this process, where it is traced.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     inputs = {n: write_eval_inputs(tmp_path / str(n), n) for n in (1024, 4096)}
-
-    def peak(n):
-        ckpt, data = inputs[n]
-        tracemalloc.start()
-        try:
-            rc, _, err = run(
-                capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
-                "--out", str(tmp_path / "metrics.csv"), "--pred-out", str(tmp_path / "preds.csv"),
-            )
-            assert rc == 0, err
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
+    peak = lambda n: eval_peak_memory(tmp_path, capsys, *inputs[n])  # noqa: E731
     peak(1024)  # warm up: one-time allocations land outside the comparison
     growth = peak(4096) - peak(1024)
     assert growth < 3072 * 100, growth
+
+
+def test_parallel_eval_memory_is_bounded_by_the_calls_in_flight(tmp_path, capsys, monkeypatch):
+    # With two workers this process holds the lines of at most 2 * 2 calls in
+    # flight, about 0.3 MB each, and 48 bytes per row; the window is full by
+    # 4,096 rows (8 blocks).  Reading the whole file ahead, as Executor.map
+    # does, would hold 8 more blocks at 8,192 rows: about 2.4 MB more.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    inputs = {n: write_eval_inputs(tmp_path / str(n), n) for n in (4096, 8192)}
+    peak = lambda n: eval_peak_memory(tmp_path, capsys, *inputs[n])  # noqa: E731
+    peak(4096)  # warm up, as above
+    growth = peak(8192) - peak(4096)
+    assert growth < 4096 * 100, growth
 
 
 def test_train_writes_the_checkpoint_one_array_at_a_time(tmp_path, capsys, monkeypatch):
@@ -691,9 +780,9 @@ def _record_worker_counts(monkeypatch, run_as=None):
     counts = []
     run_map = cli._run_map
 
-    def recording(jobs):
+    def recording(jobs, *args):
         counts.append(jobs)
-        return run_map(jobs if run_as is None else run_as)
+        return run_map(jobs if run_as is None else run_as, *args)
 
     monkeypatch.setattr(cli, "_run_map", recording)
     return counts
