@@ -41,7 +41,6 @@ from .binning import _check_int, _check_real
 __all__ = [
     "PoseAngles",
     "MaeReport",
-    "check_rotation_matrix",
     "euler_to_rotation",
     "rotation_to_euler",
     "mae",

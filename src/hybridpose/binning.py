@@ -30,7 +30,6 @@ __all__ = [
     "encode_all",
     "coarsen",
     "bin_center",
-    "decode_positions",
     "expect_decode",
 ]
 

@@ -22,7 +22,7 @@ import sys
 from array import array
 from collections import deque
 from contextlib import contextmanager, nullcontext
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -199,24 +199,19 @@ def _train_report_csv(report, hierarchy) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _training_options(args: argparse.Namespace) -> dict:
-    """The options of ``_run_training`` besides seed, weights and data."""
-    return dict(
-        hidden=args.hidden, decode_convention=args.decode_convention, epochs=args.epochs,
-        learning_rate=args.lr, batch_size=args.batch_size,
-    )
-
-
-def _run_training(
-    seed: int, weights, train_samples, val_samples, hidden, decode_convention, **options
-):
+def _run_training(args: argparse.Namespace, train_samples, val_samples, seed: int, weights):
+    """One training run: the net and report of ``train`` with the given seed and
+    loss weights, and every other option from ``args``."""
     config = NetConfig(
         input_dim=train_samples.features.shape[1],
-        hidden_dims=hidden,
+        hidden_dims=args.hidden,
         seed=seed,
-        decode_convention=decode_convention,
+        decode_convention=args.decode_convention,
     )
-    return train(config, train_samples, val_samples, weights, **options)
+    return train(
+        config, train_samples, val_samples, weights,
+        epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch_size,
+    )
 
 
 def _load_training_data(args: argparse.Namespace) -> tuple[Dataset, Dataset]:
@@ -233,13 +228,13 @@ def _load_training_data(args: argparse.Namespace) -> tuple[Dataset, Dataset]:
     return train_samples, val_samples
 
 
-def _final_val_mae(seed: int, weights, train_samples, val_samples, options: dict) -> float:
+def _final_val_mae(seed: int, weights) -> float:
     """One ablation run's final validation mean MAE.
 
-    Module-level and given only picklable values, so a worker process can
-    run it as well as this one.
+    Module-level, with the args and data sets from ``_run_map``'s shared
+    value, so a worker process can run it as well as this one.
     """
-    _, report = _run_training(seed, weights, train_samples, val_samples, **options)
+    _, report = _run_training(*_shared, seed, weights)
     return report.final_val.mean_mae
 
 
@@ -342,9 +337,7 @@ def _run_map(jobs: int, shared=None):
 def cmd_train(args: argparse.Namespace) -> int:
     train_samples, val_samples = _load_training_data(args)
     weights = LossWeights(args.alpha, args.betas)
-    net, report = _run_training(
-        args.seed, weights, train_samples, val_samples, **_training_options(args)
-    )
+    net, report = _run_training(args, train_samples, val_samples, args.seed, weights)
 
     # One parameter array at a time, so the document never exists whole.
     with _atomic_file(args.checkpoint_out) as fh:
@@ -489,15 +482,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     import statistics  # here, not at the top: it imports decimal and fractions, unused elsewhere
 
     medians = []
-    with _run_map(min(_usable_cores(), len(grid) * len(args.seeds))) as run_map:
+    jobs = min(_usable_cores(), len(grid) * len(args.seeds))
+    with _run_map(jobs, (args, train_samples, val_samples)) as run_map:
         # Results come in grid order; each row prints its median once its runs are in.
         finals = run_map(
             _final_val_mae,
             [seed for _ in grid for seed in args.seeds],
             [weights for weights in grid for _ in args.seeds],
-            repeat(train_samples),
-            repeat(val_samples),
-            repeat(_training_options(args)),
         )
         for weights in grid:
             medians.append(statistics.median([next(finals) for _ in args.seeds]))
@@ -707,7 +698,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

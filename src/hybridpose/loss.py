@@ -24,7 +24,6 @@ __all__ = [
     "LossWeights",
     "DEFAULT_WEIGHTS",
     "FINE_ONLY_WEIGHTS",
-    "softmax",
     "hybrid_loss",
     "hybrid_loss_grad",
 ]
@@ -58,18 +57,15 @@ class LossBreakdown:
     decoded_angle: float
 
 
-def _check_logits(logits) -> np.ndarray:
+def softmax(logits) -> np.ndarray:
+    """Numerically stable softmax of a logit vector; kept, unexported, because
+    the benchmark's tracer wraps ``tinynet.softmax`` by name."""
     z = np.asarray(logits, dtype=float)
     if z.ndim != 1 or z.shape[0] < 1:
         raise ValueError(f"logits must be a nonempty vector, got shape {z.shape}")
     if not np.isfinite(z).all():
         raise ValueError("logits contain non-finite entries")
-    return z
-
-
-def softmax(logits) -> np.ndarray:
-    """Numerically stable softmax of a logit vector."""
-    return _softmax(_check_logits(logits))
+    return _softmax(z)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -90,16 +86,9 @@ def _softmax_inplace(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, z
 
 
-def cross_entropy(logits, target: int) -> float:
-    """Negative log softmax probability of the target index."""
-    z = _check_logits(logits)
-    if not 0 <= target < z.shape[0]:
-        raise IndexError(f"target {target} out of range [0, {z.shape[0]})")
-    return _cross_entropy(z, target)
-
-
 def _cross_entropy(z: np.ndarray, target: int) -> float:
-    """``cross_entropy`` of an already checked float vector and in-range target."""
+    """Negative log softmax probability of the in-range ``target`` index of a
+    checked float vector of logits."""
     m = z.max()
     return float(np.log(np.exp(z - m).sum()) - (z[target] - m))
 

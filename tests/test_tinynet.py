@@ -86,7 +86,7 @@ def test_param_count_matches_formula():
     dims = [24, 64, 64]
     expected = sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(2))
     expected += 3 * sum(64 * n + n for n in (198, 66, 18, 6, 2))
-    assert net.param_count == expected == 62310
+    assert net.flat.size == expected == 62310
 
 
 def test_forward_zero_input_gives_zero_logits():
@@ -189,7 +189,9 @@ def test_predict_batch_agrees_with_per_row_predict():
     batch = net.predict_batch(x)
     assert np.ptp(batch, axis=0).min() > 1.0
     for i in range(x.shape[0]):
-        assert np.abs(batch[i] - net.predict(x[i]).as_array()).max() < 1e-9
+        one = net.predict_batch(x[i : i + 1])[0]
+        assert (net.predict(x[i]).as_array() == one).all()
+        assert np.abs(batch[i] - one).max() < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -325,7 +327,7 @@ def test_adam_update_is_bit_identical_to_textbook_expression():
 def test_parameters_are_views_of_one_flat_buffer(tmp_path):
     net = init_net(TOY)
     params = net.parameters()
-    assert net.flat.ndim == 1 and net.flat.size == net.param_count
+    assert net.flat.ndim == 1 and net.flat.size == sum(p.size for p in params)
     assert all(np.shares_memory(p, net.flat) for p in params)
     assert (flatten_params(params) == net.flat).all()
     before = net.flat.copy()
