@@ -164,7 +164,8 @@ def mae(pred, truth) -> MaeReport:
         raise ValueError(f"length mismatch: {len(pred)} predictions vs {len(truth)} truths")
     if len(pred) == 0:
         raise ValueError("cannot compute MAE of an empty sequence")
-    err = np.abs(pred - truth).mean(axis=0)
+    diff = pred - truth
+    err = np.abs(diff, out=diff).mean(axis=0)
     yaw_mae, pitch_mae, roll_mae = (float(v) for v in err)
     mean_mae = (yaw_mae + pitch_mae + roll_mae) / 3.0
     return MaeReport(yaw_mae, pitch_mae, roll_mae, mean_mae, n_samples=len(pred))

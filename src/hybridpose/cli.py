@@ -418,17 +418,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         net = load_checkpoint(args.checkpoint)
         # One predict_batch block per call, on one worker per usable core but no
-        # more than the file has blocks.  Results come in file order, and of each
-        # row only the prediction and truth the MAE needs are kept, 48 bytes: the
-        # same bits, and decode convention, as predict_batch on the whole file and
-        # train's per-epoch validation MAE.
+        # more than the file has blocks.  A call carries the block's position in
+        # the file, not its lines: the worker reads them.  Results come in file
+        # order, and of each row only the prediction and truth the MAE needs are
+        # kept, 48 bytes: the same bits, and decode convention, as predict_batch
+        # on the whole file and train's per-epoch validation MAE.
         preds, truths = array("d"), array("d")
         with _atomic_file(args.pred_out) if args.pred_out else nullcontext() as out:
             blocks = _frame_lines(args.data, PREDICT_BLOCK_ROWS)
             first = list(islice(blocks, _usable_cores()))
             with _run_map(len(first), (net, out is not None)) as run_map:
                 blocks = chain(first, blocks)
-                del first  # else it would hold its blocks to the end
                 for pred, truth, text in run_map(_eval_block, count(0, PREDICT_BLOCK_ROWS), blocks):
                     preds.frombytes(pred.tobytes())
                     truths.frombytes(truth.tobytes())

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -177,66 +178,77 @@ def format_dataset(data: Dataset) -> str:
 
 
 class _LineBlock(NamedTuple):
-    """Nonblank, stripped lines of a dataset file, with their 1-based line
-    numbers and the field count of the file's first nonblank line."""
+    """Where a block of a dataset file's nonblank lines starts, so that any
+    process can read it: the text-mode ``tell()`` cookie right after the
+    previous block's last nonblank line (0 for the first block), the count of
+    lines before that point, and the block's count of nonblank lines; with the
+    file's path and the field count of its first nonblank line."""
 
     path: object
     arity: int
-    lines: list
-    line_numbers: array
+    cookie: int
+    lines_before: int
+    rows: int
 
 
 def _frame_lines(path, block_rows: int) -> Iterator[_LineBlock]:
     """The nonblank lines of a dataset file in blocks of ``block_rows`` (the
-    last may be shorter), unparsed; a file of none raises."""
-    arity, lines, line_numbers = None, [], array("l")
+    last may be shorter), as positions: no line is kept.  A file of none, or
+    one that cannot be read again from a position, such as a pipe, raises."""
+    arity, cookie, lines_before, rows = None, 0, 0, 0
     with open(path, errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+        if not fh.seekable():
+            raise ValueError(f"{path}: cannot seek in this file; give a regular file, not a pipe")
+        # readline, not iteration over the file, which would disable tell().
+        for lineno, line in enumerate(iter(fh.readline, ""), start=1):
+            if line.isspace():
                 continue
             if arity is None:
                 arity = line.count(",") + 1
-            lines.append(line)
-            line_numbers.append(lineno)
-            if len(lines) == block_rows:
-                yield _LineBlock(path, arity, lines, line_numbers)
-                lines, line_numbers = [], array("l")
-    if lines:
-        yield _LineBlock(path, arity, lines, line_numbers)
+            rows += 1
+            if rows == block_rows:
+                yield _LineBlock(path, arity, cookie, lines_before, rows)
+                cookie, lines_before, rows = fh.tell(), lineno, 0
+    if rows:
+        yield _LineBlock(path, arity, cookie, lines_before, rows)
     elif arity is None:
         raise ValueError(f"{path}: dataset file is empty")
 
 
 def _parse_block(block: _LineBlock) -> Dataset:
-    """A block of lines in the format_dataset layout as a Dataset.
+    """A block of lines in the format_dataset layout as a Dataset, read from
+    the block's position in its file.
 
     Its first bad line raises, naming the file and line: too few fields or a
     different count from the file's first row, a non-numeric field, or a
     non-finite value.  Mapped over ``_frame_lines`` in order, it so raises at
     the first bad line in file order, once every block before it has passed.
     """
-    path, arity, lines, line_numbers = block
-    features, angles = array("d"), array("d")
-    for n, line in enumerate(lines):
-        parts = line.split(",")
-        error = None
-        if len(parts) < 5:
-            error = f"expected at least 5 fields, got {len(parts)}"
-        elif len(parts) != arity:
-            error = f"expected {arity} fields, got {len(parts)}"
-        else:
-            try:
-                features.extend(map(float, parts[:-3]))
-                angles.extend(map(float, parts[-3:]))
-            except ValueError:
-                error = "non-numeric field"
-        if error is not None:
-            # A non-finite value on an earlier line of this block comes first.
-            if n:
-                del features[n * (arity - 3) :], angles[n * 3 :]
-                _checked_block(path, features, angles, line_numbers[:n])
-            raise ValueError(f"{path}: line {line_numbers[n]}: {error}")
+    path, arity, cookie, lines_before, rows = block
+    features, angles, line_numbers = array("d"), array("d"), array("l")
+    with open(path, errors="surrogateescape") as fh:
+        fh.seek(cookie)
+        numbered = ((i, line) for i, line in enumerate(fh, lines_before + 1) if not line.isspace())
+        for n, (lineno, line) in enumerate(islice(numbered, rows)):
+            line_numbers.append(lineno)
+            parts = line.strip().split(",")
+            error = None
+            if len(parts) < 5:
+                error = f"expected at least 5 fields, got {len(parts)}"
+            elif len(parts) != arity:
+                error = f"expected {arity} fields, got {len(parts)}"
+            else:
+                try:
+                    features.extend(map(float, parts[:-3]))
+                    angles.extend(map(float, parts[-3:]))
+                except ValueError:
+                    error = "non-numeric field"
+            if error is not None:
+                # A non-finite value on an earlier line of this block comes first.
+                if n:
+                    del features[n * (arity - 3) :], angles[n * 3 :]
+                    _checked_block(path, features, angles, line_numbers[:n])
+                raise ValueError(f"{path}: line {lineno}: {error}")
     return _checked_block(path, features, angles, line_numbers)
 
 

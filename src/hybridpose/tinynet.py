@@ -20,7 +20,8 @@ The training step's gradient is itself a TinyNet of the same config, so
 The config also fixes the net's decode convention, the bin positions its
 expectation decode integrates over; training and prediction both read it
 from there, and the checkpoint stores it.  The checkpoint is serialized one
-parameter array at a time, so its whole text need never exist at once.
+parameter array at a time, so its whole text need never exist at once, and
+each array is decoded straight to a float array as the file is parsed.
 
 Training is deterministic given the config seed: initialization draws from
 one seeded generator, and each epoch's shuffle is reseeded from the master
@@ -33,6 +34,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +120,18 @@ class HeadOutputs:
         return (self.yaw, self.pitch, self.roll)
 
 
+def _param_shapes(config: NetConfig) -> list[tuple[int, ...]]:
+    """The shapes of the blocks of a net's ``flat``, in order: each trunk
+    layer's weight and bias, then each level's stacked head weights and biases."""
+    dims = (config.input_dim, *config.hidden_dims)
+    shapes = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    for scheme in config.hierarchy.levels:
+        shapes += [(N_ANGLES, dims[-1], scheme.n_bins), (N_ANGLES, scheme.n_bins)]
+    return shapes
+
+
 class TinyNet:
     """Weights for the trunk and heads; see module docstring for layout.
 
@@ -127,14 +141,7 @@ class TinyNet:
 
     def __init__(self, config: NetConfig):
         self.config = config
-        # The blocks of ``flat`` in order: each trunk layer's weight and bias,
-        # then each level's stacked head weights and biases.
-        dims = (config.input_dim, *config.hidden_dims)
-        shapes = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            shapes += [(fan_in, fan_out), (fan_out,)]
-        for scheme in config.hierarchy.levels:
-            shapes += [(N_ANGLES, dims[-1], scheme.n_bins), (N_ANGLES, scheme.n_bins)]
+        shapes = _param_shapes(config)
         sizes = [math.prod(shape) for shape in shapes]
         self.flat = np.zeros(sum(sizes))
         parts = np.split(self.flat, np.cumsum(sizes)[:-1])
@@ -482,6 +489,12 @@ def train(
     return net, report
 
 
+def _stored_pairs(net: TinyNet) -> list:
+    """The net's (weight, bias) views in the checkpoint's order, one group of
+    pairs per stored list: the trunk's layers, then each angle's heads, finest first."""
+    return [zip(net.trunk_weights, net.trunk_biases), *map(zip, net.head_weights, net.head_biases)]
+
+
 def _checkpoint_chunks(net: TinyNet):
     """Serialize config, seed and all parameters to JSON, one array pair at a time.
 
@@ -507,10 +520,8 @@ def _checkpoint_chunks(net: TinyNet):
         },
     }
     dumps = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
-    # The trunk's layers, then each angle's heads, finest first.
-    groups = [zip(net.trunk_weights, net.trunk_biases), *map(zip, net.head_weights, net.head_biases)]
     yield dumps(header)[:-1] + ',"trunk":['
-    for g, pairs in enumerate(groups):
+    for g, pairs in enumerate(_stored_pairs(net)):
         if g:
             yield '],"heads":[[' if g == 1 else "],["
         for i, (w, b) in enumerate(pairs):
@@ -533,22 +544,54 @@ def _check_keys(name: str, obj, keys: set[str]) -> None:
         raise ValueError(f"malformed checkpoint: {name}: {', '.join(problems)}")
 
 
-def _fill(view: np.ndarray, name: str, value) -> None:
-    """Copy a checkpoint array into its view of ``flat``; the shapes must match,
-    and every value must be a JSON number: a string or a bool is an error."""
-    a = np.array(value, dtype=object)
-    if a.shape != view.shape:
-        raise ValueError(f"{name} has shape {a.shape}, expected {view.shape}")
-    if not set(map(type, a.ravel().tolist())) <= {int, float}:
+def _only_numbers(value) -> bool:
+    """Whether ``value`` is a JSON number, or a list of values that are."""
+    if type(value) is not list:
+        return type(value) in (int, float)
+    if value and type(value[0]) is list:
+        return all(map(_only_numbers, value))
+    return set(map(type, value)) <= {int, float}
+
+
+def _decode_arrays(pairs) -> dict:
+    """``json.loads``' object hook: each value of a ``{"weight", "bias"}``
+    object that is a rectangular array of JSON numbers becomes a float64
+    array as soon as it is decoded, so the document never holds the net's
+    parameters as Python floats.  Any other value is left as parsed, for
+    ``_checked_array`` to report by name."""
+    obj = dict(pairs)
+    if obj.keys() == {"weight", "bias"}:
+        for key in ("weight", "bias"):
+            if _only_numbers(obj[key]):
+                try:
+                    obj[key] = np.array(obj[key], dtype=float)
+                except (ValueError, OverflowError):  # ragged, or an int past a float's range
+                    pass
+    return obj
+
+
+def _checked_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """A checkpoint array as float64, which must have ``shape``: one that
+    ``_decode_arrays`` made, or a value it left, which must still hold only
+    JSON numbers (a string or a bool is an error) that a float can hold."""
+    a = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    if a.dtype == object and not set(map(type, a.ravel().tolist())) <= {int, float}:
         raise ValueError(f"{name} must hold JSON numbers")
-    view[...] = a
+    try:
+        return a.astype(float, copy=False)
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer too large for a float") from None
 
 
 def load_checkpoint(path) -> TinyNet:
     """Rebuild a TinyNet from a checkpoint file."""
     try:
-        doc = json.loads(Path(path).read_text(errors="surrogateescape"))
-    except (json.JSONDecodeError, RecursionError) as exc:
+        doc = json.loads(
+            Path(path).read_text(errors="surrogateescape"), object_pairs_hook=_decode_arrays
+        )
+    except (ValueError, RecursionError) as exc:  # ValueError: also an int past 4,300 digits
         raise ValueError(f"{path}: not a valid checkpoint: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a checkpoint file")
@@ -573,30 +616,38 @@ def load_checkpoint(path) -> TinyNet:
                     f"config hierarchy.{key} must be a number equal to {limit}, "
                     f"got {json.dumps(h[key])}"
                 )
-        net = TinyNet(NetConfig(
+        cfg = NetConfig(
             input_dim=c["input_dim"],
             hidden_dims=c["hidden_dims"],
             hierarchy=make_hierarchy(h["bin_counts"]),
             seed=c["seed"],
             decode_convention=c["decode_convention"],
-        ))
+        )
         trunk, heads = doc["trunk"], doc["heads"]
-        depth = net.config.hierarchy.depth
+        depth = cfg.hierarchy.depth
         levels = [len(per_angle) for per_angle in heads]
-        if len(trunk) != len(net.trunk_weights) or levels != [depth] * N_ANGLES:
+        if len(trunk) != len(cfg.hidden_dims) or levels != [depth] * N_ANGLES:
             raise ValueError(
-                f"expected {len(net.trunk_weights)} trunk layers and "
+                f"expected {len(cfg.hidden_dims)} trunk layers and "
                 f"{N_ANGLES} heads of {depth} levels"
             )
-        for i, layer in enumerate(trunk):
-            _check_keys(f"trunk[{i}]", layer, {"weight", "bias"})
-            _fill(net.trunk_weights[i], f"trunk[{i}].weight", layer["weight"])
-            _fill(net.trunk_biases[i], f"trunk[{i}].bias", layer["bias"])
-        for a, per_angle in enumerate(heads):
-            for level, stored in enumerate(per_angle):
-                _check_keys(f"heads[{a}][{level}]", stored, {"weight", "bias"})
-                _fill(net.head_weights[a][level], f"heads[{a}][{level}].weight", stored["weight"])
-                _fill(net.head_biases[a][level], f"heads[{a}][{level}].bias", stored["bias"])
+        # Every stored array is checked against the config before the net is
+        # made, so a config too large to allocate fails naming an array.
+        # A stored head is one angle's slice of its level's stacked arrays.
+        shapes = _param_shapes(cfg)
+        n = 2 * len(trunk)
+        expected = iter(shapes[:n] + [s[1:] for s in shapes[n:]] * N_ANGLES)
+        names = [f"trunk[{i}]" for i in range(len(trunk))]
+        names += [f"heads[{a}][{level}]" for a in range(N_ANGLES) for level in range(depth)]
+        arrays = []
+        for name, stored in zip(names, [*trunk, *chain(*heads)]):
+            _check_keys(name, stored, {"weight", "bias"})
+            for key in ("weight", "bias"):
+                arrays.append(_checked_array(f"{name}.{key}", stored[key], next(expected)))
+        net = TinyNet(cfg)
+        views = [v for pairs in _stored_pairs(net) for pair in pairs for v in pair]
+        for view, a in zip(views, arrays):
+            view[...] = a
         if not np.isfinite(net.flat).all():
             raise ValueError("parameters contain non-finite values")
         return net

@@ -2,10 +2,12 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -619,16 +621,36 @@ def test_eval_memory_does_not_grow_with_the_row_count(tmp_path, capsys, monkeypa
 
 
 def test_parallel_eval_memory_is_bounded_by_the_calls_in_flight(tmp_path, capsys, monkeypatch):
-    # With two workers this process holds the lines of at most 2 * 2 calls in
-    # flight, about 0.3 MB each, and 48 bytes per row; the window is full by
-    # 4,096 rows (8 blocks).  Reading the whole file ahead, as Executor.map
-    # does, would hold 8 more blocks at 8,192 rows: about 2.4 MB more.
+    # With two workers this process sends each call a block's position, not its
+    # lines, and holds the results of at most 2 * 2 calls in flight.  What grows
+    # with the row count is the 48 bytes per row it keeps and, at the end, the
+    # MAE's 24-byte difference per row: about 58 bytes per row in all, with the
+    # arrays' spare capacity.  Holding any of the file's text per row, or a
+    # second 24-byte temporary in the MAE, would pass 80.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     inputs = {n: write_eval_inputs(tmp_path / str(n), n) for n in (4096, 8192)}
     peak = lambda n: eval_peak_memory(tmp_path, capsys, *inputs[n])  # noqa: E731
     peak(4096)  # warm up, as above
     growth = peak(8192) - peak(4096)
-    assert growth < 4096 * 100, growth
+    assert growth < 4096 * 80, growth
+
+
+def test_parallel_eval_sends_each_call_a_block_position_only(tmp_path, capsys, monkeypatch):
+    # The lines of a 512-row block are about 0.3 MB; the worker reads them itself.
+    sizes = []
+    submit = ProcessPoolExecutor.submit
+
+    def measured(self, fn, *args, **kwargs):
+        sizes.append(len(pickle.dumps((fn, args, kwargs))))
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", measured)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    ckpt, data = write_eval_inputs(tmp_path, 2000)
+    rc, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--pred-out", str(tmp_path / "preds.csv"))
+    assert rc == 0, err
+    assert len(sizes) == 4 and max(sizes) < 1024, sizes
 
 
 def test_train_writes_the_checkpoint_one_array_at_a_time(tmp_path, capsys, monkeypatch):
@@ -722,7 +744,10 @@ def test_allocation_past_memory_fails_as_one_error_line(tmp_path, capsys, comman
     }[command]
     rc, stdout, err = run(capsys, command, *argv)
     assert (rc, stdout) == (1, "")
-    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
+    if command == "eval":  # the stored arrays are checked against the config before any allocation
+        assert err == f"error: {huge}: trunk[0].weight has shape (24, 8), expected (24, {10**14})\n"
+    else:
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data", huge.name]
 
 

@@ -1,4 +1,6 @@
+import os
 import pickle
+import sys
 from array import array
 
 import numpy as np
@@ -197,23 +199,71 @@ def test_load_dataset_errors(tmp_path):
     path.write_text("\n1.0,2.0,0.5,1.0,2.0,inf\n")
     with pytest.raises(ValueError, match=r"bad\.csv: line 2: roll must be finite, got inf"):
         load_dataset(path)
+    if sys.platform == "linux":  # a block is read again from its position, so a pipe fails
+        r, w = os.pipe()
+        os.write(w, b"1.0,2.0,0.5,1.0,2.0,3.0\n")
+        os.close(w)
+        try:
+            with pytest.raises(ValueError) as info:
+                load_dataset(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert str(info.value) == f"/dev/fd/{r}: cannot seek in this file; give a regular file, not a pipe"
 
 
 def parsed_blocks(path, block_rows):
-    """The file's blocks as eval parses them: ``_parse_block`` over ``_frame_lines``."""
-    return map(_parse_block, _frame_lines(path, block_rows))
+    """The file's blocks as eval's workers parse them: ``_parse_block`` over
+    ``_frame_lines``, each block's position sent through pickle."""
+    return (_parse_block(pickle.loads(pickle.dumps(b))) for b in _frame_lines(path, block_rows))
+
+
+def write_rows(path, rows, newline, blank, trailing=True):
+    """Write ``rows`` as lines ending in ``newline``, with ``i % 3`` lines of
+    ``blank`` before row i, and return each row's line number.  A first line of
+    spaces puts a line end on the last byte of the reader's first 8 KB chunk."""
+    lines = [line for i, row in enumerate(rows) for line in [blank] * (i % 3) + [row]]
+    rest = newline.join(lines) + newline * trailing
+    ends = [i for i in range(len(rest)) if rest.startswith(newline, i)]
+    first = " " * (8191 - len(newline) - max(i for i in ends if i < 8191 - len(newline)))
+    lines.insert(0, first)
+    path.write_bytes((first + newline + rest).encode("utf-8", "surrogateescape"))
+    assert path.read_bytes()[8191:8192] == newline[0].encode()
+    assert path.read_bytes().endswith(rows[-1].encode() + newline.encode() * trailing)
+    return [lines.index(row) + 1 for row in rows]
 
 
 def test_dataset_blocks_split_the_rows_of_load_dataset(tmp_path):
-    train, _ = make_dataset(SynthConfig(n_samples=12, seed=5))
+    train, _ = make_dataset(SynthConfig(n_samples=40, seed=5))
     path = tmp_path / "train.csv"
-    lines = format_dataset(train).splitlines()
-    path.write_text("\n" + "\n\n".join(lines) + "\n\n")
-    whole = load_dataset(path)
-    blocks = list(parsed_blocks(path, 4))
-    assert [len(b) for b in blocks] == [4, 4, 2]
-    assert (np.concatenate([b.features for b in blocks]) == whole.features).all()
-    assert (np.concatenate([b.angles for b in blocks]) == whole.angles).all()
+    for newline, blank, trailing in [
+        ("\n", "", True),
+        ("\r\n", "", True),
+        ("\r", "", True),  # a lone carriage return ends a line too
+        ("\n", " \t ", True),  # whitespace-only lines count as blank
+        ("\n", "", False),  # no newline after the last row
+        ("\r\n", "\t", False),
+    ]:
+        form = (newline, blank, trailing)
+        rows = format_dataset(train).splitlines()
+        write_rows(path, rows, newline, blank, trailing)
+        whole = load_dataset(path)
+        assert (whole.features == train.features).all(), form
+        assert (whole.angles == train.angles).all(), form
+        for block_rows in (1, 2, 3, 1000):
+            blocks = list(parsed_blocks(path, block_rows))
+            assert [len(b) for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1), form
+            assert (np.concatenate([b.features for b in blocks]) == whole.features).all(), form
+            assert (np.concatenate([b.angles for b in blocks]) == whole.angles).all(), form
+        # A \xff byte, read as a lone surrogate, fails its line, found by number.
+        rows[20] = rows[20].replace(",", ",\udcff", 1)
+        message = f"{path}: line {write_rows(path, rows, newline, blank, trailing)[20]}: non-numeric field"
+        for block_rows in (1, 2, 3, 1000):
+            with pytest.raises(ValueError) as info:
+                list(parsed_blocks(path, block_rows))
+            assert str(info.value) == message, (form, block_rows)
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == message, form
 
 
 GOOD = "1.0,2.0,0.5,1.0,2.0,3.0"

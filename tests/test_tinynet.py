@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -444,6 +445,22 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
     assert checkpoint_text(net) == checkpoint_text(net)
 
 
+def test_load_checkpoint_decodes_arrays_without_python_floats(tmp_path):
+    # Reading the text holds its bytes and its str at once, about 2 * text.
+    # The arrays then cost 8 bytes per parameter, where JSON's lists of Python
+    # floats would cost 32 more, or 4 * flat.nbytes.
+    net = init_net(NetConfig(input_dim=24))
+    path = tmp_path / "net.json"
+    path.write_text(checkpoint_text(net))
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * path.stat().st_size + net.flat.nbytes, peak
+
+
 def whole_checkpoint_text(net):
     """The checkpoint as one document, built whole and serialized in one call."""
     cfg = net.config
@@ -570,6 +587,12 @@ def test_checkpoint_rejects_bad_files(tmp_path):
         (lambda d: d["config"].__setitem__("seed", -1),
          "seed must be a nonnegative integer, got -1"),
         (trunk_bias(["INF"] * 8), "parameters contain non-finite values"),
+        (trunk_bias([10**400] + [0.0] * 7), "trunk[0].bias holds an integer too large for a float"),
+        (trunk_bias(["DIGITS"] * 8), "not a valid checkpoint: Exceeds the limit (4300 digits)"),
+        # Stored arrays are checked against the config before the net is made: a
+        # net of 2**61 bytes, past any address space, fails naming an array.
+        (lambda d: d["config"].__setitem__("hidden_dims", [10**16]),
+         "trunk[0].weight has shape (4, 8), expected (4, 10000000000000000)"),
         # Integers must be JSON integers, not floats or booleans rounded by int().
         (lambda d: d["config"].__setitem__("input_dim", 4.9),
          "input_dim must be a positive integer, got 4.9"),
@@ -591,8 +614,9 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     for mutate, message in bad_values:
         doc = json.loads(checkpoint_text(init_net(TOY)))
         mutate(doc)
-        # JSON has no infinity; 1e400 overflows to one when parsed.
-        path.write_text(json.dumps(doc).replace('"INF"', "1e400"))
+        # JSON has no infinity; 1e400 overflows to one when parsed.  Python
+        # neither writes nor reads an int of more than 4,300 digits.
+        path.write_text(json.dumps(doc).replace('"INF"', "1e400").replace('"DIGITS"', "1" * 5000))
         with pytest.raises(ValueError) as info:
             load_checkpoint(path)
         assert str(info.value).startswith(f"{path}: {message}"), info.value
