@@ -168,7 +168,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         pitch_range=args.pitch_range, roll_range=args.roll_range,
         noise_sigma=args.noise_sigma, val_fraction=args.val_fraction,
     )
-    train_samples, val_samples = make_dataset(cfg)
+    try:
+        train_samples, val_samples = make_dataset(cfg)
+    except MemoryError as exc:
+        raise MemoryError(f"--n {args.n}: {exc}") from None
     for path, data in ((args.out_train, train_samples), (args.out_val, val_samples)):
         # Block by block, so the text never exists whole; any block size gives the same bytes.
         with _atomic_file(path) as fh:
@@ -199,19 +202,24 @@ def _train_report_csv(report, hierarchy) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_training(args: argparse.Namespace, train_samples, val_samples, seed: int, weights):
-    """One training run: the net and report of ``train`` with the given seed and
-    loss weights, and every other option from ``args``."""
+def _run_training(args: argparse.Namespace, train_samples, val_samples, seed: int, weights,
+                  jobs: int = 1):
+    """One training run: the net and report of ``train`` with the given seed,
+    loss weights and jobs, and every other option from ``args``.  A net too
+    large to allocate fails naming ``--hidden``."""
     config = NetConfig(
         input_dim=train_samples.features.shape[1],
         hidden_dims=args.hidden,
         seed=seed,
         decode_convention=args.decode_convention,
     )
-    return train(
-        config, train_samples, val_samples, weights,
-        epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch_size,
-    )
+    try:
+        return train(
+            config, train_samples, val_samples, weights,
+            epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch_size, jobs=jobs,
+        )
+    except MemoryError as exc:
+        raise MemoryError(f"--hidden {_show(args.hidden)}: {exc}") from None
 
 
 def _load_training_data(args: argparse.Namespace) -> tuple[Dataset, Dataset]:
@@ -337,7 +345,9 @@ def _run_map(jobs: int, shared=None):
 def cmd_train(args: argparse.Namespace) -> int:
     train_samples, val_samples = _load_training_data(args)
     weights = LossWeights(args.alpha, args.betas)
-    net, report = _run_training(args, train_samples, val_samples, args.seed, weights)
+    # A forked helper runs a share of each step where a second core is free to take it.
+    jobs = 2 if sys.platform == "linux" and _usable_cores() >= 2 else 1
+    net, report = _run_training(args, train_samples, val_samples, args.seed, weights, jobs)
 
     # One parameter array at a time, so the document never exists whole.
     with _atomic_file(args.checkpoint_out) as fh:

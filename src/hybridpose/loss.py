@@ -150,15 +150,19 @@ def _angle_terms(
     weights: LossWeights,
     hierarchy: BinHierarchy,
     positions: np.ndarray,
+    levels: range | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Hybrid loss terms of ``a`` angles over a batch, and their logit gradients.
 
-    ``logits`` holds one (a, n, n_bins) array per level, finest first, and
-    ``truth`` the (a, n) true angles, already range-checked.  Returns, per
-    angle, the batch sum of the squared-error term and the batch sum of each
-    level's cross-entropy, shapes (a,) and (a, depth), and the ``logits``
-    list, each array overwritten with the gradient of the batch-mean
-    weighted loss with respect to it.  Labels are floored once at the finest
+    ``logits`` holds one (a, n, n_bins) array per level of ``levels`` (by
+    default every level), finest first, and ``truth`` the (a, n) true
+    angles, already range-checked.  Returns, per angle, the batch sum of the
+    squared-error term (zero unless ``levels`` holds the finest level) and
+    the batch sum of each level's cross-entropy, shapes (a,) and
+    (a, len(levels)), and the ``logits`` list, each array overwritten with
+    the gradient of the batch-mean weighted loss with respect to it.  Each
+    level's terms depend on its own logits only, so any split of the levels
+    gives every level the same bits.  Labels are floored once at the finest
     level; each coarser label is the fine one coarsened by integer division.
 
     Per level the cross-entropy contributes beta * (softmax - onehot).  The
@@ -176,15 +180,17 @@ def _angle_terms(
     angles, rows = np.arange(a)[:, None], np.arange(n)
     finest = hierarchy.finest
     fine = _bin_index(truth, finest)
+    levels = range(hierarchy.depth) if levels is None else levels
     reg_sums = np.zeros(a)
-    ce_sums = np.zeros((a, hierarchy.depth))
-    for li, (s, scheme) in enumerate(zip(logits, hierarchy.levels)):
+    ce_sums = np.zeros((a, len(levels)))
+    for col, (li, s) in enumerate(zip(levels, logits)):
+        scheme = hierarchy.levels[li]
         # s becomes p = softmax(s), then the gradient.  The label's shifted
         # logit raw - m has the bits of (s - m)[label].
         label = (angles, rows, fine * scheme.n_bins // finest.n_bins)
         raw = s[label]
         m, z = _softmax_inplace(s)
-        ce_sums[:, li] = (np.log(z[..., 0]) - (raw - m[..., 0])).sum(axis=1)
+        ce_sums[:, col] = (np.log(z[..., 0]) - (raw - m[..., 0])).sum(axis=1)
 
         reg_grad = None
         if li == 0:

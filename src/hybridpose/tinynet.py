@@ -26,6 +26,9 @@ each array is decoded straight to a float array as the file is parsed.
 Training is deterministic given the config seed: initialization draws from
 one seeded generator, and each epoch's shuffle is reseeded from the master
 seed and the epoch index.
+
+With ``jobs=2``, ``train`` shares each step with a forked helper process,
+for the same bits (see ``_helper``).
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .binning import (
     _check_in_range,
     _check_int,
     _check_real,
+    _shown,
     decode_positions,
     make_hierarchy,
 )
@@ -135,15 +139,16 @@ def _param_shapes(config: NetConfig) -> list[tuple[int, ...]]:
 class TinyNet:
     """Weights for the trunk and heads; see module docstring for layout.
 
-    A new net's parameters are all zero: ``init_net`` draws them, and
-    ``load_checkpoint`` fills them from a file, through the views.
+    A new net's parameters are all zero (or ``flat``'s, a buffer of their
+    size): ``init_net`` draws them, and ``load_checkpoint`` fills them from
+    a file, through the views.
     """
 
-    def __init__(self, config: NetConfig):
+    def __init__(self, config: NetConfig, flat: np.ndarray | None = None):
         self.config = config
         shapes = _param_shapes(config)
         sizes = [math.prod(shape) for shape in shapes]
-        self.flat = np.zeros(sum(sizes))
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
         parts = np.split(self.flat, np.cumsum(sizes)[:-1])
         blocks = [part.reshape(shape) for part, shape in zip(parts, shapes)]
         n = 2 * len(config.hidden_dims)
@@ -161,11 +166,11 @@ class TinyNet:
         """
         return list(self._params)
 
-    def _forward_batch(self, x: np.ndarray, depth: int | None = None):
+    def _forward_batch(self, x: np.ndarray, levels=None):
         """Trunk pre-activations, activations and head logits for a batch.
 
-        The logits are one (3, n, n_bins) array per level, finest first;
-        ``depth`` limits them to that many levels.
+        The logits are one (3, n, n_bins) array per level index in
+        ``levels`` (finest 0), by default every level.
         """
         pre_acts = []
         acts = [x]
@@ -176,12 +181,18 @@ class TinyNet:
             a = np.maximum(z, 0.0)
             pre_acts.append(z)
             acts.append(a)
+        levels = range(len(self.head_blocks)) if levels is None else levels
+        return pre_acts, acts, self._head_logits(a, levels)
+
+    def _head_logits(self, hidden: np.ndarray, levels) -> list[np.ndarray]:
+        """The (3, n, n_bins) logits of each level of ``levels`` for the hidden layer."""
         logits = []
-        for w, b in self.head_blocks[:depth]:
-            s = a @ w
+        for li in levels:
+            w, b = self.head_blocks[li]
+            s = hidden @ w
             s += b[:, None, :]
             logits.append(s)
-        return pre_acts, acts, logits
+        return logits
 
     def _check_features(self, features, ndim: int = 1) -> np.ndarray:
         """One feature vector (ndim 1) or an (n, input_dim) array of them (ndim 2)."""
@@ -224,7 +235,7 @@ class TinyNet:
         # A separate frame, so one block's arrays are freed before the next block's
         # are made.  One angle at a time, so one (n, k) logit array exists at once,
         # each with the stacked form's matmul, in-place softmax and decode: the same bits.
-        a = self._forward_batch(x, depth=0)[1][-1]
+        a = self._forward_batch(x, levels=())[1][-1]
         (w, b), out = self.head_blocks[0], np.empty((x.shape[0], N_ANGLES))
         for i in range(N_ANGLES):
             s = a @ w[i]
@@ -253,13 +264,15 @@ class AdamState:
     """First/second moment accumulators for one parameter array.
 
     ``for_net`` makes an ``m`` and a ``v`` of ``net.flat``'s size, so a
-    training step updates the whole net as the single array ``net.flat``.
+    training step updates the whole net as the single array ``net.flat``;
+    an update changes its ``part`` slice only.
     """
 
     learning_rate: float
     step: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    part: slice = field(default_factory=lambda: slice(None))
     # Two work arrays, kept across steps: allocating them anew each step
     # costs about as much as the arithmetic.
     _scratch: tuple[np.ndarray, np.ndarray] | None = field(
@@ -280,9 +293,10 @@ def adam_update(p: np.ndarray, g: np.ndarray, state: AdamState) -> None:
     ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` is computed as in-place
     passes over two scratch arrays kept in ``state``.  The passes perform the
     same IEEE operations in the same order as that expression, so the result
-    is bit-identical to it, without a temporary per operation.
+    is bit-identical to it, without a temporary per operation.  It is
+    elementwise, so updating ``p`` in ``state.part`` slices gives the same bits.
     """
-    m, v = state.m, state.v
+    p, g, m, v = p[state.part], g[state.part], state.m[state.part], state.v[state.part]
     if not p.shape == g.shape == m.shape == v.shape:
         raise ValueError(
             f"parameter, gradient and moment shapes must align, got "
@@ -339,12 +353,31 @@ class TrainReport:
         return self.val_reports[-1] if self.val_reports else None
 
 
+def _level_terms(net, grads, hidden, truth, weights, levels, d_out=None):
+    """A training step's work on head levels ``levels``, given the hidden layer
+    and (3, n) true angles: forward, and weight and bias gradients into
+    ``grads``.  Returns ``_angle_terms``' sums and each level's (3, n, hidden)
+    gradient into the hidden layer (into ``d_out``'s arrays if given)."""
+    config = net.config
+    positions = decode_positions(config.hierarchy.finest, config.decode_convention)
+    logits = net._head_logits(hidden, levels)
+    reg, ce, logit_grads = _angle_terms(logits, truth, weights, config.hierarchy, positions, levels)
+    d_heads = []
+    for i, (li, g) in enumerate(zip(levels, logit_grads)):
+        (w, _), (g_w, g_b) = net.head_blocks[li], grads.head_blocks[li]
+        np.matmul(hidden.T, g, out=g_w)
+        g.sum(axis=1, out=g_b)
+        d_heads.append(np.matmul(g, w.transpose(0, 2, 1), out=None if d_out is None else d_out[i]))
+    return reg, ce, d_heads
+
+
 def _batch_loss_and_grads(
     net: TinyNet,
     x: np.ndarray,
     targets: np.ndarray,
     weights: LossWeights,
     out: TinyNet | None = None,
+    helper=None,
 ):
     """Mean loss over the batch and its gradient in parameters() order.
 
@@ -355,29 +388,30 @@ def _batch_loss_and_grads(
     stacked block of three heads per level.  The gradient is written into
     ``out``, a TinyNet of ``net``'s config (so training fills its gradient's
     ``flat`` without a copy), or into a new one if ``out`` is None; its
-    ``parameters()`` are returned.
+    ``parameters()`` are returned.  A ``_helper.Helper`` shares the coarse levels.
     """
     hierarchy = net.config.hierarchy
     _check_loss_args(weights, hierarchy)
-    positions = decode_positions(hierarchy.finest, net.config.decode_convention)
     n = x.shape[0]
     grads = TinyNet(net.config) if out is None else out
+    levels = range(hierarchy.depth if helper is None else helper.levels.start)
 
-    pre_acts, acts, logits = net._forward_batch(x)
+    pre_acts, acts, _ = net._forward_batch(x, levels=())
     hidden = acts[-1]
+    if helper is not None:
+        helper.start(hidden, targets)
+    reg, ce, d_heads = _level_terms(net, grads, hidden, targets.T, weights, levels)
+    if helper is not None:
+        helper_ce, helper_d_heads = helper.terms()
+        ce = np.concatenate([ce, helper_ce], axis=1)
+        d_heads += helper_d_heads
 
-    reg, ce, logit_grads = _angle_terms(logits, targets.T, weights, hierarchy, positions)
     reg_sum = 0.0
     ce_sums = np.zeros(hierarchy.depth)
     for reg_angle, ce_angle in zip(reg.tolist(), ce):
         reg_sum += reg_angle
         ce_sums += ce_angle
 
-    d_heads = []
-    for g, (w, _), (g_w, g_b) in zip(logit_grads, net.head_blocks, grads.head_blocks):
-        np.matmul(hidden.T, g, out=g_w)
-        g.sum(axis=1, out=g_b)
-        d_heads.append(g @ w.transpose(0, 2, 1))
     # Summed head by head, angle-major, as the per-head backward would.
     d_hidden = np.zeros_like(hidden)
     for ai in range(N_ANGLES):
@@ -406,23 +440,34 @@ def _batch_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return data.features, data.angles
 
 
-def _assert_finite_params(net: TinyNet, optimizer: AdamState, loss: float) -> None:
+# What the finiteness guard checks, in its order.
+_GUARDED = ("loss", "parameters", "Adam second moment")
+
+
+def _first_nonfinite(loss: float, optimizer: AdamState, flat: np.ndarray) -> int:
+    """The index in _GUARDED of the first of the loss, the optimizer's part of
+    ``flat`` and its part of the second moment that is not finite, else len(_GUARDED)."""
+    flat, v = flat[optimizer.part], optimizer.v[optimizer.part]
+    return [math.isfinite(loss), np.isfinite(flat).all(), np.isfinite(v).all(), False].index(False)
+
+
+def _assert_finite_params(
+    net: TinyNet, optimizer: AdamState, loss: float, helper_found: int = len(_GUARDED)
+) -> None:
     """Raise FloatingPointError if the step's loss, parameters or moments are not finite.
 
-    ``m`` is a convex combination of gradients and cannot overflow on its
-    own; a non-finite gradient reaches ``net.flat`` or, through ``g * g``,
-    the second moment ``v``, where an overflow would otherwise only turn the
-    updates silently to zero.
+    This process checks its optimizer's part; ``helper_found`` is
+    ``_first_nonfinite`` of a helper's part, and the first of the two is what
+    a check of the whole would find.  ``m`` is a convex combination of
+    gradients and cannot overflow on its own; a non-finite gradient reaches
+    ``net.flat`` or, through ``g * g``, the second moment ``v``, where an
+    overflow would otherwise only turn the updates silently to zero.
     """
-    if not math.isfinite(loss):
-        what = "loss"
-    elif not np.isfinite(net.flat).all():
-        what = "parameters"
-    elif not np.isfinite(optimizer.v).all():
-        what = "Adam second moment"
-    else:
-        return
-    raise FloatingPointError(f"training diverged: non-finite {what} at update {optimizer.step}")
+    found = min(_first_nonfinite(loss, optimizer, net.flat), helper_found)
+    if found < len(_GUARDED):
+        raise FloatingPointError(
+            f"training diverged: non-finite {_GUARDED[found]} at update {optimizer.step}"
+        )
 
 
 def _evaluate(net: TinyNet, x: np.ndarray, targets: np.ndarray) -> MaeReport:
@@ -437,15 +482,21 @@ def train(
     epochs: int = 30,
     learning_rate: float = 1e-3,
     batch_size: int = 64,
+    jobs: int = 1,
 ) -> tuple[TinyNet, TrainReport]:
     """Train a fresh net from the config seed; fully deterministic.
 
     Each epoch shuffles the training set with a generator reseeded from
     (config.seed, epoch).  Recorded epoch losses are means over samples as
     visited (pre-update), and every epoch ends with a validation MAE pass.
+    With ``jobs=2`` and two or more levels, a forked helper process shares
+    each step (see ``_helper``), for the same net and report; a fork is safe
+    only where this process runs one thread, as the CLI's does.
     """
     _check_int("epochs", epochs, 0)
     _check_int("batch_size", batch_size, 1)
+    if type(jobs) is not int or jobs not in (1, 2):
+        raise ValueError(f"jobs must be 1 or 2, got {_shown(jobs)}")
     x_train, t_train = _batch_arrays(train_samples)
     x_val, t_val = _batch_arrays(val_samples)
     for name, arr in (("train_samples", x_train), ("val_samples", x_val)):
@@ -455,30 +506,47 @@ def train(
             )
 
     net = init_net(config)
-    optimizer = AdamState.for_net(net, learning_rate)
-    grad = TinyNet(config)
     n = x_train.shape[0]
+    helper = None
+    if jobs == 2 and config.hierarchy.depth > 1:
+        from ._helper import Helper  # here: only a two-process run needs it
+
+        helper = Helper(net, learning_rate, weights, min(batch_size, n))
+        net, grad, optimizer = helper.net, helper.grad, helper.optimizer
+    else:
+        optimizer = AdamState.for_net(net, learning_rate)
+        grad = TinyNet(config)
 
     start = time.perf_counter()
     epoch_total, epoch_regression, epoch_ce, val_reports = [], [], [], []
-    for epoch in range(epochs):
-        order = np.random.default_rng([config.seed, epoch]).permutation(n)
-        total_sum = 0.0
-        reg_sum = 0.0
-        ce_sum = np.zeros(config.hierarchy.depth)
-        for lo in range(0, n, batch_size):
-            idx = order[lo : lo + batch_size]
-            # grad is a TinyNet: the step writes the gradient into ``grad.flat`` through its views.
-            stats, _ = _batch_loss_and_grads(net, x_train[idx], t_train[idx], weights, grad)
-            adam_update(net.flat, grad.flat, optimizer)
-            _assert_finite_params(net, optimizer, stats.total)
-            total_sum += stats.total * len(idx)
-            reg_sum += stats.regression_term * len(idx)
-            ce_sum += np.array(stats.ce_terms) * len(idx)
-        epoch_total.append(total_sum / n)
-        epoch_regression.append(reg_sum / n)
-        epoch_ce.append(tuple((ce_sum / n).tolist()))
-        val_reports.append(_evaluate(net, x_val, t_val))
+    try:
+        for epoch in range(epochs):
+            order = np.random.default_rng([config.seed, epoch]).permutation(n)
+            total_sum = 0.0
+            reg_sum = 0.0
+            ce_sum = np.zeros(config.hierarchy.depth)
+            for lo in range(0, n, batch_size):
+                idx = order[lo : lo + batch_size]
+                # grad is a TinyNet: the step writes the gradient into ``grad.flat``'s views.
+                stats, _ = _batch_loss_and_grads(
+                    net, x_train[idx], t_train[idx], weights, grad, helper
+                )
+                adam_update(net.flat, grad.flat, optimizer)
+                helper_found = len(_GUARDED) if helper is None else helper.updated()
+                _assert_finite_params(net, optimizer, stats.total, helper_found)
+                total_sum += stats.total * len(idx)
+                reg_sum += stats.regression_term * len(idx)
+                ce_sum += np.array(stats.ce_terms) * len(idx)
+            epoch_total.append(total_sum / n)
+            epoch_regression.append(reg_sum / n)
+            epoch_ce.append(tuple((ce_sum / n).tolist()))
+            val_reports.append(_evaluate(net, x_val, t_val))
+    finally:
+        if helper is not None:
+            helper.close()
+    if helper is not None:
+        # A private copy: the shared mapping is freed, and no later fork shares the result.
+        net = TinyNet(config, net.flat.copy())
     report = TrainReport(
         epoch_total=tuple(epoch_total),
         epoch_regression=tuple(epoch_regression),

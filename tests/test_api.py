@@ -12,6 +12,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = {
+    "_helper": [],
     "angles": ["PoseAngles", "MaeReport", "euler_to_rotation", "rotation_to_euler", "mae"],
     "binning": [
         "BinHierarchy", "make_hierarchy", "encode", "encode_all", "coarsen", "bin_center",

@@ -4,8 +4,10 @@ import multiprocessing
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import hybridpose
-from hybridpose import cli
+from hybridpose import _helper, cli, tinynet
 from hybridpose.angles import MaeReport, PoseAngles, euler_to_rotation, mae
 from hybridpose.cli import DEFAULT_WEIGHT_GRID, _write_atomic, main
 from hybridpose.data import PREDICTIONS_HEADER, format_biwi_pose, format_predictions_csv
@@ -324,6 +326,153 @@ def test_train_fails_on_overflowing_adam_moment(tmp_path, capsys):
     assert rc == 1
     assert re.search(r"error: .*non-finite.* at update \d+", err), err
     assert not ckpt.exists()
+
+
+def helper_pids(monkeypatch) -> list:
+    """Patch ``_helper.Helper`` to record the pid of each helper process it starts."""
+    pids = []
+
+    class Recorded(_helper.Helper):
+        def __init__(self, *args):
+            super().__init__(*args)  # the helper itself never returns from this
+            pids.append(self.pid)
+
+    monkeypatch.setattr(_helper, "Helper", Recorded)
+    return pids
+
+
+def assert_no_child_process():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("extra", [
+    (), ("--batch-size", "50"), ("--epochs", "0"), ("--decode-convention", "edge"),
+    ("--alpha", "0"), ("--betas", "1,0,0,0,0"), ("--hidden", "8"),
+], ids=["defaults", "short-last-batch", "no-epochs", "edge", "alpha-0", "fine-only", "hidden-8"])
+def test_train_output_does_not_depend_on_core_count(tmp_path, capsys, monkeypatch, extra):
+    pids = helper_pids(monkeypatch)
+    train, val = make_split(tmp_path, capsys, n=150)  # 120 training rows
+    outputs = []
+    # One usable core trains in this process; two start a helper, whatever the machine has.
+    for cores in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        ckpt, report = tmp_path / f"net{len(cores)}.json", tmp_path / f"report{len(cores)}.csv"
+        rc, out, err = run(
+            capsys, "train", "--train", str(train), "--val", str(val),
+            "--checkpoint-out", str(ckpt), "--report-out", str(report), *extra,
+        )
+        assert rc == 0, err
+        outputs.append((ckpt.read_bytes(), report.read_bytes(), out.partition("training time")[0]))
+        assert_no_child_process()
+    assert len(pids) == 1
+    assert outputs[0] == outputs[1]
+
+
+def poison_a_coarse_gradient(monkeypatch, config, update):
+    """Patch ``tinynet.adam_update`` so that, in whichever process updates it,
+    a weight of level 1 gets a NaN gradient at update ``update``."""
+    net, adam_update = tinynet.TinyNet(config), tinynet.adam_update
+    # The first weight of level 1, whose block follows the trunk's and level 0's.
+    index = net.flat.size - sum(w.size + b.size for w, b in net.head_blocks[1:])
+
+    def poisoned(p, g, state):
+        if state.step + 1 == update and index in range(g.size)[state.part]:
+            g[index] = np.nan
+        adam_update(p, g, state)
+
+    monkeypatch.setattr(tinynet, "adam_update", poisoned)
+
+
+def fail_in_coarse_levels(monkeypatch):
+    """Patch ``tinynet._level_terms`` to raise in whichever process runs level 1."""
+    level_terms = tinynet._level_terms
+
+    def failing(net, grads, hidden, truth, weights, levels, *rest):
+        if 1 in levels:
+            raise ValueError("coarse levels failed")
+        return level_terms(net, grads, hidden, truth, weights, levels, *rest)
+
+    monkeypatch.setattr(tinynet, "_level_terms", failing)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("case, message", [
+    ("alpha", "training diverged: non-finite Adam second moment at update 1"),
+    # Only the helper's slice of the parameters turns non-finite.
+    ("coarse-nan", "training diverged: non-finite parameters at update 3"),
+    ("coarse-error", "coarse levels failed"),
+])
+def test_train_fails_at_two_cores_as_at_one(tmp_path, capsys, monkeypatch, case, message):
+    pids = helper_pids(monkeypatch)
+    train, val = make_split(tmp_path, capsys, n=500)
+    ckpt = tmp_path / "net.json"
+    argv = ["train", "--train", str(train), "--val", str(val), "--epochs", "2",
+            "--hidden", "8", "--checkpoint-out", str(ckpt)]
+    if case == "alpha":
+        argv += ["--alpha", "1e300"]
+    elif case == "coarse-nan":
+        poison_a_coarse_gradient(monkeypatch, NetConfig(input_dim=24, hidden_dims=(8,)), update=3)
+    else:
+        fail_in_coarse_levels(monkeypatch)
+    for cores in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
+        assert not ckpt.exists()
+        assert_no_child_process()
+    assert len(pids) == 1
+
+
+def children(pid: int) -> list[int]:
+    return [int(child) for child in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()]
+
+
+def has_ended(pid: int) -> bool:
+    """Whether process ``pid`` has exited (a zombie has too)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir() or len(os.sched_getaffinity(0)) < 2,
+    reason="needs Linux's /proc and two usable cores",
+)
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_killed_parent_leaves_no_process_running(tmp_path, capsys, command):
+    if command == "train":  # about 3 s of training; the helper starts after the data is read
+        train, val = make_split(tmp_path, capsys, n=2500)
+        argv = ["train", "--train", str(train), "--val", str(val), "--checkpoint-out", "net.json"]
+    else:  # the eval pool's workers, whose watcher polls for their parent's end
+        ckpt, data = write_eval_inputs(tmp_path, 30000)
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--pred-out", "preds.csv"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hybridpose.cli", *argv], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not (started := children(proc.pid)):
+            assert proc.poll() is None and time.monotonic() < deadline, "no child process started"
+            time.sleep(0.01)
+        # Stopped first, so its children are idle, waiting on it, when it dies.
+        proc.send_signal(signal.SIGSTOP)
+        time.sleep(0.2)
+    finally:
+        proc.kill()
+        proc.wait()
+    deadline = time.monotonic() + 5
+    try:
+        while not all(map(has_ended, started)):
+            assert time.monotonic() < deadline, f"processes {started} outlived their parent"
+            time.sleep(0.05)
+    finally:  # leave nothing running, also when the check fails
+        for pid in filter(lambda pid: not has_ended(pid), started):
+            os.kill(pid, signal.SIGKILL)
 
 
 def write_csv(path, rows):
@@ -731,23 +880,29 @@ def huge_checkpoint(tmp_path):
 
 # Each size is far past any address space (2**57 bytes), so the allocation
 # fails inside malloc and touches no page; a size of a few GB could succeed.
-@pytest.mark.parametrize("command", ["synth", "train", "eval"])
-def test_allocation_past_memory_fails_as_one_error_line(tmp_path, capsys, command):
+# The error names the size flag, and train fails before it forks a helper.
+@pytest.mark.parametrize("command", ["synth", "train", "ablate", "eval"])
+def test_allocation_past_memory_fails_as_one_error_line(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the allocation failed"))
     train, val = make_split(tmp_path / "data", capsys, n=30)
     huge, out = huge_checkpoint(tmp_path), tmp_path / "out"
-    argv = {
-        "synth": ["--n", str(10**16), "--out-train", str(out), "--out-val", str(out) + "v"],
-        "train": ["--train", str(train), "--val", str(val), "--hidden", str(10**14),
-                  "--checkpoint-out", str(out)],
-        "eval": ["--checkpoint", str(huge), "--data", str(val),
-                 "--pred-out", str(out)],
+    training = ["--train", str(train), "--val", str(val), "--hidden", str(10**14)]
+    argv, flag = {
+        "synth": (["--n", str(10**16), "--out-train", str(out), "--out-val", str(out) + "v"],
+                  f"--n {10**16}"),
+        "train": ([*training, "--checkpoint-out", str(out)], f"--hidden {10**14}"),
+        "ablate": ([*training, "--seeds", "0", "--grid-file", str(tmp_path / "data" / "grid"),
+                    "--out", str(out)], f"--hidden {10**14}"),
+        "eval": (["--checkpoint", str(huge), "--data", str(val), "--pred-out", str(out)], None),
     }[command]
+    (tmp_path / "data" / "grid").write_text("2,7,5,3,1,1\n")
     rc, stdout, err = run(capsys, command, *argv)
     assert (rc, stdout) == (1, "")
     if command == "eval":  # the stored arrays are checked against the config before any allocation
         assert err == f"error: {huge}: trunk[0].weight has shape (24, 8), expected (24, {10**14})\n"
     else:
-        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: {flag}: Unable to allocate ") and err.count("\n") == 1, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data", huge.name]
 
 

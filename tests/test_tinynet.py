@@ -1,10 +1,13 @@
 import json
+import os
+import time
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hybridpose import _helper
 from hybridpose.binning import decode_positions, expect_decode, make_hierarchy
 from hybridpose.loss import DEFAULT_WEIGHTS, LossWeights, _softmax_inplace, hybrid_loss, softmax
 from hybridpose.synth import Dataset, SynthConfig, make_dataset
@@ -21,6 +24,7 @@ from hybridpose.tinynet import (
     init_net,
     load_checkpoint,
     train,
+    _GUARDED,
     _assert_finite_params,
     _batch_loss_and_grads,
     _checkpoint_chunks,
@@ -172,7 +176,7 @@ def stacked_decode(net, x):
     positions = decode_positions(net.config.hierarchy.finest, net.config.decode_convention)
     out = []
     for lo in range(0, x.shape[0], PREDICT_BLOCK_ROWS):
-        _, _, (s,) = net._forward_batch(x[lo : lo + PREDICT_BLOCK_ROWS], depth=1)
+        _, _, (s,) = net._forward_batch(x[lo : lo + PREDICT_BLOCK_ROWS], levels=[0])
         _softmax_inplace(s)
         out.append((s @ positions).T)
     return np.concatenate(out)
@@ -325,6 +329,22 @@ def test_adam_update_is_bit_identical_to_textbook_expression():
     assert state.step == 5
 
 
+def test_adam_update_of_two_parts_equals_the_whole():
+    rng = np.random.default_rng(4)
+    p, g = rng.standard_normal(1000), rng.standard_normal(1000)
+    whole = AdamState(1e-3, m=np.zeros(1000), v=np.zeros(1000))
+    m, v = np.zeros(1000), np.zeros(1000)
+    parts = [AdamState(1e-3, m=m, v=v, part=part) for part in (slice(377), slice(377, None))]
+    q = p.copy()
+    for _ in range(3):
+        adam_update(p, g, whole)
+        for state in parts:
+            adam_update(q, g, state)
+    assert p.tobytes() == q.tobytes()
+    assert (whole.m.tobytes(), whole.v.tobytes()) == (m.tobytes(), v.tobytes())
+    assert [state.step for state in parts] == [3, 3]
+
+
 def test_parameters_are_views_of_one_flat_buffer(tmp_path):
     net = init_net(TOY)
     params = net.parameters()
@@ -361,6 +381,23 @@ def test_finite_guard_names_loss_parameters_and_moments():
         _assert_finite_params(net, opt, 1.0)
 
 
+def test_finite_guard_adds_a_helper_finding_in_the_guard_order():
+    net = init_net(TOY)
+    opt = AdamState.for_net(net)
+    opt.part = slice(net.flat.size // 2)
+    opt.step = 2
+    net.flat[-1] = opt.v[-1] = np.nan  # outside this process's part
+    _assert_finite_params(net, opt, 1.0)
+    for found, what in enumerate(_GUARDED):
+        with pytest.raises(FloatingPointError, match=f"non-finite {what} at update 2"):
+            _assert_finite_params(net, opt, 1.0, found)
+    opt.v[0] = np.inf  # this part's second moment, but the helper's parameters come first
+    with pytest.raises(FloatingPointError, match="non-finite parameters at update 2"):
+        _assert_finite_params(net, opt, 1.0, 1)
+    with pytest.raises(FloatingPointError, match="non-finite Adam second moment at update 2"):
+        _assert_finite_params(net, opt, 1.0)
+
+
 def small_data(n=40, seed=5):
     return make_dataset(SynthConfig(n_samples=n, seed=seed))
 
@@ -386,6 +423,66 @@ def test_train_is_deterministic():
     assert checkpoint_text(net_a) == checkpoint_text(net_b)
     assert rep_a.epoch_total == rep_b.epoch_total
     assert [r.mean_mae for r in rep_a.val_reports] == [r.mean_mae for r in rep_b.val_reports]
+
+
+def forks_counted(monkeypatch) -> list:
+    """Patch ``os.fork`` to record each call in the calling process."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("bin_counts, betas", [((6,), (1.0,)), ((6, 2), (2.0, 1.0))])
+def test_train_with_a_helper_process_matches_one_process(monkeypatch, bin_counts, betas):
+    forks = forks_counted(monkeypatch)
+    train_samples, val_samples = small_data(n=60)
+    config = NetConfig(input_dim=24, hidden_dims=(16, 8), hierarchy=make_hierarchy(bin_counts))
+    runs = [
+        train(config, train_samples, val_samples, LossWeights(1.5, betas), epochs=3,
+              batch_size=20, jobs=jobs)
+        for jobs in (1, 2)
+    ]
+    # A one-level net has no coarse level for a helper to run.
+    assert len(forks) == len(bin_counts) - 1
+    (net_1, report_1), (net_2, report_2) = runs
+    assert net_1.flat.tobytes() == net_2.flat.tobytes()
+    assert report_1.epoch_total == report_2.epoch_total
+    assert report_1.epoch_ce_terms == report_2.epoch_ce_terms
+    assert report_1.val_reports == report_2.val_reports
+    with pytest.raises(ChildProcessError):  # the helper was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_train_runs_the_coarse_levels_a_slow_helper_leaves(monkeypatch):
+    # The helper holds each level it takes for a while, so this process takes the rest.
+    parent, run, ran_here = os.getpid(), _helper.Helper._run, []
+
+    def slow_run(self, task):
+        if os.getpid() == parent:
+            ran_here.append(task)
+        elif task:
+            time.sleep(0.02)
+        run(self, task)
+
+    monkeypatch.setattr(_helper.Helper, "_run", slow_run)
+    train_samples, val_samples = small_data(n=60)
+    config = NetConfig(input_dim=24, hidden_dims=(16,))
+    (net_1, report_1), (net_2, report_2) = [
+        train(config, train_samples, val_samples, DEFAULT_WEIGHTS, epochs=2, batch_size=20,
+              jobs=jobs)
+        for jobs in (1, 2)
+    ]
+    assert ran_here and 0 not in ran_here  # coarse levels, never the helper's Adam part
+    assert net_1.flat.tobytes() == net_2.flat.tobytes()
+    assert report_1.epoch_total == report_2.epoch_total
+    assert report_1.val_reports == report_2.val_reports
+    with pytest.raises(ChildProcessError):  # the helper was killed and reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_train_report_recombines_loss_terms():
@@ -418,6 +515,9 @@ def test_train_validation_errors():
         train(config, train_samples, val_samples, DEFAULT_WEIGHTS, epochs=1.5)
     with pytest.raises(ValueError, match="batch_size must be a positive integer, got True"):
         train(config, train_samples, val_samples, DEFAULT_WEIGHTS, epochs=1, batch_size=True)
+    for jobs in (0, 3, True, 2.0):
+        with pytest.raises(ValueError, match=f"jobs must be 1 or 2, got {jobs}"):
+            train(config, train_samples, val_samples, DEFAULT_WEIGHTS, epochs=1, jobs=jobs)
     bad_dim = NetConfig(input_dim=10, hidden_dims=(16,))
     with pytest.raises(ValueError, match="train_samples features have dim 24, config expects 10"):
         train(bad_dim, train_samples, val_samples, DEFAULT_WEIGHTS, epochs=1)
