@@ -1,12 +1,18 @@
-"""The helper process of a two-process ``tinynet.train``.
+"""The package's forked processes: ``train``'s helper and ``eval``'s and ``ablate``'s workers.
 
-Given the hidden layer, each head level's forward pass, loss, gradient and
-Adam update depend on that level alone.  So ``train(jobs=2)`` forks a
-helper: each step, ``train``'s process runs the trunk and the finest level
-while the helper usually runs the coarse ones; ``train``'s process adds
-their terms in the one-process order and runs the trunk's backward pass,
-and each updates its part of ``flat``, with the bits of one process.  This
-module is imported only when such a helper starts.
+Forked on Linux only, each starts as a copy of its parent: its modules, data
+and one-thread BLAS.  A child that fails sends '!' and its pickled error and
+exits; a pipe that ends first, as when its child is killed, fails as
+``ChildProcessError`` naming the child.  A child exits when it next waits on
+its task pipe after its parent died; its parent kills and reaps it when done.
+
+``pool`` runs ``cli._run_map``'s calls.  ``Helper`` shares each step of a
+two-process ``tinynet.train``: given the hidden layer, each head level's
+forward pass, loss, gradient and Adam update depend on that level alone, so
+the helper usually runs the coarse levels while ``train``'s process runs the
+trunk and the finest one, adds their terms in the one-process order and
+runs the trunk's backward pass; each updates its part of ``flat``, with the
+bits of one process.  This module is imported only when a child starts.
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ import pickle
 import select
 import signal
 import time
-from contextlib import suppress
+from collections import deque
+from contextlib import contextmanager, suppress
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +41,143 @@ __all__: list[str] = []
 # before it sleeps: a sleeping core can take far longer to wake.  Measured to
 # span the gaps of a batch-64 step.
 POLL_SECONDS = 0.002
+
+# This process's ends of its live children's pipes.  A new child closes them
+# all: holding another's task pipe, it would keep that one from seeing it end.
+_parent_ends: set[int] = set()
+
+
+def fork(serve, *ends: int) -> tuple[int, int]:
+    """Fork a child that runs ``serve(report)`` and exits; return its pid and
+    the read end of pipe ``report``.  ``ends`` are this side's ends of its
+    other pipes.  gc.freeze first keeps a child's collections off shared pages."""
+    results, report = os.pipe()
+    _parent_ends.update((*ends, results))
+    gc.freeze()
+    try:
+        pid = os.fork()
+    except OSError:
+        _close(*ends, results, report)
+        raise
+    if pid == 0:
+        try:
+            _close(*_parent_ends)
+            serve(report)
+        except BaseException as exc:
+            with suppress(BaseException):  # this process's parent may be gone
+                _write(report, b"!" + pickle.dumps(exc))
+        os._exit(0)
+    os.close(report)
+    return pid, results
+
+
+def _close(*fds: int) -> None:
+    for fd in fds:
+        os.close(fd)
+    _parent_ends.difference_update(fds)
+
+
+def end(pid: int, *ends: int) -> None:
+    """Kill child ``pid``, busy or not, reap it and close ``ends``."""
+    try:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    finally:
+        _close(*ends)
+
+
+def _write(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _receive(pipe, process: str, kind: bytes = b""):
+    """What ``process`` sent on file ``pipe`` after ``kind``, its first byte,
+    read here if not given: after '.', an object, returned; after '!', its
+    error, raised.  A pipe that ends first raises ``ChildProcessError``."""
+    kind = kind or pipe.read(1)
+    try:
+        value = pickle.load(pipe)
+    except Exception:  # the pipe ended, maybe within the pickle
+        kind = b""
+    if kind == b".":
+        return value
+    raise value if kind == b"!" else ChildProcessError(f"{process} ended unexpectedly")
+
+
+def _work(tasks: int, report: int) -> None:
+    """A pool worker's loop: run each call read from ``tasks`` and send back
+    '.' and its result.  The pipe's end raises EOFError, which ends it."""
+    calls = open(tasks, "rb", closefd=False)
+    while True:
+        fn, args = pickle.load(calls)
+        _write(report, b"." + pickle.dumps(fn(*args)))
+
+
+@contextmanager
+def pool(jobs: int):
+    """``jobs`` forked workers, as a ``map``; killed and reaped on leaving the block."""
+    workers = {}  # result pipe -> (pid, task pipe, result pipe as a file)
+    try:
+        for _ in range(jobs):
+            tasks, task_end = os.pipe()
+            try:
+                pid, results = fork(partial(_work, tasks), task_end)
+            finally:
+                os.close(tasks)
+            workers[results] = pid, task_end, open(results, "rb", closefd=False)
+        yield partial(_map, workers)
+    finally:
+        for results, (pid, tasks, _) in workers.items():
+            end(pid, results, tasks)
+
+
+def _map(workers: dict, fn, *iterables):
+    """``map(fn, *iterables)`` on ``workers``.
+
+    Each call goes, pickled with ``fn``, to the worker that frees up first, so
+    a result pipe holds one message at most.  At most 2 * jobs calls are in
+    flight: the next is read once the oldest result is taken.  A call's error
+    is raised when its result is due, so the first failing call in input
+    order names it.  This process waits in ``poll``, not on a core.
+    """
+    # Calls read but not sent, as (index, call); result pipe -> index of its
+    # worker's call; index -> (result, error) not yet taken.
+    unsent, running, done = deque(), {}, {}
+    idle, poller = list(workers), select.poll()
+
+    def take(index: int):
+        while True:
+            while unsent and idle:
+                results = idle.pop()
+                running[results], call = unsent.popleft()
+                poller.register(results, select.POLLIN)
+                with suppress(BrokenPipeError):  # the worker has ended: its result pipe says so
+                    _write(workers[results][1], call)
+            if index in done:
+                result, error = done.pop(index)
+                if error is not None:
+                    raise error
+                return result
+            for results, _ in poller.poll():
+                poller.unregister(results)
+                pid, _, pipe = workers[results]
+                call = running.pop(results)
+                try:
+                    done[call] = _receive(pipe, f"worker process {pid}"), None
+                    idle.append(results)
+                except Exception as exc:
+                    done[call] = None, exc
+
+    pending = deque()
+    for index, args in enumerate(zip(*iterables)):
+        if len(pending) == 2 * len(workers):
+            yield take(pending.popleft())
+        unsent.append((index, pickle.dumps((fn, args))))
+        pending.append(index)
+    while pending:
+        yield take(pending.popleft())
 
 
 def _await(fd: int) -> None:
@@ -83,13 +228,7 @@ class Helper:
         self._ce, self._weights = ce.reshape(N_ANGLES, len(self.levels)), weights
         self._offered, self._offer = os.pipe()
         os.set_blocking(self._offered, False)
-        self._done, done_out = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            os.close(self._offer)  # so the helper sees the pipe end when this process does
-            os.close(self._done)
-            self._serve(done_out)
-        os.close(done_out)
+        self.pid, self._done = fork(self._serve, self._offer)
 
     def _batch(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """The exchange's views for the batch in it: hidden layer, (3, n)
@@ -117,23 +256,17 @@ class Helper:
             self._header[1] = tinynet._first_nonfinite(0.0, self._state, self.net.flat)
 
     def _serve(self, done: int) -> None:
-        """The helper's loop, one task per byte it takes; it exits, never returning."""
-        try:
-            gc.freeze()  # its collections then never copy the pages it shares with its parent
-            while True:
-                _await(self._offered)
-                try:
-                    task = os.read(self._offered, 1)
-                except BlockingIOError:  # the other process took it
-                    continue
-                if not task:  # the pipe's end: this process's parent is gone
-                    break
-                self._run(task[0])
-                os.write(done, b".")
-        except BaseException as exc:
-            with suppress(BaseException):  # this process may be gone
-                os.write(done, b"!" + pickle.dumps(exc))
-        os._exit(0)
+        """The helper's loop, one task per byte it takes, until the pipe ends."""
+        while True:
+            _await(self._offered)
+            try:
+                task = os.read(self._offered, 1)
+            except BlockingIOError:  # the other process took it
+                continue
+            if not task:  # the pipe's end: this process's parent is gone
+                return
+            self._run(task[0])
+            os.write(done, b".")
 
     def _run_offered(self, tasks: int) -> None:
         """Run here each of the ``tasks`` last offered that the helper has not
@@ -149,11 +282,9 @@ class Helper:
         for _ in range(tasks):
             _await(self._done)
             message = os.read(self._done, 1)
-            if message != b".":
-                rest = b"".join(iter(lambda: os.read(self._done, 1 << 16), b""))
-                if message == b"!":
-                    raise pickle.loads(rest)
-                raise ChildProcessError(f"training helper process {self.pid} ended unexpectedly")
+            if message != b".":  # '!' and its error, or the pipe's end
+                done = open(self._done, "rb", closefd=False)
+                _receive(done, f"training helper process {self.pid}", message)
 
     def start(self, hidden: np.ndarray, targets: np.ndarray) -> None:
         """Offer the coarse levels of a batch: its hidden layer and (n, 3) targets."""
@@ -179,12 +310,5 @@ class Helper:
         return int(self._header[1])
 
     def close(self) -> None:
-        """Kill the helper, whose work is all in the shared mapping, and reap it:
-        killed, it ends even if another process holds a copy of its pipe."""
-        os.close(self._offer)
-        os.kill(self.pid, signal.SIGKILL)
-        try:
-            os.waitpid(self.pid, 0)
-        finally:
-            os.close(self._done)
-            os.close(self._offered)
+        """Kill the helper, whose work is all in the shared mapping, and reap it."""
+        end(self.pid, self._offer, self._done, self._offered)

@@ -17,14 +17,12 @@ import os
 os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 import argparse
-import gc
 import sys
 from array import array
-from collections import deque
 from contextlib import contextmanager, nullcontext
 from itertools import chain, count, islice
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -85,7 +83,10 @@ def _atomic_file(path):
     try:
         with open(fd, "w") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # say, a directory of that name: named as above
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -96,27 +97,30 @@ def _write_atomic(path, text: str) -> None:
         fh.write(text)
 
 
+def _content_lines(path) -> Iterator[tuple[int, str, str]]:
+    """Each line of text file ``path`` that has content once cut at '#' and
+    stripped: its number from 1, that content and the line as read."""
+    with open(path, errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if line := raw.split("#", 1)[0].strip():
+                yield lineno, line, raw
+
+
 def load_config_file(path) -> dict[str, tuple[str, int]]:
     """Read ``key = value`` lines into {key: (value, line number)}; '#' starts a comment."""
     values: dict[str, tuple[str, int]] = {}
-    with open(path, errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 'key = value', got {raw.strip()!r}"
-                )
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if not key:
-                raise ValueError(f"{path}: line {lineno}: empty key")
-            if key in values:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate key {key!r} (first on line {values[key][1]})"
-                )
-            values[key] = (value.strip(), lineno)
+    for lineno, line, raw in _content_lines(path):
+        if "=" not in line:
+            raise ValueError(f"{path}: line {lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if not key:
+            raise ValueError(f"{path}: line {lineno}: empty key")
+        if key in values:
+            raise ValueError(
+                f"{path}: line {lineno}: duplicate key {key!r} (first on line {values[key][1]})"
+            )
+        values[key] = (value.strip(), lineno)
     return values
 
 
@@ -247,11 +251,10 @@ def _final_val_mae(seed: int, weights) -> float:
 
 
 def _usable_cores() -> int:
-    """The cores this process may run on: its CPU affinity where the system
-    has one (so ``taskset`` caps it), else the machine's core count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The cores this process may run on, by its CPU affinity (so ``taskset``
+    caps it).  Off Linux, 1: the package forks on Linux only, so there every
+    command runs in one process."""
+    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
 # The ``shared`` value of the _run_map block in progress, in this process and in
@@ -259,50 +262,16 @@ def _usable_cores() -> int:
 _shared = None
 
 
-def _start_worker(parent: int, shared) -> None:
-    """Pool worker initializer: take the pool's shared value, and exit once
-    process ``parent`` has ended.
-
-    A parent killed outright (SIGKILL, or SIGTERM's default action) cannot
-    shut its pool down, and its idle workers would otherwise wait for work
-    forever.  A forked worker also holds its own copies of the pool's pipe
-    ends, so it would never see them close.
-    """
-    import threading
-    import time
-
-    global _shared
-    _shared = shared
-
-    def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(0.5)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
 @contextmanager
 def _run_map(jobs: int, shared=None):
     """A ``map`` that runs its calls in ``jobs`` processes and yields results in order.
 
-    One job is the built-in ``map``, in this process.  More start a pool of
-    worker processes.  On Linux they are forked: each starts as a copy of
-    this process, with its imported modules, its environment (so the BLAS
-    pinning above) and the already loaded one-thread BLAS, and re-imports
-    nothing.  The pool forks all its workers before it starts its manager
-    thread, and the pinned BLAS starts no threads, so this process has a
-    single thread when it forks.  Elsewhere, where fork is unsafe or absent,
-    the workers are spawned and inherit the pinning through the environment.
-    Either way every call computes the same bits wherever it runs.
-
-    ``shared`` is the module's ``_shared`` while the block runs, here and in
-    every worker, which takes it once, from the pool's initializer.  At most
-    2 * ``jobs`` calls are in flight: the next one is submitted only once the
-    oldest result is taken, so the pool reads its input no more than one item
-    further ahead and never holds a long input whole (``Executor.map`` would
-    submit every item at once).  On leaving the block, also by an error, the
-    pending calls are cancelled.
+    One job is the built-in ``map``, in this process.  More fork a
+    ``_helper.pool`` of workers.  Each starts as a copy of this process, with
+    its imported modules, the pinned one-thread BLAS and ``shared`` as the
+    module's ``_shared``, so every call computes the same bits wherever it runs
+    and none sends ``shared``.  On leaving the block, also by an error, the
+    pending calls are dropped and the workers killed and reaped.
     """
     global _shared
     _shared = shared
@@ -310,34 +279,10 @@ def _run_map(jobs: int, shared=None):
         if jobs == 1:
             yield map
             return
-        # Imported here, not at the top: every CLI start-up would pay for them.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from ._helper import pool  # here: only a run with workers needs it
 
-        # Everything made so far leaves the collector's reach, as the gc module
-        # advises before a fork: a worker's collections then never write to the
-        # pages it shares with this process, and this process's exit skips them.
-        gc.freeze()
-        pool = ProcessPoolExecutor(
-            jobs,
-            mp_context=multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn"),
-            initializer=_start_worker,
-            initargs=(os.getpid(), shared),
-        )
-
-        def bounded_map(fn, *iterables):
-            pending = deque()
-            for args in zip(*iterables):
-                if len(pending) == 2 * jobs:
-                    yield pending.popleft().result()
-                pending.append(pool.submit(fn, *args))
-            while pending:
-                yield pending.popleft().result()
-
-        try:
-            yield bounded_map
-        finally:
-            pool.shutdown(cancel_futures=True)
+        with pool(jobs) as pool_map:
+            yield pool_map
     finally:
         _shared = None
 
@@ -346,7 +291,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_samples, val_samples = _load_training_data(args)
     weights = LossWeights(args.alpha, args.betas)
     # A forked helper runs a share of each step where a second core is free to take it.
-    jobs = 2 if sys.platform == "linux" and _usable_cores() >= 2 else 1
+    jobs = min(_usable_cores(), 2)
     net, report = _run_training(args, train_samples, val_samples, args.seed, weights, jobs)
 
     # One parameter array at a time, so the document never exists whole.
@@ -371,9 +316,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _read_annotations(path) -> tuple[list[str], np.ndarray]:
     try:
-        return parse_annotation_csv(Path(path).read_text(errors="surrogateescape"))
+        ids, angles = parse_annotation_csv(Path(path).read_text(errors="surrogateescape"))
     except ParseError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if not ids:
+        raise ValueError(f"{path}: no annotation rows")
+    return ids, angles
 
 
 def _match_by_id(pred_ids, pred: np.ndarray, truth_ids) -> np.ndarray:
@@ -455,21 +403,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _load_grid_file(path) -> list[LossWeights]:
     """One 'alpha,b1..b5' row per line, each checked before any training."""
     rows = []
-    with open(path, errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                values = _float_list(line)
-                if len(values) != 6:
-                    raise ValueError(
-                        f"expected 6 comma-separated weights (alpha then 5 betas), "
-                        f"got {len(values)}"
-                    )
-                rows.append(LossWeights(values[0], values[1:]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, line, _ in _content_lines(path):
+        try:
+            values = _float_list(line)
+            if len(values) != 6:
+                raise ValueError(
+                    f"expected 6 comma-separated weights (alpha then 5 betas), got {len(values)}"
+                )
+            rows.append(LossWeights(values[0], values[1:]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no weight rows")
     return rows

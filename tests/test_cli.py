@@ -1,15 +1,12 @@
 import hashlib
 import json
-import multiprocessing
 import os
-import pickle
 import re
 import signal
 import subprocess
 import sys
 import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -437,42 +434,89 @@ def has_ended(pid: int) -> bool:
         return True
 
 
-@pytest.mark.skipif(
+needs_two_cores = pytest.mark.skipif(
     not Path("/proc/self/task").is_dir() or len(os.sched_getaffinity(0)) < 2,
     reason="needs Linux's /proc and two usable cores",
 )
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_killed_parent_leaves_no_process_running(tmp_path, capsys, command):
-    if command == "train":  # about 3 s of training; the helper starts after the data is read
-        train, val = make_split(tmp_path, capsys, n=2500)
-        argv = ["train", "--train", str(train), "--val", str(val), "--checkpoint-out", "net.json"]
-    else:  # the eval pool's workers, whose watcher polls for their parent's end
+
+
+def start_cli(tmp_path, capsys, command):
+    """Start ``command`` as its own process, on inputs that keep its helper or
+    two workers busy for a few seconds; return the process and, once all have
+    started, its children."""
+    if command == "eval":
         ckpt, data = write_eval_inputs(tmp_path, 30000)
-        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--pred-out", "preds.csv"]
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--pred-out", "out.csv"]
+    else:  # about 3 s of training, or 40 short ablate runs; children start after the data is read
+        train, val = make_split(tmp_path, capsys, n=2500)
+        argv = [command, "--train", str(train), "--val", str(val)]
+        argv += ["--checkpoint-out", "out.csv"] if command == "train" else [
+            "--epochs", "2", "--hidden", "8", "--out", "out.csv"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "hybridpose.cli", *argv], cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True,
     )
+    deadline = time.monotonic() + 30
+    while len(started := children(proc.pid)) < (1 if command == "train" else 2):
+        if proc.poll() is not None or time.monotonic() > deadline:
+            proc.kill()
+            pytest.fail(f"no child process started: {proc.communicate()[1]}")
+        time.sleep(0.01)
+    return proc, started
+
+
+def await_end(pids):
+    """Wait up to 5 s for processes ``pids`` to end; kill any left, and fail."""
+    deadline = time.monotonic() + 5
     try:
-        deadline = time.monotonic() + 30
-        while not (started := children(proc.pid)):
-            assert proc.poll() is None and time.monotonic() < deadline, "no child process started"
-            time.sleep(0.01)
+        while not all(map(has_ended, pids)):
+            assert time.monotonic() < deadline, f"processes {pids} outlived their parent"
+            time.sleep(0.05)
+    finally:  # leave nothing running, also when the check fails
+        for pid in filter(lambda pid: not has_ended(pid), pids):
+            os.kill(pid, signal.SIGKILL)
+
+
+@needs_two_cores
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_killed_parent_leaves_no_process_running(tmp_path, capsys, command):
+    proc, started = start_cli(tmp_path, capsys, command)
+    try:
         # Stopped first, so its children are idle, waiting on it, when it dies.
         proc.send_signal(signal.SIGSTOP)
         time.sleep(0.2)
-    finally:
+        # The last child, in the order started, stays stopped, as if busy: it
+        # holds no other child's pipe, so the earlier ones still end.
+        os.kill(started[-1], signal.SIGSTOP)
+    finally:  # wait, not communicate: a child that outlives it holds its stderr
         proc.kill()
         proc.wait()
-    deadline = time.monotonic() + 5
+        proc.stderr.close()
     try:
-        while not all(map(has_ended, started)):
-            assert time.monotonic() < deadline, f"processes {started} outlived their parent"
-            time.sleep(0.05)
-    finally:  # leave nothing running, also when the check fails
-        for pid in filter(lambda pid: not has_ended(pid), started):
-            os.kill(pid, signal.SIGKILL)
+        await_end(started[:-1])
+    finally:
+        os.kill(started[-1], signal.SIGCONT)
+    await_end(started)
+
+
+@needs_two_cores
+@pytest.mark.parametrize("command, child", [
+    ("train", "training helper"), ("eval", "worker"), ("ablate", "worker"),
+])
+def test_killed_child_fails_as_one_error_line(tmp_path, capsys, command, child):
+    proc, started = start_cli(tmp_path, capsys, command)
+    try:
+        os.kill(started[0], signal.SIGKILL)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        await_end(started)
+    assert proc.returncode == 1
+    # Besides ablate's per-row progress lines, one line: the error.
+    lines = [line for line in err.splitlines() if not line.startswith("row alpha=")]
+    assert lines == [f"error: {child} process {started[0]} ended unexpectedly"], err
+    assert [p.name for p in tmp_path.iterdir() if "out.csv" in p.name] == []
 
 
 def write_csv(path, rows):
@@ -519,6 +563,16 @@ def test_eval_id_mismatch_fails_without_output(tmp_path, capsys):
     assert "id mismatch" in err
     assert "a" in err and "b" in err
     assert not out_file.exists()
+
+
+def test_eval_header_only_annotations_name_the_file(tmp_path, capsys):
+    pred, truth, empty = tmp_path / "pred.csv", tmp_path / "truth.csv", tmp_path / "empty.csv"
+    write_csv(pred, ["a,1,2,3"])
+    write_csv(truth, ["a,1,2,3"])
+    write_csv(empty, ["", "  "])
+    for argv in [("--pred", empty, "--truth", truth), ("--pred", pred, "--truth", empty)]:
+        rc, out, err = run(capsys, "eval", *map(str, argv))
+        assert (rc, out, err) == (1, "", f"error: {empty}: no annotation rows\n")
 
 
 def test_eval_parse_errors_name_the_file(tmp_path, capsys):
@@ -689,7 +743,7 @@ def test_eval_output_does_not_depend_on_worker_count(tmp_path, capsys, monkeypat
         results.append((preds.read_bytes(), metrics.read_bytes(), out, err))
     assert counts == [1, 2]
     assert results[0] == results[1]
-    assert multiprocessing.active_children() == []
+    assert children(os.getpid()) == []
 
 
 def test_parallel_eval_reports_the_first_bad_block_in_file_order(tmp_path, capsys, monkeypatch):
@@ -706,14 +760,14 @@ def test_parallel_eval_reports_the_first_bad_block_in_file_order(tmp_path, capsy
     assert (rc, out) == (1, "")
     assert err == f"error: {data}: line 601: expected 27 fields, got 26\n"
     assert not preds.exists()
-    assert multiprocessing.active_children() == []
+    assert children(os.getpid()) == []
     # Rows of another width than the net's fail in whichever worker reads them.
     data.write_text("".join(",".join(line.split(",")[2:]) + "\n" for line in lines[1200:]))
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (1, "")
     assert err == f"error: {data}: expected feature vector of length 24, got shape (512, 22)\n"
     assert not preds.exists()
-    assert multiprocessing.active_children() == []
+    assert children(os.getpid()) == []
     assert counts == [2, 2]
 
 
@@ -740,7 +794,7 @@ def test_run_map_reads_at_most_two_calls_per_worker_ahead():
         # 2 * 2 calls in flight, and the item read while the first one ran.
         assert len(read) == 5
         assert list(results) == list(range(1, 20))
-    assert multiprocessing.active_children() == []
+    assert children(os.getpid()) == []
 
 
 def eval_peak_memory(tmp_path, capsys, ckpt, data) -> int:
@@ -786,14 +840,14 @@ def test_parallel_eval_memory_is_bounded_by_the_calls_in_flight(tmp_path, capsys
 
 def test_parallel_eval_sends_each_call_a_block_position_only(tmp_path, capsys, monkeypatch):
     # The lines of a 512-row block are about 0.3 MB; the worker reads them itself.
-    sizes = []
-    submit = ProcessPoolExecutor.submit
+    # What the pool writes per call: in this process, only calls are written.
+    sizes, write = [], _helper._write
 
-    def measured(self, fn, *args, **kwargs):
-        sizes.append(len(pickle.dumps((fn, args, kwargs))))
-        return submit(self, fn, *args, **kwargs)
+    def measured(fd, data):
+        sizes.append(len(data))
+        write(fd, data)
 
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", measured)
+    monkeypatch.setattr(_helper, "_write", measured)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     ckpt, data = write_eval_inputs(tmp_path, 2000)
     rc, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
@@ -839,6 +893,21 @@ def test_write_atomic_failure_leaves_no_files(tmp_path):
     with pytest.raises(FileNotFoundError) as info:
         _write_atomic(missing, "x\n")
     assert str(info.value) == f"[Errno 2] No such file or directory: '{missing}'"
+
+
+def test_output_path_that_is_a_directory_fails_naming_it(tmp_path, capsys):
+    train, val = make_split(tmp_path / "data", capsys, n=30)
+    ckpt, data = write_eval_inputs(tmp_path / "data", 1300)
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in [
+        ["train", "--train", str(train), "--val", str(val), "--epochs", "1",
+         "--checkpoint-out", str(out)],
+        ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--pred-out", str(out)],
+    ]:
+        rc, _, err = run(capsys, *argv)
+        assert (rc, err) == (1, f"error: [Errno 21] Is a directory: '{out}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "out"]
 
 
 def test_eval_requires_one_mode(tmp_path, capsys):
@@ -1073,12 +1142,27 @@ def test_ablate_worker_count_is_capped_by_cores_and_runs(tmp_path, capsys, monke
     for cores in ({0}, {0, 2, 5}, set(range(8))):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
         ablate()
-    # Where the system has no CPU affinity, the machine's core count is used.
-    monkeypatch.delattr(os, "sched_getaffinity")
-    for cpu_count in (3, None):
-        monkeypatch.setattr(os, "cpu_count", lambda cpu_count=cpu_count: cpu_count)
-        ablate()
-    assert counts == [1, 3, 4, 3, 1]
+    assert counts == [1, 3, 4]
+
+
+def test_off_linux_every_command_runs_in_one_process(tmp_path, capsys, monkeypatch):
+    counts = _record_worker_counts(monkeypatch)
+    pids = helper_pids(monkeypatch)
+    train, val = make_split(tmp_path, capsys, n=150)
+    ckpt, data = write_eval_inputs(tmp_path, 1300)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(sys, "platform", "darwin")
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked off Linux"))
+    for argv in [
+        ["train", "--train", str(train), "--val", str(val), "--epochs", "1",
+         "--checkpoint-out", str(tmp_path / "net.json")],
+        ["eval", "--checkpoint", str(ckpt), "--data", str(data)],
+        ["ablate", "--train", str(train), "--val", str(val), "--epochs", "1", "--hidden", "8",
+         "--seeds", "0,1"],
+    ]:
+        rc, _, err = run(capsys, *argv)
+        assert rc == 0, err
+    assert (counts, pids) == ([1, 1], [])
 
 
 def _grid_seen_by_worker(_):
@@ -1264,5 +1348,35 @@ def test_package_root_does_not_import_numpy():
     result = subprocess.run(
         [sys.executable, "-c", "import hybridpose, sys; assert 'numpy' not in sys.modules"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_workers_start_no_thread_and_import_no_multiprocessing(tmp_path):
+    # Two-worker eval and ablate runs through main, in a fresh interpreter.
+    script = """
+import os, sys, threading
+from hybridpose import cli
+os.sched_getaffinity = lambda pid: {0, 1}
+runs = [
+    ["synth", "--n", "1500", "--out-train", "train.csv", "--out-val", "val.csv"],
+    ["train", "--train", "train.csv", "--val", "val.csv", "--epochs", "1", "--hidden", "8",
+     "--checkpoint-out", "net.json"],
+    ["eval", "--checkpoint", "net.json", "--data", "train.csv", "--pred-out", "preds.csv"],
+    ["ablate", "--train", "train.csv", "--val", "val.csv", "--epochs", "1", "--hidden", "8",
+     "--seeds", "0", "--grid-file", "grid.txt"],
+]
+counts, run_map = [], cli._run_map
+cli._run_map = lambda jobs, *args: counts.append(jobs) or run_map(jobs, *args)
+for argv in runs:
+    assert cli.main(argv) == 0, argv
+assert counts == [2, 2], counts
+assert "multiprocessing" not in sys.modules and "concurrent" not in sys.modules
+assert threading.active_count() == 1
+"""
+    (tmp_path / "grid.txt").write_text("2,7,5,3,1,1\n2,1,0,0,0,0\n")
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=300,
     )
     assert result.returncode == 0, result.stderr
