@@ -5,19 +5,27 @@ allowed values, default and help.  Every subcommand also accepts
 ``--config FILE`` pointing at a plain text file of ``key = value`` lines
 ('#' starts a comment; a key is the flag's name, with underscores or dashes
 interchangeably).  Explicit flags override file values, which override
-defaults.  Output files are written to a temporary sibling and renamed into
-place, so a failing run never leaves a partial file behind.
+defaults.  Output paths are checked before any work, and output files are
+written to a temporary sibling and renamed into place, so a failing run
+never leaves a partial file behind.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 
 # BLAS matmuls round differently per thread count: pin one thread before numpy loads.
 os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+# numpy.random imports secrets, hence hmac and hashlib, which map OpenSSL's
+# libcrypto (about 3.4 MB resident) to seed unseeded generators; every
+# generator here is seeded and nothing hashes.  Without _hashlib, hashlib and
+# hmac use Python's built-in code.  Before numpy, which in 1.x loads
+# numpy.random with itself; setdefault leaves a loaded OpenSSL in place.
+sys.modules.setdefault("_hashlib", None)
 
 import argparse
-import sys
+import errno
 from array import array
 from contextlib import contextmanager, nullcontext
 from itertools import chain, count, islice
@@ -503,6 +511,7 @@ class _Option(NamedTuple):
     default: object = None
     choices: tuple[str, ...] | None = None
     required: bool = False
+    output: bool = False  # a file path the command writes
 
     @property
     def flag(self) -> str:
@@ -549,36 +558,36 @@ _COMMANDS = {
         _Option("yaw_range", "'lo,hi' degrees", _pair, (-75.0, 75.0)),
         _Option("pitch_range", "'lo,hi' degrees", _pair, (-60.0, 60.0)),
         _Option("roll_range", "'lo,hi' degrees", _pair, (-50.0, 50.0)),
-        _Option("out_train", "training split output path", required=True),
-        _Option("out_val", "validation split output path", required=True),
+        _Option("out_train", "training split output path", required=True, output=True),
+        _Option("out_val", "validation split output path", required=True, output=True),
     )),
     "train": (cmd_train, "train a model on dataset files", (
         *_TRAINING,
         _Option("alpha", "regression weight", float, 2.0),
         _Option("betas", "per-level weights, finest first", _float_list, (7.0, 5.0, 3.0, 1.0, 1.0)),
         _Option("seed", "init/shuffle seed", int, 0),
-        _Option("checkpoint_out", "checkpoint output path", required=True),
-        _Option("report_out", "per-epoch CSV output path"),
+        _Option("checkpoint_out", "checkpoint output path", required=True, output=True),
+        _Option("report_out", "per-epoch CSV output path", output=True),
     )),
     "eval": (cmd_eval, "report MAE from predictions or a checkpoint", (
         _Option("pred", "predictions CSV (id,yaw,pitch,roll)"),
         _Option("truth", "ground truth CSV (id,yaw,pitch,roll)"),
         _Option("checkpoint", "checkpoint to evaluate"),
         _Option("data", "dataset file to evaluate on"),
-        _Option("out", "metrics CSV output path"),
-        _Option("pred_out", "per-sample predictions CSV output path"),
+        _Option("out", "metrics CSV output path", output=True),
+        _Option("pred_out", "per-sample predictions CSV output path", output=True),
     )),
     "ablate": (cmd_ablate, "train over a weight grid and rank rows", (
         *_TRAINING,
         _Option("seeds", "training seeds of every grid row", _int_list, (0, 1, 2, 3, 4)),
         _Option("grid_file", "one 'alpha,b1..b5' row per line, in place of the built-in grid"),
-        _Option("out", "results CSV output path"),
+        _Option("out", "results CSV output path", output=True),
     )),
     "parse-biwi": (cmd_parse_biwi, "convert a directory of pose files to CSV", (
         _Option("dir", "directory of pose text files", required=True),
         _Option("pattern", "glob within the directory", default="*.txt"),
         _Option("tol", "orthonormality tolerance", float, 1e-6),
-        _Option("out", "annotation CSV output path", required=True),
+        _Option("out", "annotation CSV output path", required=True, output=True),
     )),
 }
 
@@ -647,9 +656,26 @@ def _parse_args(argv) -> argparse.Namespace:
     return args
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Fail before any work on an output path that is an existing directory, which
+    only the final rename would find, or on two output flags that name one file,
+    where the second write would replace the first."""
+    flags: dict[str, str] = {}
+    for o in _COMMANDS[args.command][2]:
+        path = getattr(args, o.name) if o.output else None
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        first = flags.setdefault(os.path.realpath(path), o.flag)
+        if first != o.flag:
+            raise ValueError(f"{first} and {o.flag} name the same file: {path}")
+
+
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
+        _check_outputs(args)
         return args.func(args)
     except (ValueError, OSError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

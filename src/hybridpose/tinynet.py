@@ -233,12 +233,13 @@ class TinyNet:
 
     def _decode_block(self, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
         # A separate frame, so one block's arrays are freed before the next block's
-        # are made.  One angle at a time, so one (n, k) logit array exists at once,
-        # each with the stacked form's matmul, in-place softmax and decode: the same bits.
+        # are made.  One angle at a time, in one (n, k) logit array, each with the
+        # stacked form's matmul, in-place softmax and decode: the same bits.
         a = self._forward_batch(x, levels=())[1][-1]
         (w, b), out = self.head_blocks[0], np.empty((x.shape[0], N_ANGLES))
+        s = np.empty((x.shape[0], w.shape[2]))
         for i in range(N_ANGLES):
-            s = a @ w[i]
+            np.matmul(a, w[i], out=s)
             s += b[i]
             _softmax_inplace(s)
             out[:, i] = s @ positions

@@ -893,21 +893,62 @@ def test_write_atomic_failure_leaves_no_files(tmp_path):
     with pytest.raises(FileNotFoundError) as info:
         _write_atomic(missing, "x\n")
     assert str(info.value) == f"[Errno 2] No such file or directory: '{missing}'"
+    # So does one that is a directory, found only at the rename.
+    directory = tmp_path / "d"
+    directory.mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        _write_atomic(directory, "x\n")
+    assert str(info.value) == f"[Errno 21] Is a directory: '{directory}'"
+    assert sorted(tmp_path.iterdir()) == [directory, target]
 
 
-def test_output_path_that_is_a_directory_fails_naming_it(tmp_path, capsys):
-    train, val = make_split(tmp_path / "data", capsys, n=30)
-    ckpt, data = write_eval_inputs(tmp_path / "data", 1300)
+def test_output_path_that_is_a_directory_fails_naming_it(tmp_path, capsys, monkeypatch):
+    data_dir = tmp_path / "data"
+    train, val = make_split(data_dir, capsys, n=30)
+    ckpt, data = write_eval_inputs(data_dir, 1300)
+    (data_dir / "poses").mkdir()
     out = tmp_path / "out"
     out.mkdir()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the output paths were checked")
+
+    for owner, name in [(cli, "make_dataset"), (cli, "load_dataset"), (cli, "train"),
+                        (cli, "load_checkpoint"), (cli, "_frame_lines"),
+                        (tinynet.TinyNet, "_decode_block")]:
+        monkeypatch.setattr(owner, name, no_work)
+    training = ["--train", str(train), "--val", str(val), "--epochs", "1"]
     for argv in [
-        ["train", "--train", str(train), "--val", str(val), "--epochs", "1",
-         "--checkpoint-out", str(out)],
+        ["synth", "--out-train", str(tmp_path / "t.csv"), "--out-val", str(out)],
+        ["train", *training, "--checkpoint-out", str(out)],
+        ["train", *training, "--checkpoint-out", str(tmp_path / "n.json"),
+         "--report-out", str(out)],
         ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--pred-out", str(out)],
+        ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)],
+        ["ablate", *training, "--seeds", "0", "--out", str(out)],
+        ["parse-biwi", "--dir", str(data_dir / "poses"), "--out", str(out)],
     ]:
-        rc, _, err = run(capsys, *argv)
-        assert (rc, err) == (1, f"error: [Errno 21] Is a directory: '{out}'\n")
+        rc, stdout, err = run(capsys, *argv)
+        assert (rc, stdout, err) == (1, "", f"error: [Errno 21] Is a directory: '{out}'\n"), argv
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "out"]
+
+
+def test_two_output_flags_naming_one_file_fail_naming_both(tmp_path, capsys, monkeypatch):
+    train, val = make_split(tmp_path / "data", capsys, n=30)
+    ckpt, data = write_eval_inputs(tmp_path / "data", 3)
+    monkeypatch.chdir(tmp_path)
+    for argv, flags in [
+        (["synth", "--out-train", "a.csv", "--out-val", "a.csv"], "--out-train and --out-val"),
+        (["train", "--train", str(train), "--val", str(val), "--epochs", "1",
+          "--checkpoint-out", "a.csv", "--report-out", "./a.csv"],
+         "--checkpoint-out and --report-out"),
+        (["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", "a.csv",
+          "--pred-out", str(tmp_path / "a.csv")], "--out and --pred-out"),
+    ]:
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, ""), argv
+        assert err == f"error: {flags} name the same file: {argv[-1]}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
 def test_eval_requires_one_mode(tmp_path, capsys):
@@ -1375,6 +1416,49 @@ assert "multiprocessing" not in sys.modules and "concurrent" not in sys.modules
 assert threading.active_count() == 1
 """
     (tmp_path / "grid.txt").write_text("2,7,5,3,1,1\n2,1,0,0,0,0\n")
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_cli_processes_load_no_openssl(tmp_path, capsys):
+    # In a fresh interpreter that imports no hashlib before the CLI: eval loads
+    # no numpy.random, and neither the CLI nor its forked workers map libcrypto.
+    train, val = make_split(tmp_path, capsys, n=1500)
+    ckpt, _ = write_eval_inputs(tmp_path, 3)
+    script = """
+import os, sys
+from hybridpose import cli
+
+def no_openssl():
+    with open("/proc/self/maps") as fh:
+        assert "libcrypto" not in fh.read(), f"libcrypto mapped in {os.getpid()}"
+
+def checked_final_val_mae(seed, weights):
+    result = final_val_mae(seed, weights)
+    no_openssl()  # numpy.random is first imported here, in the worker
+    return result
+
+os.sched_getaffinity = lambda pid: {0, 1}
+assert cli.main(["eval", "--checkpoint", "net.json", "--data", "train.csv"]) == 0
+assert "numpy.random" not in sys.modules
+final_val_mae, cli._final_val_mae = cli._final_val_mae, checked_final_val_mae
+training = ["--train", "train.csv", "--val", "val.csv", "--epochs", "1", "--hidden", "8"]
+runs = [
+    ["ablate", *training, "--seeds", "0,1", "--grid-file", "grid.txt"],
+    ["train", *training, "--checkpoint-out", "net2.json"],
+    ["synth", "--n", "100", "--out-train", "t.csv", "--out-val", "v.csv"],
+]
+for argv in runs:
+    assert cli.main(argv) == 0, argv
+    no_openssl()
+assert sys.modules["_hashlib"] is None
+import hashlib
+assert hashlib.sha256(b"").hexdigest().startswith("e3b0c442")
+"""
+    (tmp_path / "grid.txt").write_text("2,7,5,3,1,1\n")
     result = subprocess.run(
         [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=300,
