@@ -4,15 +4,19 @@ Forked on Linux only, each starts as a copy of its parent: its modules, data
 and one-thread BLAS.  A child that fails sends '!' and its pickled error and
 exits; a pipe that ends first, as when its child is killed, fails as
 ``ChildProcessError`` naming the child.  A child exits when it next waits on
-its task pipe after its parent died; its parent kills and reaps it when done.
+its task pipe, or sends a result, after its parent died; its parent kills
+and reaps it when done.
 
-``pool`` runs ``cli._run_map``'s calls.  ``Helper`` shares each step of a
-two-process ``tinynet.train``: given the hidden layer, each head level's
-forward pass, loss, gradient and Adam update depend on that level alone, so
-the helper usually runs the coarse levels while ``train``'s process runs the
-trunk and the finest one, adds their terms in the one-process order and
-runs the trunk's backward pass; each updates its part of ``flat``, with the
-bits of one process.  This module is imported only when a child starts.
+``pool`` runs ``cli._run_map``'s calls.  Its function is fixed when its
+workers are forked, so a call sends only its arguments: call i goes to
+worker i mod jobs, which holds at most two calls, and the results come back
+in input order.  ``Helper`` shares each step of a two-process
+``tinynet.train``: given the hidden layer, each head level's forward pass,
+loss, gradient and Adam update depend on that level alone, so the helper
+usually runs the coarse levels while ``train``'s process runs the trunk and
+the finest one, adds their terms in the one-process order and runs the
+trunk's backward pass; each updates its part of ``flat``, with the bits of
+one process.  This module is imported only when a child starts.
 """
 
 from __future__ import annotations
@@ -50,15 +54,20 @@ _parent_ends: set[int] = set()
 def fork(serve, *ends: int) -> tuple[int, int]:
     """Fork a child that runs ``serve(report)`` and exits; return its pid and
     the read end of pipe ``report``.  ``ends`` are this side's ends of its
-    other pipes.  gc.freeze first keeps a child's collections off shared pages."""
+    other pipes.  gc.freeze first keeps a child's collections off shared
+    pages; this process then unfreezes, unless its caller had frozen objects."""
     results, report = os.pipe()
     _parent_ends.update((*ends, results))
+    frozen, parent = gc.get_freeze_count(), os.getpid()
     gc.freeze()
     try:
         pid = os.fork()
     except OSError:
         _close(*ends, results, report)
         raise
+    finally:
+        if not frozen and os.getpid() == parent:
+            gc.unfreeze()
     if pid == 0:
         try:
             _close(*_parent_ends)
@@ -106,78 +115,52 @@ def _receive(pipe, process: str, kind: bytes = b""):
     raise value if kind == b"!" else ChildProcessError(f"{process} ended unexpectedly")
 
 
-def _work(tasks: int, report: int) -> None:
-    """A pool worker's loop: run each call read from ``tasks`` and send back
-    '.' and its result.  The pipe's end raises EOFError, which ends it."""
+def _work(fn, tasks: int, report: int) -> None:
+    """A pool worker's loop: send back '.' and ``fn``'s result for each call's
+    arguments read from ``tasks``.  The pipe's end raises EOFError, which ends it."""
     calls = open(tasks, "rb", closefd=False)
     while True:
-        fn, args = pickle.load(calls)
-        _write(report, b"." + pickle.dumps(fn(*args)))
+        _write(report, b"." + pickle.dumps(fn(*pickle.load(calls))))
 
 
 @contextmanager
-def pool(jobs: int):
-    """``jobs`` forked workers, as a ``map``; killed and reaped on leaving the block."""
-    workers = {}  # result pipe -> (pid, task pipe, result pipe as a file)
+def pool(jobs: int, fn):
+    """``jobs`` forked workers that run ``fn``, as a ``map`` over its
+    arguments; killed and reaped on leaving the block."""
+    workers = []  # (pid, task pipe, result pipe as a file)
     try:
         for _ in range(jobs):
             tasks, task_end = os.pipe()
             try:
-                pid, results = fork(partial(_work, tasks), task_end)
+                pid, results = fork(partial(_work, fn, tasks), task_end)
             finally:
                 os.close(tasks)
-            workers[results] = pid, task_end, open(results, "rb", closefd=False)
+            workers.append((pid, task_end, open(results, "rb", closefd=False)))
         yield partial(_map, workers)
     finally:
-        for results, (pid, tasks, _) in workers.items():
-            end(pid, results, tasks)
+        for pid, tasks, results in workers:
+            end(pid, results.fileno(), tasks)
 
 
-def _map(workers: dict, fn, *iterables):
-    """``map(fn, *iterables)`` on ``workers``.
+def _map(workers: list, *iterables):
+    """``map(fn, *iterables)`` on ``workers``, which run ``fn``.
 
-    Each call goes, pickled with ``fn``, to the worker that frees up first, so
-    a result pipe holds one message at most.  At most 2 * jobs calls are in
-    flight: the next is read once the oldest result is taken.  A call's error
-    is raised when its result is due, so the first failing call in input
-    order names it.  This process waits in ``poll``, not on a core.
+    Call i sends its pickled arguments to worker i mod jobs, which runs its
+    calls in turn, and its result is read back from that worker's pipe.  At
+    most 2 * jobs calls are in flight: the next is read once the oldest result
+    is taken.  A call's error is raised when its result is due, so the first
+    failing call in input order names it.
     """
-    # Calls read but not sent, as (index, call); result pipe -> index of its
-    # worker's call; index -> (result, error) not yet taken.
-    unsent, running, done = deque(), {}, {}
-    idle, poller = list(workers), select.poll()
-
-    def take(index: int):
-        while True:
-            while unsent and idle:
-                results = idle.pop()
-                running[results], call = unsent.popleft()
-                poller.register(results, select.POLLIN)
-                with suppress(BrokenPipeError):  # the worker has ended: its result pipe says so
-                    _write(workers[results][1], call)
-            if index in done:
-                result, error = done.pop(index)
-                if error is not None:
-                    raise error
-                return result
-            for results, _ in poller.poll():
-                poller.unregister(results)
-                pid, _, pipe = workers[results]
-                call = running.pop(results)
-                try:
-                    done[call] = _receive(pipe, f"worker process {pid}"), None
-                    idle.append(results)
-                except Exception as exc:
-                    done[call] = None, exc
-
-    pending = deque()
+    pending = deque()  # (result file, worker) of each call in flight, oldest first
     for index, args in enumerate(zip(*iterables)):
         if len(pending) == 2 * len(workers):
-            yield take(pending.popleft())
-        unsent.append((index, pickle.dumps((fn, args))))
-        pending.append(index)
+            yield _receive(*pending.popleft())
+        pid, tasks, results = workers[index % len(workers)]
+        with suppress(BrokenPipeError):  # the worker has ended: its result pipe says so
+            _write(tasks, pickle.dumps(args))
+        pending.append((results, f"worker process {pid}"))
     while pending:
-        yield take(pending.popleft())
+        yield _receive(*pending.popleft())
 
 
 def _await(fd: int) -> None:

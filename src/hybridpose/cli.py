@@ -28,6 +28,7 @@ import argparse
 import errno
 from array import array
 from contextlib import contextmanager, nullcontext
+from functools import partial
 from itertools import chain, count, islice
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -248,13 +249,9 @@ def _load_training_data(args: argparse.Namespace) -> tuple[Dataset, Dataset]:
     return train_samples, val_samples
 
 
-def _final_val_mae(seed: int, weights) -> float:
-    """One ablation run's final validation mean MAE.
-
-    Module-level, with the args and data sets from ``_run_map``'s shared
-    value, so a worker process can run it as well as this one.
-    """
-    _, report = _run_training(*_shared, seed, weights)
+def _final_val_mae(args, train_samples, val_samples, seed: int, weights) -> float:
+    """One ablation run's final validation mean MAE."""
+    _, report = _run_training(args, train_samples, val_samples, seed, weights)
     return report.final_val.mean_mae
 
 
@@ -265,34 +262,21 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
-# The ``shared`` value of the _run_map block in progress, in this process and in
-# each of its workers; a call reads it here, so no call pickles it.
-_shared = None
-
-
-@contextmanager
-def _run_map(jobs: int, shared=None):
-    """A ``map`` that runs its calls in ``jobs`` processes and yields results in order.
+def _run_map(jobs: int, fn):
+    """A context whose value is ``fn``'s ``map`` on ``jobs`` processes, with results in order.
 
     One job is the built-in ``map``, in this process.  More fork a
     ``_helper.pool`` of workers.  Each starts as a copy of this process, with
-    its imported modules, the pinned one-thread BLAS and ``shared`` as the
-    module's ``_shared``, so every call computes the same bits wherever it runs
-    and none sends ``shared``.  On leaving the block, also by an error, the
+    its imported modules, the pinned one-thread BLAS and ``fn``, so every call
+    computes the same bits wherever it runs and sends only its arguments, to
+    worker i mod jobs for call i.  On leaving the block, also by an error, the
     pending calls are dropped and the workers killed and reaped.
     """
-    global _shared
-    _shared = shared
-    try:
-        if jobs == 1:
-            yield map
-            return
-        from ._helper import pool  # here: only a run with workers needs it
+    if jobs == 1:
+        return nullcontext(partial(map, fn))
+    from ._helper import pool  # here: only a run with workers needs it
 
-        with pool(jobs) as pool_map:
-            yield pool_map
-    finally:
-        _shared = None
+    return pool(jobs, fn)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -345,15 +329,9 @@ def _match_by_id(pred_ids, pred: np.ndarray, truth_ids) -> np.ndarray:
     return pred[[index[sample_id] for sample_id in truth_ids]]
 
 
-def _eval_block(start: int, block) -> tuple[np.ndarray, np.ndarray, str | None]:
-    """One block of ``eval --data`` lines, whose first row is row ``start``:
-    its predictions, its truths and, if ``--pred-out`` is given, its rows of
-    that file's text.
-
-    Module-level, with the net from ``_run_map``'s shared value, so a worker
-    process can run it as well as this one.
-    """
-    net, with_text = _shared
+def _eval_block(net, with_text, start: int, block) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """One block of ``eval --data`` lines, whose first row is row ``start``: its
+    predictions by ``net``, its truths and, if ``with_text``, its ``--pred-out`` text."""
     rows = _parse_block(block)
     try:
         pred = net.predict_batch(rows.features)
@@ -393,9 +371,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         with _atomic_file(args.pred_out) if args.pred_out else nullcontext() as out:
             blocks = _frame_lines(args.data, PREDICT_BLOCK_ROWS)
             first = list(islice(blocks, _usable_cores()))
-            with _run_map(len(first), (net, out is not None)) as run_map:
+            with _run_map(len(first), partial(_eval_block, net, out is not None)) as run_map:
                 blocks = chain(first, blocks)
-                for pred, truth, text in run_map(_eval_block, count(0, PREDICT_BLOCK_ROWS), blocks):
+                for pred, truth, text in run_map(count(0, PREDICT_BLOCK_ROWS), blocks):
                     preds.frombytes(pred.tobytes())
                     truths.frombytes(truth.tobytes())
                     if out is not None:
@@ -444,10 +422,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
     medians = []
     jobs = min(_usable_cores(), len(grid) * len(args.seeds))
-    with _run_map(jobs, (args, train_samples, val_samples)) as run_map:
+    with _run_map(jobs, partial(_final_val_mae, args, train_samples, val_samples)) as run_map:
         # Results come in grid order; each row prints its median once its runs are in.
         finals = run_map(
-            _final_val_mae,
             [seed for _ in grid for seed in args.seeds],
             [weights for weights in grid for _ in args.seeds],
         )

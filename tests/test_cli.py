@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -788,8 +790,8 @@ def test_run_map_reads_at_most_two_calls_per_worker_ahead():
             read.append(i)
             yield i
 
-    with cli._run_map(2) as run_map:
-        results = run_map(abs, items())
+    with cli._run_map(2, abs) as run_map:
+        results = run_map(items())
         assert next(results) == 0
         # 2 * 2 calls in flight, and the item read while the first one ran.
         assert len(read) == 5
@@ -841,10 +843,10 @@ def test_parallel_eval_memory_is_bounded_by_the_calls_in_flight(tmp_path, capsys
 def test_parallel_eval_sends_each_call_a_block_position_only(tmp_path, capsys, monkeypatch):
     # The lines of a 512-row block are about 0.3 MB; the worker reads them itself.
     # What the pool writes per call: in this process, only calls are written.
-    sizes, write = [], _helper._write
+    payloads, write = [], _helper._write
 
     def measured(fd, data):
-        sizes.append(len(data))
+        payloads.append(bytes(data))
         write(fd, data)
 
     monkeypatch.setattr(_helper, "_write", measured)
@@ -853,7 +855,10 @@ def test_parallel_eval_sends_each_call_a_block_position_only(tmp_path, capsys, m
     rc, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
                      "--pred-out", str(tmp_path / "preds.csv"))
     assert rc == 0, err
+    sizes = [len(payload) for payload in payloads]
     assert len(sizes) == 4 and max(sizes) < 1024, sizes
+    # The function is fixed when the workers are forked: no call pickles it.
+    assert not any(b"_eval_block" in payload for payload in payloads)
 
 
 def test_train_writes_the_checkpoint_one_array_at_a_time(tmp_path, capsys, monkeypatch):
@@ -1145,15 +1150,14 @@ def _read_only_run(args, train_samples, val_samples, seed, weights):
     return None, TrainReport((), (), (), (MaeReport(1.0, 1.0, 1.0, 1.0, 1),), 0.0)
 
 
-def _shared_flags(_):
-    _, train_samples, val_samples = cli._shared
+def _shared_flags(train_samples, val_samples, _):
     return os.getpid(), [d.features.flags.writeable for d in (train_samples, val_samples)]
 
 
 def test_ablate_workers_see_the_shared_datasets_read_only(tmp_path, capsys, monkeypatch):
     data = Dataset(np.zeros((2, 4)), np.zeros((2, 3)))
-    with cli._run_map(2, (None, data, data)) as run_map:
-        results = list(run_map(_shared_flags, range(4)))
+    with cli._run_map(2, partial(_shared_flags, data, data)) as run_map:
+        results = list(run_map(range(4)))
     assert os.getpid() not in {pid for pid, _ in results}
     assert [flags for _, flags in results] == [[False, False]] * 4
     # ablate hands its data to its workers only this way: a pickled Dataset would be writable.
@@ -1215,10 +1219,46 @@ def test_workers_fork_from_the_parent_state(monkeypatch):
     # A spawned worker would import cli afresh and see the original grid.
     marker = ((1.0, 2.0, 3.0, 4.0, 5.0, 6.0),)
     monkeypatch.setattr(cli, "DEFAULT_WEIGHT_GRID", marker)
-    with cli._run_map(2) as run_map:
-        results = list(run_map(_grid_seen_by_worker, range(4)))
+    with cli._run_map(2, _grid_seen_by_worker) as run_map:
+        results = list(run_map(range(4)))
     assert [grid for _, grid in results] == [marker] * 4
     assert os.getpid() not in {pid for pid, _ in results}
+
+
+def test_run_map_sends_call_i_to_worker_i_mod_jobs():
+    with cli._run_map(2, _grid_seen_by_worker) as run_map:
+        pids = [pid for pid, _ in run_map(range(8))]
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+    assert pids == pids[:2] * 4
+    assert children(os.getpid()) == []
+
+
+def _freeze_count(_):
+    return gc.get_freeze_count()
+
+
+def test_forks_leave_this_process_gc_unfrozen(tmp_path, capsys, monkeypatch):
+    # Each child keeps its heap frozen, so its collections stay off the pages
+    # it shares; this process unfreezes, unless its caller had frozen objects.
+    gc.unfreeze()
+    with cli._run_map(2, _freeze_count) as run_map:
+        assert min(run_map(range(4))) > 0
+        assert gc.get_freeze_count() == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pids = helper_pids(monkeypatch)
+    train, val = make_split(tmp_path, capsys, n=150)
+    rc, _, err = run(capsys, "train", "--train", str(train), "--val", str(val), "--epochs", "1",
+                     "--hidden", "8", "--checkpoint-out", str(tmp_path / "net.json"))
+    assert rc == 0, err
+    assert len(pids) == 1
+    assert gc.get_freeze_count() == 0
+    gc.freeze()
+    try:
+        with cli._run_map(2, _freeze_count) as run_map:
+            list(run_map(range(2)))
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -1436,8 +1476,8 @@ def no_openssl():
     with open("/proc/self/maps") as fh:
         assert "libcrypto" not in fh.read(), f"libcrypto mapped in {os.getpid()}"
 
-def checked_final_val_mae(seed, weights):
-    result = final_val_mae(seed, weights)
+def checked_final_val_mae(*args):
+    result = final_val_mae(*args)
     no_openssl()  # numpy.random is first imported here, in the worker
     return result
 
