@@ -3,32 +3,31 @@
 Forked on Linux only, each starts as a copy of its parent: its modules, data
 and one-thread BLAS.  A child that fails sends '!' and its pickled error and
 exits; a pipe that ends first, as when its child is killed, fails as
-``ChildProcessError`` naming the child.  A child exits when it next waits on
-its task pipe, or sends a result, after its parent died; its parent kills
-and reaps it when done.
+``ChildProcessError`` naming the child.  A child exits when it next sends a
+result, or the helper when it next waits for a task, after its parent died;
+its parent kills and reaps it when done.
 
-``pool`` runs ``cli._run_map``'s calls.  Its function is fixed when its
-workers are forked, so a call sends only its arguments: call i goes to
-worker i mod jobs, which holds at most two calls, and the results come back
-in input order.  ``Helper`` shares each step of a two-process
-``tinynet.train``: given the hidden layer, each head level's forward pass,
-loss, gradient and Adam update depend on that level alone, so the helper
-usually runs the coarse levels while ``train``'s process runs the trunk and
-the finest one, adds their terms in the one-process order and runs the
-trunk's backward pass; each updates its part of ``flat``, with the bits of
-one process.  This module is imported only when a child starts.
+``pool`` runs ``cli._run_map``'s calls.  Its function and calls are fixed
+when its workers are forked, so the parent sends a worker nothing: worker k
+runs calls k, k + jobs, ... in turn, and the parent reads call i's result
+from worker i mod jobs, so the results come back in input order.  ``Helper``
+shares each step of a two-process ``tinynet.train``: given the hidden layer,
+each head level's forward pass, loss, gradient and Adam update depend on that
+level alone, so the helper usually runs the coarse levels while ``train``'s
+process runs the trunk and the finest one, adds their terms in the
+one-process order and runs the trunk's backward pass; each updates its part
+of ``flat``, with the bits of one process.  This module is imported only
+when a child starts.
 """
 
 from __future__ import annotations
 
-import gc
 import mmap
 import os
 import pickle
 import select
 import signal
 import time
-from collections import deque
 from contextlib import contextmanager, suppress
 from functools import partial
 
@@ -47,27 +46,22 @@ __all__: list[str] = []
 POLL_SECONDS = 0.002
 
 # This process's ends of its live children's pipes.  A new child closes them
-# all: holding another's task pipe, it would keep that one from seeing it end.
+# all: holding another child's pipe, it would keep that child from finding
+# this process gone.
 _parent_ends: set[int] = set()
 
 
 def fork(serve, *ends: int) -> tuple[int, int]:
     """Fork a child that runs ``serve(report)`` and exits; return its pid and
     the read end of pipe ``report``.  ``ends`` are this side's ends of its
-    other pipes.  gc.freeze first keeps a child's collections off shared
-    pages; this process then unfreezes, unless its caller had frozen objects."""
+    other pipes."""
     results, report = os.pipe()
     _parent_ends.update((*ends, results))
-    frozen, parent = gc.get_freeze_count(), os.getpid()
-    gc.freeze()
     try:
         pid = os.fork()
     except OSError:
         _close(*ends, results, report)
         raise
-    finally:
-        if not frozen and os.getpid() == parent:
-            gc.unfreeze()
     if pid == 0:
         try:
             _close(*_parent_ends)
@@ -115,52 +109,28 @@ def _receive(pipe, process: str, kind: bytes = b""):
     raise value if kind == b"!" else ChildProcessError(f"{process} ended unexpectedly")
 
 
-def _work(fn, tasks: int, report: int) -> None:
-    """A pool worker's loop: send back '.' and ``fn``'s result for each call's
-    arguments read from ``tasks``.  The pipe's end raises EOFError, which ends it."""
-    calls = open(tasks, "rb", closefd=False)
-    while True:
-        _write(report, b"." + pickle.dumps(fn(*pickle.load(calls))))
+def _work(fn, calls: list, report: int) -> None:
+    """A pool worker's loop: send back '.' and ``fn``'s result for each of ``calls``, in turn."""
+    for args in calls:
+        _write(report, b"." + pickle.dumps(fn(*args)))
 
 
 @contextmanager
-def pool(jobs: int, fn):
-    """``jobs`` forked workers that run ``fn``, as a ``map`` over its
-    arguments; killed and reaped on leaving the block."""
-    workers = []  # (pid, task pipe, result pipe as a file)
+def pool(jobs: int, fn, calls: list):
+    """``starmap(fn, calls)`` on ``jobs`` forked workers, worker k running calls
+    k, k + jobs, ... as far ahead as its result pipe holds; killed and reaped on
+    leaving the block.  A call's error is raised when its result is due, so the
+    first failing call in input order names it."""
+    pids, pipes = [], []  # each worker's pid, and its (result pipe as a file, name)
     try:
-        for _ in range(jobs):
-            tasks, task_end = os.pipe()
-            try:
-                pid, results = fork(partial(_work, fn, tasks), task_end)
-            finally:
-                os.close(tasks)
-            workers.append((pid, task_end, open(results, "rb", closefd=False)))
-        yield partial(_map, workers)
+        for k in range(jobs):
+            pid, results = fork(partial(_work, fn, calls[k::jobs]))
+            pids.append(pid)
+            pipes.append((open(results, "rb", closefd=False), f"worker process {pid}"))
+        yield (_receive(*pipes[i % jobs]) for i in range(len(calls)))
     finally:
-        for pid, tasks, results in workers:
-            end(pid, results.fileno(), tasks)
-
-
-def _map(workers: list, *iterables):
-    """``map(fn, *iterables)`` on ``workers``, which run ``fn``.
-
-    Call i sends its pickled arguments to worker i mod jobs, which runs its
-    calls in turn, and its result is read back from that worker's pipe.  At
-    most 2 * jobs calls are in flight: the next is read once the oldest result
-    is taken.  A call's error is raised when its result is due, so the first
-    failing call in input order names it.
-    """
-    pending = deque()  # (result file, worker) of each call in flight, oldest first
-    for index, args in enumerate(zip(*iterables)):
-        if len(pending) == 2 * len(workers):
-            yield _receive(*pending.popleft())
-        pid, tasks, results = workers[index % len(workers)]
-        with suppress(BrokenPipeError):  # the worker has ended: its result pipe says so
-            _write(tasks, pickle.dumps(args))
-        pending.append((results, f"worker process {pid}"))
-    while pending:
-        yield _receive(*pending.popleft())
+        for pid, (results, _) in zip(pids, pipes):
+            end(pid, results.fileno())
 
 
 def _await(fd: int) -> None:
@@ -195,18 +165,15 @@ class Helper:
         # the trunk, whose gradient is complete only after the coarse terms.
         split = max(size // 3, size - sum(w.size + b.size for w, b in net.head_blocks))
         terms = N_ANGLES * len(self.levels)
-        sizes = [size] * 6 + [2, rows * self.width, rows * N_ANGLES]
+        sizes = [size] * 4 + [2, rows * self.width, rows * N_ANGLES]
         sizes += [rows * self.width * terms, terms]
-        flat, grad, m, v, s1, s2, self._header, *exchange, ce = np.split(
+        flat, grad, m, v, self._header, *exchange, ce = np.split(
             np.frombuffer(mmap.mmap(-1, 8 * sum(sizes))), np.cumsum(sizes)[:-1]
         )
         self.net, self.grad = TinyNet(config, flat), TinyNet(config, grad)
         self.net.flat[...] = net.flat
         self.optimizer = AdamState(learning_rate, m=m, v=v, part=slice(split))
         self._state = AdamState(learning_rate, m=m, v=v, part=slice(split, None))
-        # Shared work arrays too, so each process holds only its part's pages.
-        for state in (self.optimizer, self._state):
-            state._scratch = (s1[state.part], s2[state.part])
         self._hidden, self._truth, self._d_heads = exchange
         self._ce, self._weights = ce.reshape(N_ANGLES, len(self.levels)), weights
         self._offered, self._offer = os.pipe()

@@ -178,7 +178,7 @@ def bin_center(index: int, scheme: BinScheme) -> float:
 
 @functools.cache
 def decode_positions(scheme: BinScheme, convention: str = "center") -> np.ndarray:
-    """Representative angle of every bin under the convention, as a new read-only array."""
+    """Representative angle of every bin under the convention, as a cached, read-only array."""
     if convention not in DECODE_CONVENTIONS:
         raise ValueError(f"unknown decode convention {convention!r}")
     offset = _DECODE_OFFSETS[convention]

@@ -29,7 +29,7 @@ import errno
 from array import array
 from contextlib import contextmanager, nullcontext
 from functools import partial
-from itertools import chain, count, islice
+from itertools import chain, count, starmap
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -262,21 +262,23 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
-def _run_map(jobs: int, fn):
-    """A context whose value is ``fn``'s ``map`` on ``jobs`` processes, with results in order.
+def _run_map(fn, calls: list):
+    """A context whose value yields ``fn(*args)`` for each of ``calls``, in order.
 
-    One job is the built-in ``map``, in this process.  More fork a
-    ``_helper.pool`` of workers.  Each starts as a copy of this process, with
-    its imported modules, the pinned one-thread BLAS and ``fn``, so every call
-    computes the same bits wherever it runs and sends only its arguments, to
-    worker i mod jobs for call i.  On leaving the block, also by an error, the
-    pending calls are dropped and the workers killed and reaped.
+    One job per usable core runs them, but no more jobs than calls: one in
+    this process, more as a ``_helper.pool`` of forked workers.  Each starts
+    as a copy of this process, with its imported modules, the pinned
+    one-thread BLAS, ``fn`` and its calls, k, k + jobs, ..., so every call
+    computes the same bits wherever it runs and none is sent.  On leaving the
+    block, also by an error, pending calls are dropped and the workers killed
+    and reaped.
     """
-    if jobs == 1:
-        return nullcontext(partial(map, fn))
+    jobs = min(_usable_cores(), len(calls))
+    if jobs <= 1:
+        return nullcontext(starmap(fn, calls))
     from ._helper import pool  # here: only a run with workers needs it
 
-    return pool(jobs, fn)
+    return pool(jobs, fn, calls)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -308,7 +310,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _read_annotations(path) -> tuple[list[str], np.ndarray]:
     try:
-        ids, angles = parse_annotation_csv(Path(path).read_text(errors="surrogateescape"))
+        # Parsed as it is read.  newline="" keeps each line's ending, so
+        # splitlines splits the file wherever it would split the whole text.
+        with open(path, errors="surrogateescape", newline="") as fh:
+            ids, angles = parse_annotation_csv(chain.from_iterable(map(str.splitlines, fh)))
     except ParseError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if not ids:
@@ -361,19 +366,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report = mae(_match_by_id(pred_ids, pred, truth_ids), truth)
     else:
         net = load_checkpoint(args.checkpoint)
-        # One predict_batch block per call, on one worker per usable core but no
-        # more than the file has blocks.  A call carries the block's position in
-        # the file, not its lines: the worker reads them.  Results come in file
-        # order, and of each row only the prediction and truth the MAE needs are
-        # kept, 48 bytes: the same bits, and decode convention, as predict_batch
-        # on the whole file and train's per-epoch validation MAE.
+        # One predict_batch block per call, which is the block's first row and
+        # position in the file, not its lines: whoever runs it reads them.  Of
+        # each row only the prediction and truth the MAE needs are kept, 48
+        # bytes: the same bits, and decode convention, as predict_batch on the
+        # whole file and train's per-epoch validation MAE.
         preds, truths = array("d"), array("d")
+        calls = list(zip(count(0, PREDICT_BLOCK_ROWS), _frame_lines(args.data, PREDICT_BLOCK_ROWS)))
         with _atomic_file(args.pred_out) if args.pred_out else nullcontext() as out:
-            blocks = _frame_lines(args.data, PREDICT_BLOCK_ROWS)
-            first = list(islice(blocks, _usable_cores()))
-            with _run_map(len(first), partial(_eval_block, net, out is not None)) as run_map:
-                blocks = chain(first, blocks)
-                for pred, truth, text in run_map(count(0, PREDICT_BLOCK_ROWS), blocks):
+            with _run_map(partial(_eval_block, net, out is not None), calls) as results:
+                for pred, truth, text in results:
                     preds.frombytes(pred.tobytes())
                     truths.frombytes(truth.tobytes())
                     if out is not None:
@@ -421,13 +423,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     import statistics  # here, not at the top: it imports decimal and fractions, unused elsewhere
 
     medians = []
-    jobs = min(_usable_cores(), len(grid) * len(args.seeds))
-    with _run_map(jobs, partial(_final_val_mae, args, train_samples, val_samples)) as run_map:
+    calls = [(seed, weights) for weights in grid for seed in args.seeds]
+    with _run_map(partial(_final_val_mae, args, train_samples, val_samples), calls) as finals:
         # Results come in grid order; each row prints its median once its runs are in.
-        finals = run_map(
-            [seed for _ in grid for seed in args.seeds],
-            [weights for weights in grid for _ in args.seeds],
-        )
         for weights in grid:
             medians.append(statistics.median([next(finals) for _ in args.seeds]))
             print(

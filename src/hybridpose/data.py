@@ -15,6 +15,8 @@ All parse failures raise ParseError with a 1-based line number.
 from __future__ import annotations
 
 import math
+from array import array
+from typing import Iterable
 
 import numpy as np
 
@@ -92,16 +94,18 @@ def format_biwi_pose(rotation, translation=(0.0, 0.0, 0.0)) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_annotation_csv(text: str) -> tuple[list[str], np.ndarray]:
-    """Parse an ``id,yaw,pitch,roll`` CSV into ids and an (n, 3) angle array, in file order."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != ANNOTATION_HEADER:
-        found = lines[0].strip() if lines else ""
-        raise ParseError(f"expected header {ANNOTATION_HEADER!r}, found {found!r}", line=1)
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
+def parse_annotation_csv(text: str | Iterable[str]) -> tuple[list[str], np.ndarray]:
+    """Parse an ``id,yaw,pitch,roll`` CSV into ids and an (n, 3) angle array, in file order.
+
+    ``text`` is the CSV's text, or its lines as ``str.splitlines`` gives them,
+    which are parsed as they come: only the ids and angles are kept.
+    """
+    lines = iter(text.splitlines() if isinstance(text, str) else text)
+    header = next(lines, "").strip()
+    if header != ANNOTATION_HEADER:
+        raise ParseError(f"expected header {ANNOTATION_HEADER!r}, found {header!r}", line=1)
+    ids, angles, seen = [], array("d"), set()
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -121,8 +125,8 @@ def parse_annotation_csv(text: str) -> tuple[list[str], np.ndarray]:
             if not math.isfinite(value):
                 raise ParseError(f"{name} must be finite, got {value!r}", line=lineno)
         ids.append(sample_id)
-        rows.append(row)
-    return ids, np.array(rows, dtype=float).reshape(len(rows), 3)
+        angles.extend(row)
+    return ids, np.frombuffer(angles).reshape(len(ids), 3)
 
 
 def _check_rows(ids, values, name: str) -> np.ndarray:

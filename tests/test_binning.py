@@ -154,11 +154,14 @@ def test_expect_decode_edge_convention():
         assert abs((center - edge) - scheme.bin_width / 2.0) < 1e-9
     with pytest.raises(ValueError, match="convention"):
         decode_positions(HIERARCHY.finest, "midpoint")
-    # Built once and shared between callers, so no caller may write to it.
-    positions = decode_positions(HIERARCHY.finest, "edge")
-    assert positions is decode_positions(HIERARCHY.finest, "edge")
-    with pytest.raises(ValueError, match="read-only"):
-        positions[0] = 0.0
+    # Built once per scheme and convention and shared between callers, so no
+    # caller may write to it.
+    for scheme in HIERARCHY.levels:
+        for convention in ("center", "edge"):
+            positions = decode_positions(scheme, convention)
+            assert positions is decode_positions(scheme, convention)
+            with pytest.raises(ValueError, match="read-only"):
+                positions[0] = 0.0
 
 
 def test_expect_decode_stays_inside_range():

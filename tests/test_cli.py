@@ -4,11 +4,14 @@ import json
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import nullcontext
 from functools import partial
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,13 @@ import hybridpose
 from hybridpose import _helper, cli, tinynet
 from hybridpose.angles import MaeReport, PoseAngles, euler_to_rotation, mae
 from hybridpose.cli import DEFAULT_WEIGHT_GRID, _write_atomic, main
-from hybridpose.data import PREDICTIONS_HEADER, format_biwi_pose, format_predictions_csv
+from hybridpose.data import (
+    PREDICTIONS_HEADER,
+    ParseError,
+    format_biwi_pose,
+    format_predictions_csv,
+    parse_annotation_csv,
+)
 from hybridpose.synth import Dataset, format_dataset, load_dataset
 from hybridpose.tinynet import (
     PREDICT_BLOCK_ROWS,
@@ -594,6 +603,34 @@ def test_eval_parse_errors_name_the_file(tmp_path, capsys):
         assert f"error: {undecodable}: line 2: could not convert string to float" in err
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_eval_reads_annotations_in_the_lines_their_text_splits_into(tmp_path, capsys, newline):
+    # eval parses each file as it reads it, split wherever str.splitlines
+    # splits the whole text: a lone '\r' and a '\x0c' inside a line end lines too.
+    pred, truth = tmp_path / "pred.csv", tmp_path / "truth.csv"
+    truth_text = newline.join(["id,yaw,pitch,roll", "a,1,2,3", "", "b,4,5,6\x0c", "c,7,8,9"])
+    pred_text = newline.join(["id,yaw,pitch,roll", "c,7,8,8", "b,4,5.5,6", "a,0,2,3"]) + newline
+    truth.write_bytes(truth_text.encode())
+    pred.write_bytes(pred_text.encode())
+    rc, out, err = run(capsys, "eval", "--pred", str(pred), "--truth", str(truth))
+    assert rc == 0, err
+    (pred_ids, pred_angles), (truth_ids, truth_angles) = map(
+        parse_annotation_csv, (pred_text, truth_text)
+    )
+    assert truth_ids == ["a", "b", "c"]
+    report = mae(cli._match_by_id(pred_ids, pred_angles, truth_ids), truth_angles)
+    assert out == cli._mae_table(report) + "\n"
+    # Messages and line numbers are those of the parser given the whole text.
+    for bad_line in ["d,x,5,6", "d,4,\x0c5,6"]:
+        text = truth_text.replace("c,7,8,9", bad_line)
+        truth.write_bytes(text.encode())
+        with pytest.raises(ParseError) as parsed:
+            parse_annotation_csv(text)
+        rc, out, err = run(capsys, "eval", "--pred", str(pred), "--truth", str(truth))
+        assert (rc, out, err) == (1, "", f"error: {truth}: {parsed.value}\n")
+        assert parsed.value.line == 6
+
+
 def test_eval_checkpoint_mode(tmp_path, capsys):
     rc, _, err, ckpt, _ = train_tiny(tmp_path, capsys)
     assert rc == 0, err
@@ -782,20 +819,31 @@ def test_one_block_eval_starts_no_worker(tmp_path, capsys, monkeypatch):
     assert counts == [1]
 
 
-def test_run_map_reads_at_most_two_calls_per_worker_ahead():
-    read = []
+def test_parallel_eval_frames_its_data_once_before_any_fork(tmp_path, capsys, monkeypatch):
+    # The calls are fixed when the workers are forked: this process reads the
+    # data file once, to find the blocks, and only then forks.
+    events, frame_lines, fork = [], cli._frame_lines, os.fork
 
-    def items():
-        for i in range(20):
-            read.append(i)
-            yield i
+    def framing(*args):
+        events.append("frame")
+        for block in frame_lines(*args):
+            events.append("block")
+            yield block
 
-    with cli._run_map(2, abs) as run_map:
-        results = run_map(items())
-        assert next(results) == 0
-        # 2 * 2 calls in flight, and the item read while the first one ran.
-        assert len(read) == 5
-        assert list(results) == list(range(1, 20))
+    def forking():
+        pid = fork()
+        if pid:
+            events.append("fork")
+        return pid
+
+    monkeypatch.setattr(cli, "_frame_lines", framing)
+    monkeypatch.setattr(os, "fork", forking)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    ckpt, data = write_eval_inputs(tmp_path, 2000)
+    rc, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--pred-out", str(tmp_path / "preds.csv"))
+    assert rc == 0, err
+    assert events == ["frame"] + ["block"] * 4 + ["fork"] * 2
     assert children(os.getpid()) == []
 
 
@@ -826,8 +874,8 @@ def test_eval_memory_does_not_grow_with_the_row_count(tmp_path, capsys, monkeypa
 
 
 def test_parallel_eval_memory_is_bounded_by_the_calls_in_flight(tmp_path, capsys, monkeypatch):
-    # With two workers this process sends each call a block's position, not its
-    # lines, and holds the results of at most 2 * 2 calls in flight.  What grows
+    # With two workers this process holds each block's position, not its lines,
+    # and reads each result as it is due.  What grows
     # with the row count is the 48 bytes per row it keeps and, at the end, the
     # MAE's 24-byte difference per row: about 58 bytes per row in all, with the
     # arrays' spare capacity.  Holding any of the file's text per row, or a
@@ -842,23 +890,22 @@ def test_parallel_eval_memory_is_bounded_by_the_calls_in_flight(tmp_path, capsys
 
 def test_parallel_eval_sends_each_call_a_block_position_only(tmp_path, capsys, monkeypatch):
     # The lines of a 512-row block are about 0.3 MB; the worker reads them itself.
-    # What the pool writes per call: in this process, only calls are written.
-    payloads, write = [], _helper._write
+    # Its function and calls are fixed when it is forked: this process writes
+    # no worker a payload, the function and the block positions included.
+    writes, write, parent = [], os.write, os.getpid()
 
-    def measured(fd, data):
-        payloads.append(bytes(data))
-        write(fd, data)
+    def recorded(fd, data):
+        if os.getpid() == parent and stat.S_ISFIFO(os.fstat(fd).st_mode):
+            writes.append(len(data))
+        return write(fd, data)
 
-    monkeypatch.setattr(_helper, "_write", measured)
+    monkeypatch.setattr(os, "write", recorded)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     ckpt, data = write_eval_inputs(tmp_path, 2000)
     rc, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
                      "--pred-out", str(tmp_path / "preds.csv"))
     assert rc == 0, err
-    sizes = [len(payload) for payload in payloads]
-    assert len(sizes) == 4 and max(sizes) < 1024, sizes
-    # The function is fixed when the workers are forked: no call pickles it.
-    assert not any(b"_eval_block" in payload for payload in payloads)
+    assert writes == []
 
 
 def test_train_writes_the_checkpoint_one_array_at_a_time(tmp_path, capsys, monkeypatch):
@@ -1106,16 +1153,21 @@ def test_ablate_checks_seeds_before_any_work(tmp_path, capsys, monkeypatch, seed
     assert counts == []
 
 
-def _record_worker_counts(monkeypatch, run_as=None):
-    """Patch ``cli._run_map`` to record each worker count it gets, then run
-    with that count (or with ``run_as`` workers, if given)."""
-    counts = []
-    run_map = cli._run_map
+def _record_worker_counts(monkeypatch, in_this_process=False):
+    """Patch ``cli._run_map`` to record the worker count of each map it runs,
+    1 for a map in this process (where a pool's calls also run, if
+    ``in_this_process``)."""
+    counts, run_map, pool = [], cli._run_map, _helper.pool
 
-    def recording(jobs, *args):
-        counts.append(jobs)
-        return run_map(jobs if run_as is None else run_as, *args)
+    def recording_pool(jobs, fn, calls):
+        counts[-1] = jobs
+        return nullcontext(starmap(fn, calls)) if in_this_process else pool(jobs, fn, calls)
 
+    def recording(fn, calls):
+        counts.append(1)
+        return run_map(fn, calls)
+
+    monkeypatch.setattr(_helper, "pool", recording_pool)
     monkeypatch.setattr(cli, "_run_map", recording)
     return counts
 
@@ -1155,14 +1207,14 @@ def _shared_flags(train_samples, val_samples, _):
 
 
 def test_ablate_workers_see_the_shared_datasets_read_only(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     data = Dataset(np.zeros((2, 4)), np.zeros((2, 3)))
-    with cli._run_map(2, partial(_shared_flags, data, data)) as run_map:
-        results = list(run_map(range(4)))
+    with cli._run_map(partial(_shared_flags, data, data), [(i,) for i in range(4)]) as results:
+        results = list(results)
     assert os.getpid() not in {pid for pid, _ in results}
     assert [flags for _, flags in results] == [[False, False]] * 4
     # ablate hands its data to its workers only this way: a pickled Dataset would be writable.
     counts = _record_worker_counts(monkeypatch)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(cli, "_run_training", _read_only_run)
     train, val = make_split(tmp_path, capsys, n=30)
     rc, _, err = run(capsys, "ablate", "--train", str(train), "--val", str(val), "--seeds", "0,1")
@@ -1172,7 +1224,7 @@ def test_ablate_workers_see_the_shared_datasets_read_only(tmp_path, capsys, monk
 
 def test_ablate_worker_count_is_capped_by_cores_and_runs(tmp_path, capsys, monkeypatch):
     # Every run happens in this process; only the count ablate asks for is checked.
-    counts = _record_worker_counts(monkeypatch, run_as=1)
+    counts = _record_worker_counts(monkeypatch, in_this_process=True)
     train, val = make_split(tmp_path, capsys, n=30)
     grid = tmp_path / "grid.txt"
     grid.write_text("2,7,5,3,1,1\n2,1,0,0,0,0\n")
@@ -1219,15 +1271,17 @@ def test_workers_fork_from_the_parent_state(monkeypatch):
     # A spawned worker would import cli afresh and see the original grid.
     marker = ((1.0, 2.0, 3.0, 4.0, 5.0, 6.0),)
     monkeypatch.setattr(cli, "DEFAULT_WEIGHT_GRID", marker)
-    with cli._run_map(2, _grid_seen_by_worker) as run_map:
-        results = list(run_map(range(4)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with cli._run_map(_grid_seen_by_worker, [(i,) for i in range(4)]) as results:
+        results = list(results)
     assert [grid for _, grid in results] == [marker] * 4
     assert os.getpid() not in {pid for pid, _ in results}
 
 
-def test_run_map_sends_call_i_to_worker_i_mod_jobs():
-    with cli._run_map(2, _grid_seen_by_worker) as run_map:
-        pids = [pid for pid, _ in run_map(range(8))]
+def test_run_map_sends_call_i_to_worker_i_mod_jobs(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with cli._run_map(_grid_seen_by_worker, [(i,) for i in range(8)]) as results:
+        pids = [pid for pid, _ in results]
     assert len(set(pids)) == 2 and os.getpid() not in pids
     assert pids == pids[:2] * 4
     assert children(os.getpid()) == []
@@ -1238,13 +1292,13 @@ def _freeze_count(_):
 
 
 def test_forks_leave_this_process_gc_unfrozen(tmp_path, capsys, monkeypatch):
-    # Each child keeps its heap frozen, so its collections stay off the pages
-    # it shares; this process unfreezes, unless its caller had frozen objects.
+    # The fork layer leaves this process's collector as it found it: unfrozen,
+    # or frozen where its caller had frozen objects.
     gc.unfreeze()
-    with cli._run_map(2, _freeze_count) as run_map:
-        assert min(run_map(range(4))) > 0
-        assert gc.get_freeze_count() == 0
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with cli._run_map(_freeze_count, [(i,) for i in range(4)]) as results:
+        list(results)
+        assert gc.get_freeze_count() == 0
     pids = helper_pids(monkeypatch)
     train, val = make_split(tmp_path, capsys, n=150)
     rc, _, err = run(capsys, "train", "--train", str(train), "--val", str(val), "--epochs", "1",
@@ -1254,8 +1308,8 @@ def test_forks_leave_this_process_gc_unfrozen(tmp_path, capsys, monkeypatch):
     assert gc.get_freeze_count() == 0
     gc.freeze()
     try:
-        with cli._run_map(2, _freeze_count) as run_map:
-            list(run_map(range(2)))
+        with cli._run_map(_freeze_count, [(i,) for i in range(2)]) as results:
+            list(results)
         assert gc.get_freeze_count() > 0
     finally:
         gc.unfreeze()
@@ -1437,7 +1491,7 @@ def test_workers_start_no_thread_and_import_no_multiprocessing(tmp_path):
     # Two-worker eval and ablate runs through main, in a fresh interpreter.
     script = """
 import os, sys, threading
-from hybridpose import cli
+from hybridpose import _helper, cli
 os.sched_getaffinity = lambda pid: {0, 1}
 runs = [
     ["synth", "--n", "1500", "--out-train", "train.csv", "--out-val", "val.csv"],
@@ -1447,8 +1501,8 @@ runs = [
     ["ablate", "--train", "train.csv", "--val", "val.csv", "--epochs", "1", "--hidden", "8",
      "--seeds", "0", "--grid-file", "grid.txt"],
 ]
-counts, run_map = [], cli._run_map
-cli._run_map = lambda jobs, *args: counts.append(jobs) or run_map(jobs, *args)
+counts, pool = [], _helper.pool
+_helper.pool = lambda jobs, *args: counts.append(jobs) or pool(jobs, *args)
 for argv in runs:
     assert cli.main(argv) == 0, argv
 assert counts == [2, 2], counts
@@ -1461,6 +1515,31 @@ assert threading.active_count() == 1
         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_two_worker_eval_and_ablate_warn_nothing_in_dev_mode(tmp_path, capsys):
+    # Under -X dev, with ResourceWarning an error: a pipe or file left open by
+    # the pool, in this process or a worker, would print a warning on stderr.
+    train, val = make_split(tmp_path, capsys, n=1500)
+    ckpt, data = write_eval_inputs(tmp_path, 1200)
+    (tmp_path / "grid.txt").write_text("2,7,5,3,1,1\n2,1,0,0,0,0\n")
+    launcher = (
+        "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+        "from hybridpose.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    for argv in [
+        ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--pred-out", "preds.csv"],
+        ["ablate", "--train", str(train), "--val", str(val), "--epochs", "1", "--hidden", "8",
+         "--seeds", "0", "--grid-file", "grid.txt", "--out", "ablation.csv"],
+    ]:
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", launcher, *argv],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = [line for line in result.stderr.splitlines() if not line.startswith("row alpha=")]
+        assert lines == [], result.stderr
 
 
 def test_cli_processes_load_no_openssl(tmp_path, capsys):
