@@ -13,11 +13,10 @@ runs calls k, k + jobs, ... in turn, and the parent reads call i's result
 from worker i mod jobs, so the results come back in input order.  ``Helper``
 shares each step of a two-process ``tinynet.train``: given the hidden layer,
 each head level's forward pass, loss, gradient and Adam update depend on that
-level alone, so the helper usually runs the coarse levels while ``train``'s
-process runs the trunk and the finest one, adds their terms in the
-one-process order and runs the trunk's backward pass; each updates its part
-of ``flat``, with the bits of one process.  This module is imported only
-when a child starts.
+level alone, so the helper runs the coarse levels while ``train``'s process
+runs the trunk and the finest one, adds their terms in the one-process order
+and runs the trunk's backward pass; each updates its part of ``flat``, with
+the bits of one process.  This module is imported only when a child starts.
 """
 
 from __future__ import annotations
@@ -148,13 +147,11 @@ class Helper:
 
     The net, its gradient, Adam's moments and the step's exchange live in one
     shared anonymous mapping; ``net``, ``grad`` and ``optimizer`` are this
-    process's views.  Each coarse level is a task, one byte on a pipe that
-    both processes read without blocking: whoever reads it does it, so this
-    process does those the helper is slow to take (say, while its core is
-    busy elsewhere).  Then the helper alone updates the part of ``flat`` that
-    ``optimizer`` leaves.  It reports each task done with one byte on a
-    second pipe, or its error, pickled, and ends at ``close`` or with this
-    process.
+    process's views.  Each step this process offers the helper two tasks,
+    one byte each on a pipe: all the coarse levels, then, once it has their
+    terms, the Adam update of the part of ``flat`` that ``optimizer`` leaves.
+    The helper reports each task done with one byte on a second pipe, or its
+    error, pickled, and ends at ``close`` or with this process.
     """
 
     def __init__(self, net: TinyNet, learning_rate: float, weights, rows: int):
@@ -176,8 +173,9 @@ class Helper:
         self._state = AdamState(learning_rate, m=m, v=v, part=slice(split, None))
         self._hidden, self._truth, self._d_heads = exchange
         self._ce, self._weights = ce.reshape(N_ANGLES, len(self.levels)), weights
+        # This process keeps the read end too, so that a task offered to a dead
+        # helper is not a broken pipe: its end shows on ``_done``, naming it.
         self._offered, self._offer = os.pipe()
-        os.set_blocking(self._offered, False)
         self.pid, self._done = fork(self._serve, self._offer)
 
     def _batch(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -191,50 +189,33 @@ class Helper:
             list(d_heads.reshape(len(self.levels), N_ANGLES, n, h)),
         )
 
-    def _run(self, task: int) -> None:
-        """Do a task for the exchange's step, writing into the exchange: a
-        coarse level's terms (task = its index), or (task 0) the helper part's
-        Adam update and ``_first_nonfinite``."""
-        if task:
-            hidden, truth, d_heads = self._batch()
-            i = task - self.levels.start
-            self._ce[:, i] = tinynet._level_terms(
-                self.net, self.grad, hidden, truth, self._weights, [task], d_heads[i : i + 1]
-            )[1][:, 0]
-        else:
-            tinynet.adam_update(self.net.flat, self.grad.flat, self._state)
-            self._header[1] = tinynet._first_nonfinite(0.0, self._state, self.net.flat)
-
     def _serve(self, done: int) -> None:
-        """The helper's loop, one task per byte it takes, until the pipe ends."""
+        """The helper's loop, until the offer pipe ends: for each byte taken, a
+        task for the exchange's step, written into the exchange, then a byte on
+        ``done``.  Byte 1 is the coarse levels' terms, byte 0 the helper
+        part's Adam update and its ``_first_nonfinite``."""
         while True:
             _await(self._offered)
-            try:
-                task = os.read(self._offered, 1)
-            except BlockingIOError:  # the other process took it
-                continue
-            if not task:  # the pipe's end: this process's parent is gone
+            task = os.read(self._offered, 1)
+            if not task:  # this process's parent is gone
                 return
-            self._run(task[0])
+            if task == b"\1":
+                hidden, truth, d_heads = self._batch()
+                self._ce[...] = tinynet._level_terms(
+                    self.net, self.grad, hidden, truth, self._weights, self.levels, d_heads
+                )[1]
+            else:
+                tinynet.adam_update(self.net.flat, self.grad.flat, self._state)
+                self._header[1] = tinynet._first_nonfinite(0.0, self._state, self.net.flat)
             os.write(done, b".")
 
-    def _run_offered(self, tasks: int) -> None:
-        """Run here each of the ``tasks`` last offered that the helper has not
-        taken, then wait for those it has."""
-        with suppress(BlockingIOError):
-            while task := os.read(self._offered, 1):
-                self._run(task[0])
-                tasks -= 1
-        self._wait(tasks)
-
-    def _wait(self, tasks: int) -> None:
-        """Wait for the helper to finish ``tasks`` tasks; raise its error, if it sends one."""
-        for _ in range(tasks):
-            _await(self._done)
-            message = os.read(self._done, 1)
-            if message != b".":  # '!' and its error, or the pipe's end
-                done = open(self._done, "rb", closefd=False)
-                _receive(done, f"training helper process {self.pid}", message)
+    def _wait(self) -> None:
+        """Wait for the helper to finish its task; raise its error, if it sends one."""
+        _await(self._done)
+        message = os.read(self._done, 1)
+        if message != b".":  # '!' and its error, or the pipe's end
+            done = open(self._done, "rb", closefd=False)
+            _receive(done, f"training helper process {self.pid}", message)
 
     def start(self, hidden: np.ndarray, targets: np.ndarray) -> None:
         """Offer the coarse levels of a batch: its hidden layer and (n, 3) targets."""
@@ -242,13 +223,13 @@ class Helper:
         exchange_hidden, truth, _ = self._batch()
         exchange_hidden[...] = hidden
         truth[...] = targets.T
-        os.write(self._offer, bytes(self.levels))
+        os.write(self._offer, b"\1")
 
     def terms(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """The coarse levels' (3, levels) cross-entropy sums and hidden-layer
         terms.  Called once the finest level's gradient is in, it then has the
         helper start Adam's update of its part of ``flat``."""
-        self._run_offered(len(self.levels))
+        self._wait()
         os.write(self._offer, b"\0")
         return self._ce, self._batch()[2]
 
@@ -256,7 +237,7 @@ class Helper:
         """Wait for the helper's Adam update of its part of ``flat``, and
         return ``_first_nonfinite`` of that part (never done here, so this
         process does not hold that part's pages)."""
-        self._wait(1)
+        self._wait()
         return int(self._header[1])
 
     def close(self) -> None:

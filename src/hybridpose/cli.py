@@ -407,8 +407,11 @@ def _load_grid_file(path) -> list[LossWeights]:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    # Checked before any work: a negative seed would fail only once its run starts,
-    # and a repeated one would train the same run twice into the row's median.
+    # Checked before any work: no epoch leaves a run no validation MAE, a negative
+    # seed would fail only once its run starts, and a repeated one would train
+    # the same run twice into the row's median.
+    if args.epochs < 1:
+        raise ValueError("ablate needs at least 1 epoch")
     if min(args.seeds) < 0:
         raise ValueError(f"--seeds must be nonnegative, got {_show(args.seeds)}")
     if len(set(args.seeds)) != len(args.seeds):
@@ -418,8 +421,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         grid = _load_grid_file(args.grid_file)
     else:
         grid = [LossWeights(row[0], row[1:]) for row in DEFAULT_WEIGHT_GRID]
-    if args.epochs < 1:
-        raise ValueError("ablate needs at least 1 epoch")
     import statistics  # here, not at the top: it imports decimal and fractions, unused elsewhere
 
     medians = []

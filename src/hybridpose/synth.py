@@ -191,10 +191,11 @@ class _LineBlock(NamedTuple):
     rows: int
 
 
-def _frame_lines(path, block_rows: int) -> Iterator[_LineBlock]:
+def _frame_lines(path, block_rows: float) -> Iterator[_LineBlock]:
     """The nonblank lines of a dataset file in blocks of ``block_rows`` (the
-    last may be shorter), as positions: no line is kept.  A file of none, or
-    one that cannot be read again from a position, such as a pipe, raises."""
+    last may be shorter; ``math.inf`` gives one block), as positions: no line
+    is kept.  A file of none, or one that cannot be read again from a
+    position, such as a pipe, raises."""
     arity, cookie, lines_before, rows = None, 0, 0, 0
     with open(path, errors="surrogateescape") as fh:
         if not fh.seekable():
@@ -271,9 +272,7 @@ def _checked_block(path, features: array, angles: array, line_numbers: array) ->
 def load_dataset(path) -> Dataset:
     """The whole dataset file as one Dataset; blank lines are skipped.
 
-    Parsed 512 rows at a time by ``_parse_block``, so the file's lines are
-    never all held at once, and its first bad line in file order raises."""
-    blocks = list(map(_parse_block, _frame_lines(path, 512)))
-    return Dataset(
-        np.concatenate([b.features for b in blocks]), np.concatenate([b.angles for b in blocks])
-    )
+    Parsed as one block by ``_parse_block``, line by line, so the file's lines
+    are never all held at once, and its first bad line in file order raises."""
+    [block] = _frame_lines(path, math.inf)
+    return _parse_block(block)

@@ -1153,6 +1153,17 @@ def test_ablate_checks_seeds_before_any_work(tmp_path, capsys, monkeypatch, seed
     assert counts == []
 
 
+def test_ablate_checks_epochs_before_any_work(tmp_path, capsys, monkeypatch):
+    counts = _record_worker_counts(monkeypatch)
+    # The data files do not exist: zero epochs fail before they are read.
+    rc, out, err = run(
+        capsys, "ablate", "--train", str(tmp_path / "t.csv"), "--val", str(tmp_path / "v.csv"),
+        "--epochs", "0",
+    )
+    assert (rc, out, err) == (1, "", "error: ablate needs at least 1 epoch\n")
+    assert counts == []
+
+
 def _record_worker_counts(monkeypatch, in_this_process=False):
     """Patch ``cli._run_map`` to record the worker count of each map it runs,
     1 for a map in this process (where a pool's calls also run, if
@@ -1517,9 +1528,10 @@ assert threading.active_count() == 1
     assert result.returncode == 0, result.stderr
 
 
-def test_two_worker_eval_and_ablate_warn_nothing_in_dev_mode(tmp_path, capsys):
+def test_two_process_commands_warn_nothing_in_dev_mode(tmp_path, capsys):
     # Under -X dev, with ResourceWarning an error: a pipe or file left open by
-    # the pool, in this process or a worker, would print a warning on stderr.
+    # the pool or the training helper, in this process or a child, would print
+    # a warning on stderr.
     train, val = make_split(tmp_path, capsys, n=1500)
     ckpt, data = write_eval_inputs(tmp_path, 1200)
     (tmp_path / "grid.txt").write_text("2,7,5,3,1,1\n2,1,0,0,0,0\n")
@@ -1531,6 +1543,8 @@ def test_two_worker_eval_and_ablate_warn_nothing_in_dev_mode(tmp_path, capsys):
         ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--pred-out", "preds.csv"],
         ["ablate", "--train", str(train), "--val", str(val), "--epochs", "1", "--hidden", "8",
          "--seeds", "0", "--grid-file", "grid.txt", "--out", "ablation.csv"],
+        ["train", "--train", str(train), "--val", str(val), "--epochs", "2", "--hidden", "8",
+         "--checkpoint-out", "net.json", "--report-out", "report.csv"],
     ]:
         result = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", launcher, *argv],

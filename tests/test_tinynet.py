@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hybridpose import _helper
+from hybridpose import tinynet
 from hybridpose.binning import decode_positions, expect_decode, make_hierarchy
 from hybridpose.loss import DEFAULT_WEIGHTS, LossWeights, _softmax_inplace, hybrid_loss, softmax
 from hybridpose.synth import Dataset, SynthConfig, make_dataset
@@ -458,26 +458,29 @@ def test_train_with_a_helper_process_matches_one_process(monkeypatch, bin_counts
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_train_runs_the_coarse_levels_a_slow_helper_leaves(monkeypatch):
-    # The helper holds each level it takes for a while, so this process takes the rest.
-    parent, run, ran_here = os.getpid(), _helper.Helper._run, []
+def test_train_leaves_the_coarse_levels_to_a_slow_helper(monkeypatch):
+    # The helper takes a while over each step's coarse levels; this process waits for them.
+    parent, level_terms, ran_here = os.getpid(), tinynet._level_terms, []
 
-    def slow_run(self, task):
+    def slow_level_terms(net, grads, hidden, truth, weights, levels, *rest):
         if os.getpid() == parent:
-            ran_here.append(task)
-        elif task:
+            ran_here.append(levels)
+        else:
             time.sleep(0.02)
-        run(self, task)
+        return level_terms(net, grads, hidden, truth, weights, levels, *rest)
 
-    monkeypatch.setattr(_helper.Helper, "_run", slow_run)
+    monkeypatch.setattr(tinynet, "_level_terms", slow_level_terms)
     train_samples, val_samples = small_data(n=60)
     config = NetConfig(input_dim=24, hidden_dims=(16,))
-    (net_1, report_1), (net_2, report_2) = [
-        train(config, train_samples, val_samples, DEFAULT_WEIGHTS, epochs=2, batch_size=20,
-              jobs=jobs)
-        for jobs in (1, 2)
-    ]
-    assert ran_here and 0 not in ran_here  # coarse levels, never the helper's Adam part
+    runs = []
+    for jobs in (1, 2):
+        ran_here.clear()
+        runs.append(train(config, train_samples, val_samples, DEFAULT_WEIGHTS, epochs=2,
+                          batch_size=20, jobs=jobs))
+    (net_1, report_1), (net_2, report_2) = runs
+    # 48 training rows: each of 3 steps in each of 2 epochs runs the finest level here.
+    assert len(train_samples.angles) == 48
+    assert ran_here == [range(0, 1)] * 6
     assert net_1.flat.tobytes() == net_2.flat.tobytes()
     assert report_1.epoch_total == report_2.epoch_total
     assert report_1.val_reports == report_2.val_reports
