@@ -288,7 +288,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     jobs = min(_usable_cores(), 2)
     net, report = _run_training(args, train_samples, val_samples, args.seed, weights, jobs)
 
-    # One parameter array at a time, so the document never exists whole.
+    # A slice of the parameters at a time, so the document never exists whole.
     with _atomic_file(args.checkpoint_out) as fh:
         fh.writelines(_checkpoint_chunks(net))
     if args.report_out:
@@ -472,7 +472,11 @@ def cmd_parse_biwi(args: argparse.Namespace) -> int:
             continue
         ids.append(path.stem)
         rows.append((pose.yaw, pose.pitch, pose.roll))
-    _write_atomic(args.out, format_annotation_csv(ids, np.reshape(rows, (len(ids), 3))))
+    if not ids:  # eval would reject a file of no rows
+        raise ValueError(
+            f"{directory}: no file matching {args.pattern!r} parsed, rejected {rejected}"
+        )
+    _write_atomic(args.out, format_annotation_csv(ids, np.array(rows)))
     print(f"parsed {len(ids)} file(s), rejected {rejected}, wrote {args.out}")
     return 0
 

@@ -19,9 +19,10 @@ The training step's gradient is itself a TinyNet of the same config, so
 
 The config also fixes the net's decode convention, the bin positions its
 expectation decode integrates over; training and prediction both read it
-from there, and the checkpoint stores it.  The checkpoint is serialized one
-parameter array at a time, so its whole text need never exist at once, and
-each array is decoded straight to a float array as the file is parsed.
+from there, and the checkpoint stores it.  The checkpoint holds the config as
+JSON and ``flat`` as one base64 string of its little-endian float64 bytes,
+exact to the bit.  It is written a slice of ``flat`` at a time, so its whole
+text need never exist at once.
 
 Training is deterministic given the config seed: initialization draws from
 one seeded generator, and each epoch's shuffle is reseeded from the master
@@ -33,11 +34,13 @@ for the same bits (see ``_helper``).
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +74,12 @@ __all__ = [
 N_ANGLES = 3
 
 CHECKPOINT_FORMAT = "hybridpose-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+# Bytes of ``flat`` per base64 piece of a checkpoint.  A multiple of 3, so
+# the pieces' encodings join to exactly the encoding of the whole.
+CHECKPOINT_PIECE_BYTES = 3 << 16
+# What ``base64.b64decode(..., validate=True)`` accepts on Python 3.10.
+_BASE64 = re.compile(r"[A-Za-z0-9+/]*={0,2}")
 
 # predict_batch decodes rows in blocks of this many.  BLAS results can depend
 # on the matrix shape, so one fixed split makes every caller decode a row to
@@ -558,19 +566,13 @@ def train(
     return net, report
 
 
-def _stored_pairs(net: TinyNet) -> list:
-    """The net's (weight, bias) views in the checkpoint's order, one group of
-    pairs per stored list: the trunk's layers, then each angle's heads, finest first."""
-    return [zip(net.trunk_weights, net.trunk_biases), *map(zip, net.head_weights, net.head_biases)]
-
-
 def _checkpoint_chunks(net: TinyNet):
-    """Serialize config, seed and all parameters to JSON, one array pair at a time.
+    """Serialize config, seed and all parameters to JSON, a piece at a time.
 
-    The pieces: the header (format, version, config), one per ``{"weight",
-    "bias"}`` object with the separator before it, then the closing brackets.
-    Floats round-trip exactly through their shortest decimal representation,
-    so save followed by load reproduces every parameter bit for bit.
+    The pieces: the header (format, version, config) up to the opening quote
+    of ``flat``, the base64 of each ``CHECKPOINT_PIECE_BYTES`` of ``flat``'s
+    little-endian float64 bytes, then the closing quote and brace.  Save
+    followed by load reproduces every parameter bit for bit.
     """
     cfg = net.config
     header = {
@@ -588,14 +590,11 @@ def _checkpoint_chunks(net: TinyNet):
             },
         },
     }
-    dumps = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
-    yield dumps(header)[:-1] + ',"trunk":['
-    for g, pairs in enumerate(_stored_pairs(net)):
-        if g:
-            yield '],"heads":[[' if g == 1 else "],["
-        for i, (w, b) in enumerate(pairs):
-            yield ("," if i else "") + dumps({"weight": w.tolist(), "bias": b.tolist()})
-    yield "]]}\n"
+    yield json.dumps(header, separators=(",", ":"))[:-1] + ',"flat":"'
+    raw = memoryview(net.flat.astype("<f8", copy=False)).cast("B")
+    for lo in range(0, len(raw), CHECKPOINT_PIECE_BYTES):
+        yield base64.b64encode(raw[lo : lo + CHECKPOINT_PIECE_BYTES]).decode("ascii")
+    yield '"}\n'
 
 
 def checkpoint_text(net: TinyNet) -> str:
@@ -613,53 +612,10 @@ def _check_keys(name: str, obj, keys: set[str]) -> None:
         raise ValueError(f"malformed checkpoint: {name}: {', '.join(problems)}")
 
 
-def _only_numbers(value) -> bool:
-    """Whether ``value`` is a JSON number, or a list of values that are."""
-    if type(value) is not list:
-        return type(value) in (int, float)
-    if value and type(value[0]) is list:
-        return all(map(_only_numbers, value))
-    return set(map(type, value)) <= {int, float}
-
-
-def _decode_arrays(pairs) -> dict:
-    """``json.loads``' object hook: each value of a ``{"weight", "bias"}``
-    object that is a rectangular array of JSON numbers becomes a float64
-    array as soon as it is decoded, so the document never holds the net's
-    parameters as Python floats.  Any other value is left as parsed, for
-    ``_checked_array`` to report by name."""
-    obj = dict(pairs)
-    if obj.keys() == {"weight", "bias"}:
-        for key in ("weight", "bias"):
-            if _only_numbers(obj[key]):
-                try:
-                    obj[key] = np.array(obj[key], dtype=float)
-                except (ValueError, OverflowError):  # ragged, or an int past a float's range
-                    pass
-    return obj
-
-
-def _checked_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """A checkpoint array as float64, which must have ``shape``: one that
-    ``_decode_arrays`` made, or a value it left, which must still hold only
-    JSON numbers (a string or a bool is an error) that a float can hold."""
-    a = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
-    if a.shape != shape:
-        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-    if a.dtype == object and not set(map(type, a.ravel().tolist())) <= {int, float}:
-        raise ValueError(f"{name} must hold JSON numbers")
-    try:
-        return a.astype(float, copy=False)
-    except OverflowError:
-        raise ValueError(f"{name} holds an integer too large for a float") from None
-
-
 def load_checkpoint(path) -> TinyNet:
     """Rebuild a TinyNet from a checkpoint file."""
     try:
-        doc = json.loads(
-            Path(path).read_text(errors="surrogateescape"), object_pairs_hook=_decode_arrays
-        )
+        doc = json.loads(Path(path).read_text(errors="surrogateescape"))
     except (ValueError, RecursionError) as exc:  # ValueError: also an int past 4,300 digits
         raise ValueError(f"{path}: not a valid checkpoint: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
@@ -671,7 +627,7 @@ def load_checkpoint(path) -> TinyNet:
             f"retrain the net to write a version {CHECKPOINT_VERSION} checkpoint"
         )
     try:
-        _check_keys("top level", doc, {"format", "version", "config", "trunk", "heads"})
+        _check_keys("top level", doc, {"format", "version", "config", "flat"})
         c = doc["config"]
         _check_keys("config", c, {
             "input_dim", "hidden_dims", "seed", "decode_convention", "hierarchy",
@@ -692,31 +648,22 @@ def load_checkpoint(path) -> TinyNet:
             seed=c["seed"],
             decode_convention=c["decode_convention"],
         )
-        trunk, heads = doc["trunk"], doc["heads"]
-        depth = cfg.hierarchy.depth
-        levels = [len(per_angle) for per_angle in heads]
-        if len(trunk) != len(cfg.hidden_dims) or levels != [depth] * N_ANGLES:
-            raise ValueError(
-                f"expected {len(cfg.hidden_dims)} trunk layers and "
-                f"{N_ANGLES} heads of {depth} levels"
-            )
-        # Every stored array is checked against the config before the net is
-        # made, so a config too large to allocate fails naming an array.
-        # A stored head is one angle's slice of its level's stacked arrays.
-        shapes = _param_shapes(cfg)
-        n = 2 * len(trunk)
-        expected = iter(shapes[:n] + [s[1:] for s in shapes[n:]] * N_ANGLES)
-        names = [f"trunk[{i}]" for i in range(len(trunk))]
-        names += [f"heads[{a}][{level}]" for a in range(N_ANGLES) for level in range(depth)]
-        arrays = []
-        for name, stored in zip(names, [*trunk, *chain(*heads)]):
-            _check_keys(name, stored, {"weight", "bias"})
-            for key in ("weight", "bias"):
-                arrays.append(_checked_array(f"{name}.{key}", stored[key], next(expected)))
-        net = TinyNet(cfg)
-        views = [v for pairs in _stored_pairs(net) for pair in pairs for v in pair]
-        for view, a in zip(views, arrays):
-            view[...] = a
+        flat = doc["flat"]
+        if not isinstance(flat, str):
+            raise ValueError(f"flat must be a base64 string, got {type(flat).__name__}")
+        # base64.b64decode(flat, validate=True), without its ASCII copy of flat
+        if not _BASE64.fullmatch(flat):
+            raise ValueError("flat is not valid base64: Only base64 data is allowed")
+        try:
+            raw = binascii.a2b_base64(flat)
+        except binascii.Error as exc:
+            raise ValueError(f"flat is not valid base64: {exc}") from None
+        # Checked against the config before the net is made, so a config too
+        # large to allocate fails here.
+        size = 8 * sum(math.prod(shape) for shape in _param_shapes(cfg))
+        if len(raw) != size:
+            raise ValueError(f"flat holds {len(raw)} bytes, the config's parameters take {size}")
+        net = TinyNet(cfg, np.frombuffer(raw, "<f8").astype(float))
         if not np.isfinite(net.flat).all():
             raise ValueError("parameters contain non-finite values")
         return net

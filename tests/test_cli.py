@@ -909,9 +909,9 @@ def test_parallel_eval_sends_each_call_a_block_position_only(tmp_path, capsys, m
 
 
 def test_train_writes_the_checkpoint_one_array_at_a_time(tmp_path, capsys, monkeypatch):
-    # A (256, 256) net's checkpoint is about 6 MB of text.  Built whole, its
-    # lists, its text and the text's encoding peak at about 3.6 times that;
-    # one array at a time, at the largest array's share of it.
+    # A (256, 256) net's checkpoint is about 3.2 MB of base64.  Built whole,
+    # its text and the text's encoding would peak at about twice that; one
+    # slice of the parameters at a time, at a slice's share of it.
     train_csv, val_csv = make_split(tmp_path, capsys, n=10)
     net = init_net(NetConfig(input_dim=24, hidden_dims=(256, 256), seed=0))
     report = TrainReport((), (), (), (), 0.0)
@@ -1061,8 +1061,9 @@ def test_allocation_past_memory_fails_as_one_error_line(tmp_path, capsys, monkey
     (tmp_path / "data" / "grid").write_text("2,7,5,3,1,1\n")
     rc, stdout, err = run(capsys, command, *argv)
     assert (rc, stdout) == (1, "")
-    if command == "eval":  # the stored arrays are checked against the config before any allocation
-        assert err == f"error: {huge}: trunk[0].weight has shape (24, 8), expected (24, {10**14})\n"
+    if command == "eval":  # the stored bytes are counted against the config before any allocation
+        assert err == (f"error: {huge}: flat holds 64240 bytes, "
+                       f"the config's parameters take {8 * (895 * 10**14 + 870)}\n")
     else:
         assert err.startswith(f"error: {flag}: Unable to allocate ") and err.count("\n") == 1, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data", huge.name]
@@ -1392,6 +1393,23 @@ def test_parse_biwi_skips_ids_that_cannot_round_trip(tmp_path, capsys):
     # What parse-biwi writes, eval reads back.
     rc, _, err = run(capsys, "eval", "--pred", str(out), "--truth", str(out))
     assert rc == 0, err
+
+
+@pytest.mark.parametrize("names", [(), ("a.txt", "b.txt")])
+def test_parse_biwi_that_parses_no_file_fails(tmp_path, capsys, names):
+    # An empty directory, or one whose every file is rejected: eval would
+    # reject an annotation file of no rows, so none is written.
+    poses = tmp_path / "poses"
+    poses.mkdir()
+    for name in names:
+        (poses / name).write_text("1 0 0\nnot a matrix\n")
+    out = tmp_path / "annotations.csv"
+    rc, stdout, err = run(capsys, "parse-biwi", "--dir", str(poses), "--out", str(out))
+    assert (rc, stdout) == (1, "")
+    assert err.splitlines()[len(names):] == [
+        f"error: {poses}: no file matching '*.txt' parsed, rejected {len(names)}"
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

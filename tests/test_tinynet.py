@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import time
@@ -548,10 +549,21 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
     assert checkpoint_text(net) == checkpoint_text(net)
 
 
+def test_checkpoint_roundtrip_keeps_every_bit_of_extreme_values(tmp_path):
+    net = init_net(TOY)
+    extremes = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    net.flat[: len(extremes)] = extremes
+    path = tmp_path / "net.json"
+    path.write_text(checkpoint_text(net))
+    loaded = load_checkpoint(path)
+    assert loaded.flat.tobytes() == net.flat.tobytes()
+    assert np.signbit(loaded.flat[0]) and loaded.flat[1] == 5e-324
+
+
 def test_load_checkpoint_decodes_arrays_without_python_floats(tmp_path):
     # Reading the text holds its bytes and its str at once, about 2 * text.
-    # The arrays then cost 8 bytes per parameter, where JSON's lists of Python
-    # floats would cost 32 more, or 4 * flat.nbytes.
+    # Then the decoded bytes of flat and their float array cost 8 bytes per
+    # parameter each, where JSON's lists of Python floats would cost 32 more.
     net = init_net(NetConfig(input_dim=24))
     path = tmp_path / "net.json"
     path.write_text(checkpoint_text(net))
@@ -569,7 +581,7 @@ def whole_checkpoint_text(net):
     cfg = net.config
     doc = {
         "format": "hybridpose-checkpoint",
-        "version": 2,
+        "version": 3,
         "config": {
             "input_dim": cfg.input_dim,
             "hidden_dims": list(cfg.hidden_dims),
@@ -581,31 +593,27 @@ def whole_checkpoint_text(net):
                 "bin_counts": [s.n_bins for s in cfg.hierarchy.levels],
             },
         },
-        "trunk": [
-            {"weight": w.tolist(), "bias": b.tolist()}
-            for w, b in zip(net.trunk_weights, net.trunk_biases)
-        ],
-        "heads": [
-            [{"weight": w.tolist(), "bias": b.tolist()} for w, b in zip(per_w, per_b)]
-            for per_w, per_b in zip(net.head_weights, net.head_biases)
-        ],
+        "flat": base64.b64encode(net.flat.astype("<f8").tobytes()).decode("ascii"),
     }
-    return json.dumps(doc, allow_nan=False, separators=(",", ":")) + "\n"
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize("convention", ["center", "edge"])
 @pytest.mark.parametrize("bin_counts", [(198, 66, 18, 6, 2), (6, 2), (4,)])
 @pytest.mark.parametrize("hidden", [(8,), (16, 8, 4)])
-def test_streamed_checkpoint_equals_the_whole_document(hidden, bin_counts, convention):
+def test_streamed_checkpoint_equals_the_whole_document(hidden, bin_counts, convention,
+                                                       monkeypatch):
     config = NetConfig(input_dim=5, hidden_dims=hidden, hierarchy=make_hierarchy(bin_counts),
                        seed=2, decode_convention=convention)
     net = init_net(config)
     net.flat += np.random.default_rng(1).normal(scale=0.1, size=net.flat.size)
-    chunks = list(_checkpoint_chunks(net))
-    # The header, one piece per weight/bias pair, and the closing brackets.
-    pairs = len(hidden) + 3 * len(bin_counts)
-    assert len(chunks) == 1 + pairs + 3 + 1
-    assert "".join(chunks) == checkpoint_text(net) == whole_checkpoint_text(net)
+    # The header, one piece per slice of flat's bytes, and the closing quote
+    # and brace; slices of 3 parameters exercise the joins at every size.
+    for piece_bytes in (tinynet.CHECKPOINT_PIECE_BYTES, 24):
+        monkeypatch.setattr(tinynet, "CHECKPOINT_PIECE_BYTES", piece_bytes)
+        chunks = list(_checkpoint_chunks(net))
+        assert len(chunks) == 1 + -(-net.flat.nbytes // piece_bytes) + 1
+        assert "".join(chunks) == checkpoint_text(net) == whole_checkpoint_text(net)
 
 
 def test_checkpoint_stores_the_decode_convention(tmp_path):
@@ -650,52 +658,70 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
     assert str(info.value).startswith(f"{path}: unsupported checkpoint version 1; retrain")
+    # Version 2 stored the parameters as JSON arrays, angle by angle, in place of flat.
+    old = json.loads(checkpoint_text(init_net(TOY)))
+    old.update(version=2, trunk=[{"weight": [[0.0] * 8] * 4, "bias": [0.0] * 8}], heads=[[]] * 3)
+    del old["flat"]
+    path.write_text(json.dumps(old))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == (
+        f"{path}: unsupported checkpoint version 2; retrain the net to write a version 3 checkpoint"
+    )
     del doc["version"]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(path)
-    doc["version"] = 2
-    del doc["trunk"]
+    doc["version"] = 3
+    del doc["flat"]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="malformed"):
+    with pytest.raises(ValueError) as info:
         load_checkpoint(path)
+    assert str(info.value) == f"{path}: malformed checkpoint: top level: missing key 'flat'"
 
     # Values that parse as JSON but not as a net: the error names the file.
-    def trunk_bias(value):
-        return lambda d: d["trunk"][0].__setitem__("bias", value)
+    def flat_of(*values):
+        """An edit setting ``flat`` to the base64 of ``values`` as float64 (by
+        default, 0.1 for each of TOY's 256 parameters)."""
+        values = values or [0.1] * 256
+        data = base64.b64encode(np.array(values, "<f8").tobytes()).decode("ascii")
+        return lambda d: d.__setitem__("flat", data)
 
+    def flat_text(edit):
+        return lambda d: d.__setitem__("flat", edit(d["flat"]))
+
+    flat_of()(doc)  # the payload flat_of makes loads
+    path.write_text(json.dumps(doc))
+    assert (load_checkpoint(path).flat == 0.1).all()
     bad_values = [
-        (lambda d: d["heads"][0][0].__setitem__("weight", [[0.0] * 7] * 5),
-         "heads[0][0].weight has shape (5, 7), expected (8, 6)"),
-        (lambda d: d["heads"][2][1].__setitem__("bias", [0.0] * 3),
-         "heads[2][1].bias has shape (3,), expected (2,)"),
-        (lambda d: d["trunk"][0].__setitem__("weight", [[0.0] * 8] * 3),
-         "trunk[0].weight has shape (3, 8), expected (4, 8)"),
-        (lambda d: d["trunk"].append(d["trunk"][0]),
-         "expected 1 trunk layers and 3 heads of 2 levels"),
-        (lambda d: d["heads"][1].pop(), "expected 1 trunk layers and 3 heads of 2 levels"),
+        (lambda d: d.__setitem__("flat", [[0.0] * 8]), "flat must be a base64 string, got list"),
+        (lambda d: d.__setitem__("flat", None), "flat must be a base64 string, got NoneType"),
+        (lambda d: d.__setitem__("flat", 0.5), "flat must be a base64 string, got float"),
+        (flat_text(lambda t: t[:100] + "*" + t[101:]),
+         "flat is not valid base64: Only base64 data is allowed"),
+        (flat_text(lambda t: t[:100] + "\u00e9" + t[101:]),
+         "flat is not valid base64: Only base64 data is allowed"),
+        (flat_text(lambda t: t[:100] + "=" + t[101:]),
+         "flat is not valid base64: Only base64 data is allowed"),
+        (flat_text(lambda t: t + "=="), "flat is not valid base64: Only base64 data is allowed"),
+        (flat_text(lambda t: t.rstrip("=")), "flat is not valid base64: Incorrect padding"),
+        (flat_of(*[0.1] * 255), "flat holds 2040 bytes, the config's parameters take 2048"),
+        (flat_of(*[0.1] * 257), "flat holds 2056 bytes, the config's parameters take 2048"),
+        (flat_of(*[0.1] * 255, np.nan), "parameters contain non-finite values"),
+        (flat_of(np.inf, *[0.1] * 255), "parameters contain non-finite values"),
+        (flat_of(*[0.1] * 100, -np.inf, *[0.1] * 155), "parameters contain non-finite values"),
         (lambda d: d["config"].__setitem__("decode_convention", "middle"),
          "unknown decode convention 'middle' (choose from 'center', 'edge')"),
-        (trunk_bias([[0.0], [0.0, 1.0]]), "trunk[0].bias has shape (2,), expected (8,)"),
-        # Parameters must be JSON numbers, not strings or booleans converted by float().
-        (trunk_bias(["abc"] * 8), "trunk[0].bias must hold JSON numbers"),
-        (trunk_bias(["1.5"] + [0.0] * 6 + [True]), "trunk[0].bias must hold JSON numbers"),
-        (trunk_bias([1.5] * 7 + [True]), "trunk[0].bias must hold JSON numbers"),
-        (trunk_bias([0.0] * 7 + [None]), "trunk[0].bias must hold JSON numbers"),
-        (trunk_bias([0.0] * 7 + [[0.0]]), "trunk[0].bias must hold JSON numbers"),
-        (lambda d: d["heads"][1][0]["weight"][3].__setitem__(2, "0.5"),
-         "heads[1][0].weight must hold JSON numbers"),
         (lambda d: d["config"]["hierarchy"].__setitem__("bin_counts", [198, 67]),
          "coarse bin count 67 does not divide finest 198"),
         (lambda d: d["config"].__setitem__("seed", -1),
          "seed must be a nonnegative integer, got -1"),
-        (trunk_bias(["INF"] * 8), "parameters contain non-finite values"),
-        (trunk_bias([10**400] + [0.0] * 7), "trunk[0].bias holds an integer too large for a float"),
-        (trunk_bias(["DIGITS"] * 8), "not a valid checkpoint: Exceeds the limit (4300 digits)"),
-        # Stored arrays are checked against the config before the net is made: a
-        # net of 2**61 bytes, past any address space, fails naming an array.
+        (lambda d: d["config"].__setitem__("seed", "DIGITS"),
+         "not a valid checkpoint: Exceeds the limit (4300 digits)"),
+        # The byte count is checked against the config before the net is made: a
+        # net of 2**61 bytes, past any address space, fails naming both counts.
         (lambda d: d["config"].__setitem__("hidden_dims", [10**16]),
-         "trunk[0].weight has shape (4, 8), expected (4, 10000000000000000)"),
+         f"flat holds 2048 bytes, the config's parameters take {8 * (29 * 10**16 + 24)}"),
         # Integers must be JSON integers, not floats or booleans rounded by int().
         (lambda d: d["config"].__setitem__("input_dim", 4.9),
          "input_dim must be a positive integer, got 4.9"),
@@ -717,16 +743,18 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     for mutate, message in bad_values:
         doc = json.loads(checkpoint_text(init_net(TOY)))
         mutate(doc)
-        # JSON has no infinity; 1e400 overflows to one when parsed.  Python
-        # neither writes nor reads an int of more than 4,300 digits.
-        path.write_text(json.dumps(doc).replace('"INF"', "1e400").replace('"DIGITS"', "1" * 5000))
+        # Python neither writes nor reads an int of more than 4,300 digits.
+        path.write_text(json.dumps(doc).replace('"DIGITS"', "1" * 5000))
         with pytest.raises(ValueError) as info:
             load_checkpoint(path)
         assert str(info.value).startswith(f"{path}: {message}"), info.value
 
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda d: d.__setitem__("version", 2.0),
      "unsupported checkpoint version 2.0; retrain the net"),
+    (lambda d: d.__setitem__("version", 3.0),
+     "unsupported checkpoint version 3.0; retrain the net"),
     (lambda d: d.__setitem__("notes", "hand edited"),
      "malformed checkpoint: top level: unexpected key 'notes'"),
     (lambda d: d["config"].__setitem__("activation", "tanh"),
@@ -734,10 +762,6 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     (lambda d: d["config"].pop("seed"), "malformed checkpoint: config: missing key 'seed'"),
     (lambda d: d["config"]["hierarchy"].__setitem__("bin_width", 33.0),
      "malformed checkpoint: config.hierarchy: unexpected key 'bin_width'"),
-    (lambda d: d["trunk"][0].__setitem__("scale", 1.0),
-     "malformed checkpoint: trunk[0]: unexpected key 'scale'"),
-    (lambda d: d["heads"][2].__setitem__(1, [0.0]),
-     "malformed checkpoint: heads[2][1] must be an object, got list"),
     # The bin range is fixed: the stored angles must be the JSON numbers -99 and 99.
     (lambda d: d["config"]["hierarchy"].__setitem__("min_angle", "-99"),
      'config hierarchy.min_angle must be a number equal to -99.0, got "-99"'),
