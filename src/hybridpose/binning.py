@@ -53,8 +53,20 @@ def _shown(value) -> str:
         digits = int(n.bit_length() * math.log10(2))  # the count, or one less
         digits += n >= 10**digits
         return f"{'-' * (value < 0)}{n // 10 ** (digits - _SHOWN_CHARS)}... ({digits} digits)"
-    text = repr(value)
+    return _cut(repr(value))
+
+
+def _cut(text: str) -> str:
+    """``text`` cut to _SHOWN_CHARS characters, with "..." where it was cut."""
     return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
+
+
+def _float(text: str) -> float:
+    """``float(text)``, whose error quotes the text through ``_shown``."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"could not convert string to float: {_shown(text)}") from None
 
 
 def _check_int(name: str, value, minimum: int) -> None:
@@ -123,7 +135,7 @@ class BinHierarchy:
 def make_hierarchy(bin_counts: tuple[int, ...] = CANONICAL_BIN_COUNTS) -> BinHierarchy:
     """Build a hierarchy; with no arguments, the canonical 198/66/18/6/2 one."""
     if not isinstance(bin_counts, (list, tuple)):
-        raise ValueError(f"bin_counts must be a list or tuple, got {bin_counts!r}")
+        raise ValueError(f"bin_counts must be a list or tuple, got {_shown(bin_counts)}")
     return BinHierarchy(tuple(BinScheme(n) for n in bin_counts))
 
 

@@ -36,7 +36,8 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .angles import mae, rotation_to_euler
-from .binning import DECODE_CONVENTIONS, _check_in_range, _check_real
+from .binning import DECODE_CONVENTIONS, _check_in_range, _check_real, _cut, _float, _shown
+from .binning import make_hierarchy
 from .data import (
     ParseError,
     _check_ids,
@@ -120,14 +121,16 @@ def load_config_file(path) -> dict[str, tuple[str, int]]:
     values: dict[str, tuple[str, int]] = {}
     for lineno, line, raw in _content_lines(path):
         if "=" not in line:
-            raise ValueError(f"{path}: line {lineno}: expected 'key = value', got {raw.strip()!r}")
+            got = _shown(raw.strip())
+            raise ValueError(f"{path}: line {lineno}: expected 'key = value', got {got}")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
         if not key:
             raise ValueError(f"{path}: line {lineno}: empty key")
         if key in values:
             raise ValueError(
-                f"{path}: line {lineno}: duplicate key {key!r} (first on line {values[key][1]})"
+                f"{path}: line {lineno}: duplicate key {_shown(key)} "
+                f"(first on line {values[key][1]})"
             )
         values[key] = (value.strip(), lineno)
     return values
@@ -139,7 +142,7 @@ def _pair(text: str) -> tuple[float, float]:
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(","))
+    return tuple(map(_float, text.split(",")))
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -282,8 +285,11 @@ def _run_map(fn, calls: list):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    train_samples, val_samples = _load_training_data(args)
+    # Checked before any file is read: the net has the default hierarchy.
+    if len(args.betas) != (depth := make_hierarchy().depth):
+        raise ValueError(f"--betas takes {depth} weights, one per level, got {_show(args.betas)}")
     weights = LossWeights(args.alpha, args.betas)
+    train_samples, val_samples = _load_training_data(args)
     # A forked helper runs a share of each step where a second core is free to take it.
     jobs = min(_usable_cores(), 2)
     net, report = _run_training(args, train_samples, val_samples, args.seed, weights, jobs)
@@ -308,7 +314,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_annotations(path) -> tuple[list[str], np.ndarray]:
+def _read_annotations(path) -> tuple[dict[str, int], np.ndarray]:
     try:
         # Parsed as it is read.  newline="" keeps each line's ending, so
         # splitlines splits the file wherever it would split the whole text.
@@ -321,17 +327,16 @@ def _read_annotations(path) -> tuple[list[str], np.ndarray]:
     return ids, angles
 
 
-def _match_by_id(pred_ids, pred: np.ndarray, truth_ids) -> np.ndarray:
-    """The rows of ``pred`` reordered to ``truth_ids``; both must hold the same ids."""
-    index = {sample_id: i for i, sample_id in enumerate(pred_ids)}
+def _match_by_id(pred_ids: dict[str, int], pred: np.ndarray, truth_ids: dict[str, int]):
+    """The rows of ``pred`` in ``truth_ids``' order; both dicts from id to row hold the same ids."""
     missing = {
-        "predictions": sorted(set(truth_ids) - index.keys()),
-        "truths": sorted(index.keys() - set(truth_ids)),
+        "predictions": [*map(_cut, sorted(truth_ids.keys() - pred_ids.keys())[:10])],
+        "truths": [*map(_cut, sorted(pred_ids.keys() - truth_ids.keys())[:10])],
     }
-    parts = [f"missing from {side}: {', '.join(ids[:10])}" for side, ids in missing.items() if ids]
+    parts = [f"missing from {side}: {', '.join(ids)}" for side, ids in missing.items() if ids]
     if parts:
         raise ValueError("prediction/truth id mismatch; " + "; ".join(parts))
-    return pred[[index[sample_id] for sample_id in truth_ids]]
+    return pred[np.fromiter(map(pred_ids.__getitem__, truth_ids), np.intp, len(truth_ids))]
 
 
 def _eval_block(net, with_text, start: int, block) -> tuple[np.ndarray, np.ndarray, str | None]:
@@ -363,7 +368,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.pred:
         pred_ids, pred = _read_annotations(args.pred)
         truth_ids, truth = _read_annotations(args.truth)
-        report = mae(_match_by_id(pred_ids, pred, truth_ids), truth)
+        try:
+            report = mae(_match_by_id(pred_ids, pred, truth_ids), truth)
+        except ValueError as exc:  # ids that do not match: name both files
+            raise ValueError(f"{args.pred} and {args.truth}: {exc}") from None
     else:
         net = load_checkpoint(args.checkpoint)
         # One predict_batch block per call, which is the block's first row and
@@ -502,7 +510,8 @@ class _Option(NamedTuple):
         try:
             return self.type(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {_FORMS[self.type]}, got {text!r}") from None
+            form = _FORMS[self.type]
+            raise argparse.ArgumentTypeError(f"expected {form}, got {_shown(text)}") from None
 
     def convert(self, text: str):
         """A config file value as the flag's own converter and choices would take it."""
@@ -618,13 +627,13 @@ def _parse_args(argv) -> argparse.Namespace:
     for key, (raw, lineno) in file_values.items():
         if key not in options:
             raise ValueError(
-                f"{args.config}: line {lineno}: unknown option {key!r} for {args.command}"
+                f"{args.config}: line {lineno}: unknown option {_shown(key)} for {args.command}"
             )
         try:
             value = options[key].convert(raw)
         except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
             raise ValueError(
-                f"{args.config}: line {lineno}: config value {key} = {raw!r}: {exc}"
+                f"{args.config}: line {lineno}: config value {key} = {_shown(raw)}: {exc}"
             ) from None
         if getattr(args, key) is None:
             setattr(args, key, value)

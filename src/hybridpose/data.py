@@ -6,8 +6,8 @@ Two text formats are handled:
   an optional blank line, then one translation row.  This matches the
   per-frame ground-truth layout of common RGB-D head pose recordings.
 * Annotation CSV: header ``id,yaw,pitch,roll`` then one record per line,
-  angles in degrees.  In memory it is a list of ids plus an (n, 3)
-  yaw/pitch/roll array, row i belonging to id i.
+  angles in degrees.  In memory it is a dict from each id to its row of an
+  (n, 3) yaw/pitch/roll array, in file order.
 
 All parse failures raise ParseError with a 1-based line number.
 """
@@ -21,6 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .angles import ANGLE_NAMES, check_rotation_matrix
+from .binning import _float, _shown
 
 __all__ = [
     "ParseError",
@@ -52,7 +53,7 @@ def _parse_number_row(line: str, lineno: int, expected: int) -> list[float]:
         try:
             values.append(float(tok))
         except ValueError:
-            raise ParseError(f"non-numeric token {tok!r}", line=lineno) from None
+            raise ParseError(f"non-numeric token {_shown(tok)}", line=lineno) from None
     return values
 
 
@@ -94,8 +95,8 @@ def format_biwi_pose(rotation, translation=(0.0, 0.0, 0.0)) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_annotation_csv(text: str | Iterable[str]) -> tuple[list[str], np.ndarray]:
-    """Parse an ``id,yaw,pitch,roll`` CSV into ids and an (n, 3) angle array, in file order.
+def parse_annotation_csv(text: str | Iterable[str]) -> tuple[dict[str, int], np.ndarray]:
+    """Parse an ``id,yaw,pitch,roll`` CSV into {id: row} and an (n, 3) angle array, in file order.
 
     ``text`` is the CSV's text, or its lines as ``str.splitlines`` gives them,
     which are parsed as they come: only the ids and angles are kept.
@@ -103,8 +104,8 @@ def parse_annotation_csv(text: str | Iterable[str]) -> tuple[list[str], np.ndarr
     lines = iter(text.splitlines() if isinstance(text, str) else text)
     header = next(lines, "").strip()
     if header != ANNOTATION_HEADER:
-        raise ParseError(f"expected header {ANNOTATION_HEADER!r}, found {header!r}", line=1)
-    ids, angles, seen = [], array("d"), set()
+        raise ParseError(f"expected header {ANNOTATION_HEADER!r}, found {_shown(header)}", line=1)
+    ids, angles = {}, array("d")
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
@@ -114,17 +115,16 @@ def parse_annotation_csv(text: str | Iterable[str]) -> tuple[list[str], np.ndarr
         sample_id = parts[0].strip()
         if not sample_id:
             raise ParseError("empty id", line=lineno)
-        if sample_id in seen:
-            raise ParseError(f"duplicate id {sample_id!r}", line=lineno)
-        seen.add(sample_id)
+        if sample_id in ids:
+            raise ParseError(f"duplicate id {_shown(sample_id)}", line=lineno)
         try:
-            row = [float(p) for p in parts[1:]]
+            row = [_float(p) for p in parts[1:]]
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
         for name, value in zip(ANGLE_NAMES, row):
             if not math.isfinite(value):
                 raise ParseError(f"{name} must be finite, got {value!r}", line=lineno)
-        ids.append(sample_id)
+        ids[sample_id] = len(ids)
         angles.extend(row)
     return ids, np.frombuffer(angles).reshape(len(ids), 3)
 

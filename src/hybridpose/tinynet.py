@@ -54,6 +54,7 @@ from .binning import (
     _check_in_range,
     _check_int,
     _check_real,
+    _cut,
     _shown,
     decode_positions,
     make_hierarchy,
@@ -106,7 +107,7 @@ class NetConfig:
     def __post_init__(self) -> None:
         _check_int("input_dim", self.input_dim, 1)
         if not isinstance(self.hidden_dims, (list, tuple)):
-            raise ValueError(f"hidden_dims must be a list or tuple, got {self.hidden_dims!r}")
+            raise ValueError(f"hidden_dims must be a list or tuple, got {_shown(self.hidden_dims)}")
         for i, d in enumerate(self.hidden_dims):
             _check_int(f"hidden_dims[{i}]", d, 1)
         if not isinstance(self.hierarchy, BinHierarchy):
@@ -114,22 +115,10 @@ class NetConfig:
         _check_int("seed", self.seed, 0)
         if self.decode_convention not in DECODE_CONVENTIONS:
             raise ValueError(
-                f"unknown decode convention {self.decode_convention!r} "
+                f"unknown decode convention {_shown(self.decode_convention)} "
                 f"(choose from {', '.join(map(repr, DECODE_CONVENTIONS))})"
             )
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
-
-
-@dataclass(frozen=True, eq=False)
-class HeadOutputs:
-    """Per-level logit vectors for each angle, finest level first."""
-
-    yaw: tuple[np.ndarray, ...]
-    pitch: tuple[np.ndarray, ...]
-    roll: tuple[np.ndarray, ...]
-
-    def per_angle(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        return (self.yaw, self.pitch, self.roll)
 
 
 def _param_shapes(config: NetConfig) -> list[tuple[int, ...]]:
@@ -174,12 +163,8 @@ class TinyNet:
         """
         return list(self._params)
 
-    def _forward_batch(self, x: np.ndarray, levels=None):
-        """Trunk pre-activations, activations and head logits for a batch.
-
-        The logits are one (3, n, n_bins) array per level index in
-        ``levels`` (finest 0), by default every level.
-        """
+    def _forward_batch(self, x: np.ndarray):
+        """Trunk pre-activations and activations for a batch; ``acts[-1]`` is the hidden layer."""
         pre_acts = []
         acts = [x]
         a = x
@@ -189,8 +174,7 @@ class TinyNet:
             a = np.maximum(z, 0.0)
             pre_acts.append(z)
             acts.append(a)
-        levels = range(len(self.head_blocks)) if levels is None else levels
-        return pre_acts, acts, self._head_logits(a, levels)
+        return pre_acts, acts
 
     def _head_logits(self, hidden: np.ndarray, levels) -> list[np.ndarray]:
         """The (3, n, n_bins) logits of each level of ``levels`` for the hidden layer."""
@@ -212,13 +196,6 @@ class TinyNet:
         if not np.isfinite(f).all():
             raise ValueError("features contain non-finite values")
         return f
-
-    def forward(self, features) -> HeadOutputs:
-        """Logits for one feature vector."""
-        f = self._check_features(features)
-        _, _, logits = self._forward_batch(f[None, :])
-        per_angle = (tuple(level[a, 0] for level in logits) for a in range(N_ANGLES))
-        return HeadOutputs(*per_angle)
 
     # Unused in the package; the benchmark's tracer wraps it by this name.
     def predict(self, features) -> PoseAngles:
@@ -243,7 +220,7 @@ class TinyNet:
         # A separate frame, so one block's arrays are freed before the next block's
         # are made.  One angle at a time, in one (n, k) logit array, each with the
         # stacked form's matmul, in-place softmax and decode: the same bits.
-        a = self._forward_batch(x, levels=())[1][-1]
+        a = self._forward_batch(x)[1][-1]
         (w, b), out = self.head_blocks[0], np.empty((x.shape[0], N_ANGLES))
         s = np.empty((x.shape[0], w.shape[2]))
         for i in range(N_ANGLES):
@@ -398,14 +375,14 @@ def _batch_loss_and_grads(
     ``out``, a TinyNet of ``net``'s config (so training fills its gradient's
     ``flat`` without a copy), or into a new one if ``out`` is None; its
     ``parameters()`` are returned.  A ``_helper.Helper`` shares the coarse levels.
+    ``weights`` must hold one beta per level: ``train`` checks that once.
     """
     hierarchy = net.config.hierarchy
-    _check_loss_args(weights, hierarchy)
     n = x.shape[0]
     grads = TinyNet(net.config) if out is None else out
     levels = range(hierarchy.depth if helper is None else helper.levels.start)
 
-    pre_acts, acts, _ = net._forward_batch(x, levels=())
+    pre_acts, acts = net._forward_batch(x)
     hidden = acts[-1]
     if helper is not None:
         helper.start(hidden, targets)
@@ -506,6 +483,7 @@ def train(
     _check_int("batch_size", batch_size, 1)
     if type(jobs) is not int or jobs not in (1, 2):
         raise ValueError(f"jobs must be 1 or 2, got {_shown(jobs)}")
+    _check_loss_args(weights, config.hierarchy)
     x_train, t_train = _batch_arrays(train_samples)
     x_val, t_val = _batch_arrays(val_samples)
     for name, arr in (("train_samples", x_train), ("val_samples", x_val)):
@@ -606,7 +584,7 @@ def _check_keys(name: str, obj, keys: set[str]) -> None:
     """A checkpoint object must hold exactly ``keys``: any other is an error, not ignored."""
     if not isinstance(obj, dict):
         raise ValueError(f"malformed checkpoint: {name} must be an object, got {type(obj).__name__}")
-    problems = [f"unexpected key {k!r}" for k in sorted(obj.keys() - keys)]
+    problems = [f"unexpected key {_shown(k)}" for k in sorted(obj.keys() - keys)]
     problems += [f"missing key {k!r}" for k in sorted(keys - obj.keys())]
     if problems:
         raise ValueError(f"malformed checkpoint: {name}: {', '.join(problems)}")
@@ -623,7 +601,7 @@ def load_checkpoint(path) -> TinyNet:
     version = doc.get("version")
     if type(version) is not int or version != CHECKPOINT_VERSION:
         raise ValueError(
-            f"{path}: unsupported checkpoint version {version!r}; "
+            f"{path}: unsupported checkpoint version {_shown(version)}; "
             f"retrain the net to write a version {CHECKPOINT_VERSION} checkpoint"
         )
     try:
@@ -639,7 +617,7 @@ def load_checkpoint(path) -> TinyNet:
             if h[key] != limit:
                 raise ValueError(
                     f"config hierarchy.{key} must be a number equal to {limit}, "
-                    f"got {json.dumps(h[key])}"
+                    f"got {_cut(json.dumps(h[key]))}"
                 )
         cfg = NetConfig(
             input_dim=c["input_dim"],
@@ -668,6 +646,6 @@ def load_checkpoint(path) -> TinyNet:
             raise ValueError("parameters contain non-finite values")
         return net
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed checkpoint: {exc!r}") from None
+        raise ValueError(f"{path}: malformed checkpoint: {_shown(exc)}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

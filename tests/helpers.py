@@ -34,3 +34,14 @@ def set_params(params, flat: np.ndarray) -> None:
     for p in params:
         p[...] = flat[offset : offset + p.size].reshape(p.shape)
         offset += p.size
+
+
+def row_logits(net, features) -> list[list[np.ndarray]]:
+    """One feature vector's head logits, per angle, each angle's levels finest first.
+
+    The row runs as a one-row batch through the trunk (``_forward_batch``) and
+    every level's heads (``_head_logits``).
+    """
+    hidden = net._forward_batch(np.asarray(features, dtype=float)[None, :])[1][-1]
+    logits = net._head_logits(hidden, range(len(net.head_blocks)))
+    return [[level[a, 0] for level in logits] for a in range(len(logits[0]))]

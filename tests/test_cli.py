@@ -617,7 +617,7 @@ def test_eval_reads_annotations_in_the_lines_their_text_splits_into(tmp_path, ca
     (pred_ids, pred_angles), (truth_ids, truth_angles) = map(
         parse_annotation_csv, (pred_text, truth_text)
     )
-    assert truth_ids == ["a", "b", "c"]
+    assert list(truth_ids.items()) == [("a", 0), ("b", 1), ("c", 2)]
     report = mae(cli._match_by_id(pred_ids, pred_angles, truth_ids), truth_angles)
     assert out == cli._mae_table(report) + "\n"
     # Messages and line numbers are those of the parser given the whole text.
@@ -1163,6 +1163,27 @@ def test_ablate_checks_epochs_before_any_work(tmp_path, capsys, monkeypatch):
     )
     assert (rc, out, err) == (1, "", "error: ablate needs at least 1 epoch\n")
     assert counts == []
+
+
+@pytest.mark.parametrize("epochs", ["0", "1"])
+def test_train_checks_the_betas_count_before_any_work(tmp_path, capsys, monkeypatch, epochs):
+    train, val = make_split(tmp_path, capsys)
+    reads, forks, load = [], [], cli.load_dataset
+
+    def no_fork():
+        forks.append(1)
+        raise OSError("no fork here")
+
+    monkeypatch.setattr(cli, "load_dataset", lambda path: reads.append(path) or load(path))
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    ckpt = tmp_path / "net.json"
+    rc, out, err = run(
+        capsys, "train", "--train", str(train), "--val", str(val), "--epochs", epochs,
+        "--betas", "1,2", "--checkpoint-out", str(ckpt),
+    )
+    assert (rc, out, err) == (1, "", "error: --betas takes 5 weights, one per level, got 1,2\n")
+    assert reads == forks == [] and not ckpt.exists()
 
 
 def _record_worker_counts(monkeypatch, in_this_process=False):

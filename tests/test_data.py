@@ -71,7 +71,7 @@ def test_annotation_csv_roundtrip():
     text = format_annotation_csv(ids, angles)
     assert text.splitlines() == [ANNOTATION_HEADER, "a,1.5,-2.25,0.0", "b,-10.0,3.0,99.0"]
     parsed_ids, parsed = parse_annotation_csv(text)
-    assert parsed_ids == ids
+    assert list(parsed_ids.items()) == [("a", 0), ("b", 1)]
     assert parsed.shape == (2, 3) and (parsed == angles).all()
     with pytest.raises(ValueError, match=r"angles must be an \(n, 3\) array of length 1"):
         format_annotation_csv(["a"], angles)
@@ -92,7 +92,7 @@ def test_annotation_csv_errors():
         parse_annotation_csv(f"{ANNOTATION_HEADER}\na,1,2,3\nb,nan,2,3\n")
     # header-only file is an empty table, not an error
     ids, angles = parse_annotation_csv(f"{ANNOTATION_HEADER}\n")
-    assert ids == [] and angles.shape == (0, 3)
+    assert ids == {} and angles.shape == (0, 3)
     with pytest.raises(ParseError, match="line 1"):
         parse_annotation_csv("")
 
@@ -105,7 +105,7 @@ def test_formatters_reject_ids_that_cannot_round_trip():
         with pytest.raises(ValueError, match="cannot be written to a CSV row"):
             format_predictions_csv([bad], one, one)
     ids, angles = parse_annotation_csv(format_annotation_csv(["a b", "7"], np.zeros((2, 3))))
-    assert ids == ["a b", "7"]
+    assert list(ids) == ["a b", "7"]
 
 
 def test_predictions_csv_layout():

@@ -31,7 +31,7 @@ from hybridpose.tinynet import (
     _checkpoint_chunks,
 )
 
-from helpers import fd_gradient, flatten_params, relative_error, set_params
+from helpers import fd_gradient, flatten_params, relative_error, row_logits, set_params
 
 TOY = NetConfig(input_dim=4, hidden_dims=(8,), hierarchy=make_hierarchy((6, 2)), seed=0)
 
@@ -95,10 +95,9 @@ def test_param_count_matches_formula():
     assert net.flat.size == expected == 62310
 
 
-def test_forward_zero_input_gives_zero_logits():
+def test_zero_input_gives_zero_logits():
     net = init_net(NetConfig(input_dim=24))
-    out = net.forward(np.zeros(24))
-    for angle in out.per_angle():
+    for angle in row_logits(net, np.zeros(24)):
         assert len(angle) == 5
         for logits, n in zip(angle, (198, 66, 18, 6, 2)):
             assert logits.shape == (n,)
@@ -123,7 +122,7 @@ def test_forced_bias_moves_expectation_to_that_bin():
     assert abs(pose.roll) < 1e-9
 
 
-def test_predict_agrees_with_forward_plus_decode():
+def test_predict_agrees_with_head_logits_plus_decode():
     net = init_net(NetConfig(input_dim=24, seed=3))
     rng = np.random.default_rng(4)
     x = rng.normal(size=(6, 24))
@@ -131,19 +130,18 @@ def test_predict_agrees_with_forward_plus_decode():
     finest = net.config.hierarchy.finest
     for i in range(6):
         pose = net.predict(x[i])
-        out = net.forward(x[i])
-        for j, levels in enumerate(out.per_angle()):
+        for j, levels in enumerate(row_logits(net, x[i])):
             decoded = expect_decode(softmax(levels[0]), finest)
             assert abs(pose.as_array()[j] - decoded) < 1e-12
             assert abs(batch[i, j] - decoded) < 1e-9
 
 
-def test_forward_rejects_bad_features():
+def test_predict_rejects_bad_features():
     net = init_net(NetConfig(input_dim=24))
     with pytest.raises(ValueError, match="length 24"):
-        net.forward(np.zeros(5))
+        net.predict(np.zeros(5))
     with pytest.raises(ValueError, match="finite"):
-        net.forward(np.full(24, np.nan))
+        net.predict(np.full(24, np.nan))
     with pytest.raises(ValueError, match="length 24"):
         net.predict_batch(np.zeros((3, 22)))
     with pytest.raises(ValueError, match="length 24"):
@@ -177,7 +175,8 @@ def stacked_decode(net, x):
     positions = decode_positions(net.config.hierarchy.finest, net.config.decode_convention)
     out = []
     for lo in range(0, x.shape[0], PREDICT_BLOCK_ROWS):
-        _, _, (s,) = net._forward_batch(x[lo : lo + PREDICT_BLOCK_ROWS], levels=[0])
+        _, acts = net._forward_batch(x[lo : lo + PREDICT_BLOCK_ROWS])
+        (s,) = net._head_logits(acts[-1], [0])
         _softmax_inplace(s)
         out.append((s @ positions).T)
     return np.concatenate(out)
@@ -209,7 +208,7 @@ def test_batch_gradients_match_finite_differences(convention):
 
     # keep every ReLU pre-activation away from its kink by more than the
     # largest pre-activation shift an FD step of 1e-4 can cause
-    pre_acts, _, _ = net._forward_batch(x)
+    pre_acts, _ = net._forward_batch(x)
     assert min(np.abs(z).min() for z in pre_acts) > 1e-3
 
     weights = LossWeights(alpha=1.5, betas=(2.0, 0.5))
@@ -221,8 +220,7 @@ def test_batch_gradients_match_finite_differences(convention):
         set_params(params, flat)
         total = 0.0
         for feats, truths in zip(x, targets):
-            out = net.forward(feats)
-            for heads, truth in zip(out.per_angle(), truths):
+            for heads, truth in zip(row_logits(net, feats), truths):
                 total += hybrid_loss(heads, truth, weights, TOY.hierarchy, convention).total
         set_params(params, base)
         return total / len(x)
@@ -254,8 +252,7 @@ def test_batch_stats_match_scalar_loss_terms():
     reg = 0.0
     ce = np.zeros(2)
     for feats, truths in zip(x, targets):
-        out = net.forward(feats)
-        for heads, truth in zip(out.per_angle(), truths):
+        for heads, truth in zip(row_logits(net, feats), truths):
             br = hybrid_loss(heads, truth, weights, TOY.hierarchy)
             reg += br.regression_term
             ce += np.array(br.ce_terms)
@@ -522,6 +519,9 @@ def test_train_validation_errors():
     for jobs in (0, 3, True, 2.0):
         with pytest.raises(ValueError, match=f"jobs must be 1 or 2, got {jobs}"):
             train(config, train_samples, val_samples, DEFAULT_WEIGHTS, epochs=1, jobs=jobs)
+    # Checked with the other arguments, so also when no step runs.
+    with pytest.raises(ValueError, match="2 betas for a hierarchy of depth 5"):
+        train(config, train_samples, val_samples, LossWeights(2.0, (1.0, 1.0)), epochs=0)
     bad_dim = NetConfig(input_dim=10, hidden_dims=(16,))
     with pytest.raises(ValueError, match="train_samples features have dim 24, config expects 10"):
         train(bad_dim, train_samples, val_samples, DEFAULT_WEIGHTS, epochs=1)
