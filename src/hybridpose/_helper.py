@@ -149,7 +149,8 @@ class Helper:
     shared anonymous mapping; ``net``, ``grad`` and ``optimizer`` are this
     process's views.  Each step this process offers the helper two tasks,
     one byte each on a pipe: all the coarse levels, then, once it has their
-    terms, the Adam update of the part of ``flat`` that ``optimizer`` leaves.
+    terms, the Adam update of the part of ``flat`` that ``optimizer`` leaves,
+    up to the end of the last trained level.
     The helper reports each task done with one byte on a second pipe, or its
     error, pickled, and ends at ``close`` or with this process.
     """
@@ -157,20 +158,24 @@ class Helper:
     def __init__(self, net: TinyNet, learning_rate: float, weights, rows: int):
         config, size = net.config, net.flat.size
         self.levels, self.width = range(1, config.hierarchy.depth), config.hidden_dims[-1]
+        # The coarse levels whose hidden-layer terms the helper sends back.
+        self._trained = [li for li in tinynet._trained_levels(weights) if li in self.levels]
         # Adam's split, by measurement: this process, which also runs the trunk's
         # backward pass meanwhile, updates the first third of ``flat``, at least
         # the trunk, whose gradient is complete only after the coarse terms.
+        # Both parts end where the trained levels do, so the helper's may be empty.
         split = max(size // 3, size - sum(w.size + b.size for w, b in net.head_blocks))
+        end = tinynet._trained_end(net, weights)
         terms = N_ANGLES * len(self.levels)
         sizes = [size] * 4 + [2, rows * self.width, rows * N_ANGLES]
-        sizes += [rows * self.width * terms, terms]
+        sizes += [rows * self.width * N_ANGLES * len(self._trained), terms]
         flat, grad, m, v, self._header, *exchange, ce = np.split(
             np.frombuffer(mmap.mmap(-1, 8 * sum(sizes))), np.cumsum(sizes)[:-1]
         )
         self.net, self.grad = TinyNet(config, flat), TinyNet(config, grad)
         self.net.flat[...] = net.flat
-        self.optimizer = AdamState(learning_rate, m=m, v=v, part=slice(split))
-        self._state = AdamState(learning_rate, m=m, v=v, part=slice(split, None))
+        self.optimizer = AdamState(learning_rate, m=m, v=v, part=slice(min(split, end)))
+        self._state = AdamState(learning_rate, m=m, v=v, part=slice(split, end))
         self._hidden, self._truth, self._d_heads = exchange
         self._ce, self._weights = ce.reshape(N_ANGLES, len(self.levels)), weights
         # This process keeps the read end too, so that a task offered to a dead
@@ -180,13 +185,13 @@ class Helper:
 
     def _batch(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """The exchange's views for the batch in it: hidden layer, (3, n)
-        targets and the coarse levels' hidden-layer terms."""
+        targets and the trained coarse levels' hidden-layer terms."""
         n, h = int(self._header[0]), self.width
-        d_heads = self._d_heads[: len(self.levels) * N_ANGLES * n * h]
+        d_heads = self._d_heads[: len(self._trained) * N_ANGLES * n * h]
         return (
             self._hidden[: n * h].reshape(n, h),
             self._truth[: N_ANGLES * n].reshape(N_ANGLES, n),
-            list(d_heads.reshape(len(self.levels), N_ANGLES, n, h)),
+            list(d_heads.reshape(len(self._trained), N_ANGLES, n, h)),
         )
 
     def _serve(self, done: int) -> None:
@@ -226,9 +231,9 @@ class Helper:
         os.write(self._offer, b"\1")
 
     def terms(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The coarse levels' (3, levels) cross-entropy sums and hidden-layer
-        terms.  Called once the finest level's gradient is in, it then has the
-        helper start Adam's update of its part of ``flat``."""
+        """The coarse levels' (3, levels) cross-entropy sums and the trained
+        ones' hidden-layer terms.  Called once the finest level's gradient is
+        in, it then has the helper start Adam's update of its part of ``flat``."""
         self._wait()
         os.write(self._offer, b"\0")
         return self._ce, self._batch()[2]

@@ -424,11 +424,12 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         raise ValueError(f"--seeds must be nonnegative, got {_show(args.seeds)}")
     if len(set(args.seeds)) != len(args.seeds):
         raise ValueError(f"--seeds must not repeat a seed, got {_show(args.seeds)}")
-    train_samples, val_samples = _load_training_data(args)
+    # The grid too, so that a bad row fails before either dataset is parsed.
     if args.grid_file:
         grid = _load_grid_file(args.grid_file)
     else:
         grid = [LossWeights(row[0], row[1:]) for row in DEFAULT_WEIGHT_GRID]
+    train_samples, val_samples = _load_training_data(args)
     import statistics  # here, not at the top: it imports decimal and fractions, unused elsewhere
 
     medians = []

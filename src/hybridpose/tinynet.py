@@ -249,9 +249,11 @@ def init_net(config: NetConfig) -> TinyNet:
 class AdamState:
     """First/second moment accumulators for one parameter array.
 
-    ``for_net`` makes an ``m`` and a ``v`` of ``net.flat``'s size, so a
-    training step updates the whole net as the single array ``net.flat``;
-    an update changes its ``part`` slice only.
+    ``m`` and ``v`` hold Kingma and Ba's moments divided by ``1 - b1`` and
+    ``1 - b2``: ``m = b1 * m + g`` and ``v = b2 * v + g * g``.  ``for_net``
+    makes an ``m`` and a ``v`` of ``net.flat``'s size, so a training step
+    updates the whole net as the single array ``net.flat``; an update
+    changes its ``part`` slice only.
     """
 
     learning_rate: float
@@ -276,10 +278,15 @@ class AdamState:
 def adam_update(p: np.ndarray, g: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam step, applied to the parameter array in place.
 
-    ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` is computed as in-place
-    passes over two scratch arrays kept in ``state``.  The passes perform the
-    same IEEE operations in the same order as that expression, so the result
-    is bit-identical to it, without a temporary per operation.  It is
+    With the textbook moments ``(1 - b1) * m`` and ``(1 - b2) * v`` and the
+    bias corrections ``c1 = 1 - b1**t`` and ``c2 = 1 - b2**t``, Kingma and
+    Ba's ``p -= lr * (m_hat / c1) / (sqrt(v_hat / c2) + eps)`` is, in exact
+    arithmetic, ``p -= lr' * m / (sqrt(v) + eps')`` with
+    ``k = sqrt((1 - b2) / c2)``, ``lr' = lr * (1 - b1) / (c1 * k)`` and
+    ``eps' = eps / k`` (arXiv 1412.6980, section 2).  So the corrections
+    fold into two scalars, and the step is ten in-place passes over ``m``,
+    ``v``, ``p`` and two scratch arrays kept in ``state``, with one square
+    root and one divide per element; ``g`` is left as it is.  It is
     elementwise, so updating ``p`` in ``state.part`` slices gives the same bits.
     """
     p, g, m, v = p[state.part], g[state.part], state.m[state.part], state.v[state.part]
@@ -293,20 +300,16 @@ def adam_update(p: np.ndarray, g: np.ndarray, state: AdamState) -> None:
     s1, s2 = state._scratch
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    correction1 = 1.0 - b1 ** state.step
-    correction2 = 1.0 - b2 ** state.step
-    np.multiply(g, 1.0 - b1, out=s1)
+    k = math.sqrt((1.0 - b2) / (1.0 - b2 ** state.step))
+    rate = state.learning_rate * (1.0 - b1) / ((1.0 - b1 ** state.step) * k)
     m *= b1
-    m += s1
+    m += g
     np.multiply(g, g, out=s1)
-    s1 *= 1.0 - b2
     v *= b2
     v += s1
-    np.divide(m, correction1, out=s1)
-    s1 *= state.learning_rate
-    np.divide(v, correction2, out=s2)
-    np.sqrt(s2, out=s2)
-    s2 += ADAM_EPSILON
+    np.sqrt(v, out=s2)
+    s2 += ADAM_EPSILON / k
+    np.multiply(m, rate, out=s1)
     s1 /= s2
     p -= s1
 
@@ -339,21 +342,49 @@ class TrainReport:
         return self.val_reports[-1] if self.val_reports else None
 
 
+def _trained_levels(weights: LossWeights) -> list[int]:
+    """The levels whose parameters a training step changes: the finest, which
+    also carries the regression term, and each coarse level of nonzero beta.
+
+    A coarse level of beta 0 gets a logit gradient of exactly +-0, so leaving
+    it out changes no bit.  The hidden layer's gradient is a sum that starts
+    at +0, so no partial sum is -0, and adding +-0 to it changes nothing.  A
+    gradient of +-0 from the first step keeps Adam's moments at +0 and the
+    level's parameters as they are.  Its loss terms are still computed: a
+    non-finite one makes the loss non-finite through ``0 * ce``.
+    """
+    return [li for li, beta in enumerate(weights.betas) if li == 0 or beta != 0.0]
+
+
+def _trained_end(net: TinyNet, weights: LossWeights) -> int:
+    """Where the last trained level's blocks end in ``flat``: Adam and the
+    finiteness guard stop there, since no parameter after it ever changes."""
+    last = _trained_levels(weights)[-1]
+    return net.flat.size - sum(w.size + b.size for w, b in net.head_blocks[last + 1 :])
+
+
 def _level_terms(net, grads, hidden, truth, weights, levels, d_out=None):
     """A training step's work on head levels ``levels``, given the hidden layer
-    and (3, n) true angles: forward, and weight and bias gradients into
-    ``grads``.  Returns ``_angle_terms``' sums and each level's (3, n, hidden)
-    gradient into the hidden layer (into ``d_out``'s arrays if given)."""
+    and (3, n) true angles: forward, and the trained levels' weight and bias
+    gradients into ``grads``.  Returns ``_angle_terms``' sums and each trained
+    level's (3, n, hidden) gradient into the hidden layer (into ``d_out``'s
+    arrays if given); a level left out keeps its gradient blocks as they are."""
     config = net.config
     positions = decode_positions(config.hierarchy.finest, config.decode_convention)
+    trained = [li for li in _trained_levels(weights) if li in levels]
     logits = net._head_logits(hidden, levels)
-    reg, ce, logit_grads = _angle_terms(logits, truth, weights, config.hierarchy, positions, levels)
+    reg, ce, logit_grads = _angle_terms(
+        logits, truth, weights, config.hierarchy, positions, levels, trained
+    )
     d_heads = []
-    for i, (li, g) in enumerate(zip(levels, logit_grads)):
+    for li, g in zip(levels, logit_grads):
+        if li not in trained:
+            continue
         (w, _), (g_w, g_b) = net.head_blocks[li], grads.head_blocks[li]
         np.matmul(hidden.T, g, out=g_w)
         g.sum(axis=1, out=g_b)
-        d_heads.append(np.matmul(g, w.transpose(0, 2, 1), out=None if d_out is None else d_out[i]))
+        out = None if d_out is None else d_out[len(d_heads)]
+        d_heads.append(np.matmul(g, w.transpose(0, 2, 1), out=out))
     return reg, ce, d_heads
 
 
@@ -375,7 +406,9 @@ def _batch_loss_and_grads(
     ``out``, a TinyNet of ``net``'s config (so training fills its gradient's
     ``flat`` without a copy), or into a new one if ``out`` is None; its
     ``parameters()`` are returned.  A ``_helper.Helper`` shares the coarse levels.
-    ``weights`` must hold one beta per level: ``train`` checks that once.
+    ``weights`` must hold one beta per level: ``train`` checks that once.  Only
+    the levels of ``_trained_levels`` are back-propagated: the gradient blocks
+    of the others keep what they held (zeros, in training).
     """
     hierarchy = net.config.hierarchy
     n = x.shape[0]
@@ -432,9 +465,18 @@ _GUARDED = ("loss", "parameters", "Adam second moment")
 
 def _first_nonfinite(loss: float, optimizer: AdamState, flat: np.ndarray) -> int:
     """The index in _GUARDED of the first of the loss, the optimizer's part of
-    ``flat`` and its part of the second moment that is not finite, else len(_GUARDED)."""
+    ``flat`` and its part of the second moment that is not finite, else len(_GUARDED).
+
+    NaN propagates through ``max`` and ``min``, and ``v`` is never negative, so
+    three reductions tell, with no boolean temporary; ``initial`` lets a part be empty.
+    """
     flat, v = flat[optimizer.part], optimizer.v[optimizer.part]
-    return [math.isfinite(loss), np.isfinite(flat).all(), np.isfinite(v).all(), False].index(False)
+    return [
+        math.isfinite(loss),
+        math.isfinite(flat.max(initial=0.0)) and math.isfinite(flat.min(initial=0.0)),
+        math.isfinite(v.max(initial=0.0)),
+        False,
+    ].index(False)
 
 
 def _assert_finite_params(
@@ -444,9 +486,10 @@ def _assert_finite_params(
 
     This process checks its optimizer's part; ``helper_found`` is
     ``_first_nonfinite`` of a helper's part, and the first of the two is what
-    a check of the whole would find.  ``m`` is a convex combination of
-    gradients and cannot overflow on its own; a non-finite gradient reaches
-    ``net.flat`` or, through ``g * g``, the second moment ``v``, where an
+    a check of the whole would find.  ``m``, the first moment over
+    ``1 - b1``, is at most ``1 / (1 - b1)`` = 10 times the largest gradient,
+    so ``g * g`` overflows the second moment ``v`` long before ``m`` can
+    overflow; a non-finite gradient reaches ``net.flat`` or ``v``, where an
     overflow would otherwise only turn the updates silently to zero.
     """
     found = min(_first_nonfinite(loss, optimizer, net.flat), helper_found)
@@ -477,7 +520,9 @@ def train(
     visited (pre-update), and every epoch ends with a validation MAE pass.
     With ``jobs=2`` and two or more levels, a forked helper process shares
     each step (see ``_helper``), for the same net and report; a fork is safe
-    only where this process runs one thread, as the CLI's does.
+    only where this process runs one thread, as the CLI's does.  Adam and the
+    finiteness guard cover ``flat`` up to the end of the last trained level
+    (``_trained_levels``): the coarse levels after it keep their initial bits.
     """
     _check_int("epochs", epochs, 0)
     _check_int("batch_size", batch_size, 1)
@@ -502,6 +547,7 @@ def train(
         net, grad, optimizer = helper.net, helper.grad, helper.optimizer
     else:
         optimizer = AdamState.for_net(net, learning_rate)
+        optimizer.part = slice(_trained_end(net, weights))
         grad = TinyNet(config)
 
     start = time.perf_counter()

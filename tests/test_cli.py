@@ -378,6 +378,33 @@ def test_train_output_does_not_depend_on_core_count(tmp_path, capsys, monkeypatc
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("betas", ["1,0,0,0,0", "7,0,3,1,1"], ids=["fine-only", "zero-in-middle"])
+@pytest.mark.parametrize("cores", [{0}, {0, 1}], ids=["one-core", "two-cores"])
+def test_zero_weight_levels_skip_their_backward_pass_for_the_same_bytes(
+    tmp_path, capsys, monkeypatch, betas, cores
+):
+    train, val = make_split(tmp_path, capsys, n=150)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    outputs = []
+    for name in ("skip", "every-level"):
+        if name == "every-level":
+            monkeypatch.setattr(tinynet, "_trained_levels", lambda weights: [*range(5)])
+        ckpt, report = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        rc, _, err = run(
+            capsys, "train", "--train", str(train), "--val", str(val), "--betas", betas,
+            "--checkpoint-out", str(ckpt), "--report-out", str(report),
+        )
+        assert rc == 0, err
+        outputs.append((ckpt.read_bytes(), report.read_bytes()))
+    assert outputs[0] == outputs[1]
+    if betas == "1,0,0,0,0":
+        net, fresh = load_checkpoint(tmp_path / "skip.json"), init_net(NetConfig(input_dim=24))
+        for level in range(1, 5):
+            for trained, initial in zip(net.head_blocks[level], fresh.head_blocks[level]):
+                assert trained.tobytes() == initial.tobytes()
+        assert net.head_blocks[0][0].tobytes() != fresh.head_blocks[0][0].tobytes()
+
+
 def poison_a_coarse_gradient(monkeypatch, config, update):
     """Patch ``tinynet.adam_update`` so that, in whichever process updates it,
     a weight of level 1 gets a NaN gradient at update ``update``."""
@@ -1136,6 +1163,34 @@ def test_ablate_rejects_malformed_grid_row(tmp_path, capsys):
     assert rc == 1
     assert f"{grid}: line 2: betas[4] must be finite and nonnegative, got -1.0" in err
     assert "median val MAE" not in err
+
+
+def test_ablate_checks_the_grid_before_a_missing_dataset(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("1,2,3\n")
+    rc, _, err = run(
+        capsys, "ablate", "--train", str(tmp_path / "missing.csv"),
+        "--val", str(tmp_path / "missing.csv"), "--grid-file", str(grid),
+    )
+    assert (rc, err) == (
+        1, f"error: {grid}: line 1: expected 6 comma-separated weights (alpha then 5 betas), "
+        "got 3\n",
+    )
+
+
+def test_ablate_checks_the_grid_before_parsing_a_dataset(tmp_path, capsys, monkeypatch):
+    train, val = make_split(tmp_path, capsys, n=30)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("2,7,5,3,1,1\n2,7,5,3,1,-1\n")
+    parsed = []
+    monkeypatch.setattr(cli, "load_dataset", lambda path: parsed.append(path))
+    rc, _, err = run(
+        capsys, "ablate", "--train", str(train), "--val", str(val), "--grid-file", str(grid),
+    )
+    assert (rc, err) == (
+        1, f"error: {grid}: line 2: betas[4] must be finite and nonnegative, got -1.0\n"
+    )
+    assert parsed == []
 
 
 @pytest.mark.parametrize("seeds, message", [

@@ -27,6 +27,7 @@ from hybridpose.tinynet import (
     train,
     _GUARDED,
     _assert_finite_params,
+    _first_nonfinite,
     _batch_loss_and_grads,
     _checkpoint_chunks,
 )
@@ -302,29 +303,37 @@ def test_adam_state_validation():
     assert state.step == 0
 
 
-def test_adam_update_is_bit_identical_to_textbook_expression():
-    n = init_net(NetConfig(input_dim=24)).flat.size
+# ``adam_update`` folds the bias corrections into its step size and epsilon,
+# so it rounds differently from the textbook expression.  Its update and
+# moments must stay within this fraction of the textbook's largest element;
+# over this test's 1,000 steps at the hidden-8 net's 8,030 parameters they
+# stayed within 5e-15 (3.3e-15 and 7.0e-15 over 2,000 steps at 62,310).
+ADAM_RELATIVE_BOUND = 1e-10
+
+
+def test_adam_update_matches_textbook_expression():
+    n = init_net(NetConfig(input_dim=24, hidden_dims=(8,))).flat.size
     rng = np.random.default_rng(3)
-    p = rng.standard_normal(n)
-    m = rng.standard_normal(n) * 1e-2
-    v = rng.random(n) * 1e-4
-    state = AdamState(learning_rate=1e-3, m=m.copy(), v=v.copy())
-    ref_p, ref_m, ref_v = p.copy(), m.copy(), v.copy()
+    state = AdamState(learning_rate=1e-3, m=np.zeros(n), v=np.zeros(n))
+    ref_m, ref_v = np.zeros(n), np.zeros(n)
     b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
-    for step in range(1, 6):
+    for step in range(1, 1001):
         g = rng.standard_normal(n) * 10.0 ** rng.integers(-4, 2)
+        g[rng.random(n) < 0.1] = 0.0
+        g_before, p = g.copy(), np.zeros(n)
         adam_update(p, g, state)
+        assert g.tobytes() == g_before.tobytes()
         ref_m *= b1
         ref_m += (1.0 - b1) * g
         ref_v *= b2
         ref_v += (1.0 - b2) * (g * g)
-        ref_p -= lr * (ref_m / (1.0 - b1 ** step)) / (
+        ref_update = lr * (ref_m / (1.0 - b1 ** step)) / (
             np.sqrt(ref_v / (1.0 - b2 ** step)) + eps
         )
-        assert (p == ref_p).all()
-        assert (state.m == ref_m).all()
-        assert (state.v == ref_v).all()
-    assert state.step == 5
+        for got, ref in ((-p, ref_update), (state.m * (1.0 - b1), ref_m),
+                         (state.v * (1.0 - b2), ref_v)):
+            assert np.abs(got - ref).max() <= ADAM_RELATIVE_BOUND * np.abs(ref).max()
+    assert state.step == 1000
 
 
 def test_adam_update_of_two_parts_equals_the_whole():
@@ -394,6 +403,17 @@ def test_finite_guard_adds_a_helper_finding_in_the_guard_order():
         _assert_finite_params(net, opt, 1.0, 1)
     with pytest.raises(FloatingPointError, match="non-finite Adam second moment at update 2"):
         _assert_finite_params(net, opt, 1.0)
+
+
+def test_finite_guard_finds_either_infinity_and_passes_an_empty_part():
+    net = init_net(TOY)
+    opt = AdamState.for_net(net)
+    for value, found in ((-np.inf, 1), (np.inf, 1), (1.0, len(_GUARDED))):
+        net.flat[3] = value
+        assert _first_nonfinite(1.0, opt, net.flat) == found
+    opt.part = slice(5, 5)
+    net.flat[...] = opt.v[...] = np.nan
+    assert _first_nonfinite(1.0, opt, net.flat) == len(_GUARDED)
 
 
 def small_data(n=40, seed=5):
