@@ -5,9 +5,9 @@ allowed values, default and help.  Every subcommand also accepts
 ``--config FILE`` pointing at a plain text file of ``key = value`` lines
 ('#' starts a comment; a key is the flag's name, with underscores or dashes
 interchangeably).  Explicit flags override file values, which override
-defaults.  Output paths are checked before any work, and output files are
-written to a temporary sibling and renamed into place, so a failing run
-never leaves a partial file behind.
+defaults.  Output paths are checked before any work, also against the
+input paths, and output files are written to a temporary sibling and renamed
+into place, so a failing run never leaves a partial file behind.
 """
 
 from __future__ import annotations
@@ -500,6 +500,7 @@ class _Option(NamedTuple):
     default: object = None
     choices: tuple[str, ...] | None = None
     required: bool = False
+    input: bool = False  # a file path the command reads
     output: bool = False  # a file path the command writes
 
     @property
@@ -528,8 +529,8 @@ class _Option(NamedTuple):
 
 # The options that train and ablate share.
 _TRAINING = (
-    _Option("train", "training dataset path", required=True),
-    _Option("val", "validation dataset path", required=True),
+    _Option("train", "training dataset path", required=True, input=True),
+    _Option("val", "validation dataset path", required=True, input=True),
     _Option("epochs", "passes over the training set", int, 30),
     _Option("lr", "Adam learning rate", float, 1e-3),
     _Option("batch_size", "samples per Adam step", int, 64),
@@ -560,17 +561,18 @@ _COMMANDS = {
         _Option("report_out", "per-epoch CSV output path", output=True),
     )),
     "eval": (cmd_eval, "report MAE from predictions or a checkpoint", (
-        _Option("pred", "predictions CSV (id,yaw,pitch,roll)"),
-        _Option("truth", "ground truth CSV (id,yaw,pitch,roll)"),
-        _Option("checkpoint", "checkpoint to evaluate"),
-        _Option("data", "dataset file to evaluate on"),
+        _Option("pred", "predictions CSV (id,yaw,pitch,roll)", input=True),
+        _Option("truth", "ground truth CSV (id,yaw,pitch,roll)", input=True),
+        _Option("checkpoint", "checkpoint to evaluate", input=True),
+        _Option("data", "dataset file to evaluate on", input=True),
         _Option("out", "metrics CSV output path", output=True),
         _Option("pred_out", "per-sample predictions CSV output path", output=True),
     )),
     "ablate": (cmd_ablate, "train over a weight grid and rank rows", (
         *_TRAINING,
         _Option("seeds", "training seeds of every grid row", _int_list, (0, 1, 2, 3, 4)),
-        _Option("grid_file", "one 'alpha,b1..b5' row per line, in place of the built-in grid"),
+        _Option("grid_file", "one 'alpha,b1..b5' row per line, in place of the built-in grid",
+                input=True),
         _Option("out", "results CSV output path", output=True),
     )),
     "parse-biwi": (cmd_parse_biwi, "convert a directory of pose files to CSV", (
@@ -648,10 +650,15 @@ def _parse_args(argv) -> argparse.Namespace:
 
 def _check_outputs(args: argparse.Namespace) -> None:
     """Fail before any work on an output path that is an existing directory, which
-    only the final rename would find, or on two output flags that name one file,
-    where the second write would replace the first."""
+    only the final rename would find, or that names the same file as an input
+    (``--config`` included) or an earlier output, which its write would replace."""
+    options = _COMMANDS[args.command][2]
     flags: dict[str, str] = {}
-    for o in _COMMANDS[args.command][2]:
+    inputs = [(o.flag, getattr(args, o.name)) for o in options if o.input]
+    for flag, path in [("--config", args.config), *inputs]:
+        if path is not None:
+            flags.setdefault(os.path.realpath(path), flag)
+    for o in options:
         path = getattr(args, o.name) if o.output else None
         if path is None:
             continue

@@ -191,11 +191,11 @@ class _LineBlock(NamedTuple):
     rows: int
 
 
-def _frame_lines(path, block_rows: float) -> Iterator[_LineBlock]:
+def _frame_lines(path, block_rows: int) -> Iterator[_LineBlock]:
     """The nonblank lines of a dataset file in blocks of ``block_rows`` (the
-    last may be shorter; ``math.inf`` gives one block), as positions: no line
-    is kept.  A file of none, or one that cannot be read again from a
-    position, such as a pipe, raises."""
+    last may be shorter), as positions: no line is kept.  A file of none is
+    one empty block; one that cannot be read again from a position, such as
+    a pipe, raises."""
     arity, cookie, lines_before, rows = None, 0, 0, 0
     with open(path, errors="surrogateescape") as fh:
         if not fh.seekable():
@@ -210,46 +210,54 @@ def _frame_lines(path, block_rows: float) -> Iterator[_LineBlock]:
             if rows == block_rows:
                 yield _LineBlock(path, arity, cookie, lines_before, rows)
                 cookie, lines_before, rows = fh.tell(), lineno, 0
-    if rows:
+    if rows or arity is None:
         yield _LineBlock(path, arity, cookie, lines_before, rows)
-    elif arity is None:
-        raise ValueError(f"{path}: dataset file is empty")
 
 
 def _parse_block(block: _LineBlock) -> Dataset:
-    """A block of lines in the format_dataset layout as a Dataset, read from
-    the block's position in its file.
+    """A block of ``_frame_lines`` as a Dataset, read from its position in its file.
 
-    Its first bad line raises, naming the file and line: too few fields or a
-    different count from the file's first row, a non-numeric field, or a
-    non-finite value.  Mapped over ``_frame_lines`` in order, it so raises at
-    the first bad line in file order, once every block before it has passed.
-    """
+    Mapped over ``_frame_lines`` in order, it raises at the first bad line in
+    file order, once every block before it has passed."""
     path, arity, cookie, lines_before, rows = block
-    features, angles, line_numbers = array("d"), array("d"), array("l")
     with open(path, errors="surrogateescape") as fh:
         fh.seek(cookie)
-        numbered = ((i, line) for i, line in enumerate(fh, lines_before + 1) if not line.isspace())
-        for n, (lineno, line) in enumerate(islice(numbered, rows)):
-            line_numbers.append(lineno)
-            parts = line.strip().split(",")
-            error = None
-            if len(parts) < 5:
-                error = f"expected at least 5 fields, got {len(parts)}"
-            elif len(parts) != arity:
-                error = f"expected {arity} fields, got {len(parts)}"
-            else:
-                try:
-                    features.extend(map(float, parts[:-3]))
-                    angles.extend(map(float, parts[-3:]))
-                except ValueError:
-                    error = "non-numeric field"
-            if error is not None:
-                # A non-finite value on an earlier line of this block comes first.
-                if n:
-                    del features[n * (arity - 3) :], angles[n * 3 :]
-                    _checked_block(path, features, angles, line_numbers[:n])
-                raise ValueError(f"{path}: line {lineno}: {error}")
+        return _parse_lines(path, fh, lines_before, rows, arity)
+
+
+def _parse_lines(path, fh, lines_before=0, rows=None, arity=None) -> Dataset:
+    """The first ``rows`` nonblank lines (all if None) of file ``fh``, whose
+    first line is line ``lines_before + 1`` of ``path``, in the format_dataset
+    layout as a Dataset.
+
+    Its first bad line raises, naming the file and line: too few fields or a
+    count other than ``arity`` (by default the first row's), a non-numeric
+    field, or a non-finite value; so does a file of no row."""
+    features, angles, line_numbers = array("d"), array("d"), array("l")
+    numbered = ((i, line) for i, line in enumerate(fh, lines_before + 1) if not line.isspace())
+    for n, (lineno, line) in enumerate(islice(numbered, rows)):
+        line_numbers.append(lineno)
+        parts = line.strip().split(",")
+        arity = arity or len(parts)
+        error = None
+        if len(parts) < 5:
+            error = f"expected at least 5 fields, got {len(parts)}"
+        elif len(parts) != arity:
+            error = f"expected {arity} fields, got {len(parts)}"
+        else:
+            try:
+                features.extend(map(float, parts[:-3]))
+                angles.extend(map(float, parts[-3:]))
+            except ValueError:
+                error = "non-numeric field"
+        if error is not None:
+            # A non-finite value on an earlier line of this block comes first.
+            if n:
+                del features[n * (arity - 3) :], angles[n * 3 :]
+                _checked_block(path, features, angles, line_numbers[:n])
+            raise ValueError(f"{path}: line {lineno}: {error}")
+    if not line_numbers:
+        raise ValueError(f"{path}: dataset file is empty")
     return _checked_block(path, features, angles, line_numbers)
 
 
@@ -272,7 +280,7 @@ def _checked_block(path, features: array, angles: array, line_numbers: array) ->
 def load_dataset(path) -> Dataset:
     """The whole dataset file as one Dataset; blank lines are skipped.
 
-    Parsed as one block by ``_parse_block``, line by line, so the file's lines
-    are never all held at once, and its first bad line in file order raises."""
-    [block] = _frame_lines(path, math.inf)
-    return _parse_block(block)
+    Read once, line by line, so a pipe serves and the file's lines are never
+    all held at once; its first bad line in file order raises."""
+    with open(path, errors="surrogateescape") as fh:
+        return _parse_lines(path, fh)

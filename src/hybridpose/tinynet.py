@@ -13,9 +13,9 @@ so it is one (3, hidden, n_bins) weight block and one (3, n_bins) bias
 block, and the training step runs the three angles of a level as one
 stacked operation; the batched decode runs the finest heads one angle at a
 time, so that one angle's logits exist at once.  ``head_weights[angle][level]``
-and ``head_biases[angle][level]`` are views of single heads in those blocks.
-The training step's gradient is itself a TinyNet of the same config, so
-``TinyNet.__init__`` alone lays out parameters and gradients alike.
+is a view of one head's weight in those blocks.  The training step's
+gradient is itself a TinyNet of the same config, so ``TinyNet.__init__``
+alone lays out parameters and gradients alike.
 
 The config also fixes the net's decode convention, the bin positions its
 expectation decode integrates over; training and prediction both read it
@@ -151,17 +151,7 @@ class TinyNet:
         n = 2 * len(config.hidden_dims)
         self.trunk_weights, self.trunk_biases = blocks[0:n:2], blocks[1:n:2]
         self.head_blocks = list(zip(blocks[n::2], blocks[n + 1 :: 2]))
-        # Each level holds six views: the three angles' weights, then their biases.
-        self._params = blocks[:n] + [v for w, b in self.head_blocks for v in (*w, *b)]
-        self.head_weights = [self._params[n + a :: 2 * N_ANGLES] for a in range(N_ANGLES)]
-        self.head_biases = [self._params[n + N_ANGLES + a :: 2 * N_ANGLES] for a in range(N_ANGLES)]
-
-    def parameters(self) -> list[np.ndarray]:
-        """All parameter arrays in a fixed order: trunk, then heads by level.
-
-        Per level, the three angles' weights, then their three biases.
-        """
-        return list(self._params)
+        self.head_weights = [[w[a] for w, _ in self.head_blocks] for a in range(N_ANGLES)]
 
     def _forward_batch(self, x: np.ndarray):
         """Trunk pre-activations and activations for a batch; ``acts[-1]`` is the hidden layer."""
@@ -393,26 +383,23 @@ def _batch_loss_and_grads(
     x: np.ndarray,
     targets: np.ndarray,
     weights: LossWeights,
-    out: TinyNet | None = None,
+    grads: TinyNet,
     helper=None,
-):
-    """Mean loss over the batch and its gradient in parameters() order.
+) -> LossStats:
+    """Mean loss over the batch; its gradient goes into ``grads``.
 
     The loss per sample is the three-angle sum of the per-angle hybrid loss;
     stats and gradients are means over the batch.  ``loss._angle_terms`` gives
     each angle's loss terms and logit gradients; this runs the forward pass
     and backpropagates those gradients through the heads and the trunk, one
-    stacked block of three heads per level.  The gradient is written into
-    ``out``, a TinyNet of ``net``'s config (so training fills its gradient's
-    ``flat`` without a copy), or into a new one if ``out`` is None; its
-    ``parameters()`` are returned.  A ``_helper.Helper`` shares the coarse levels.
+    stacked block of three heads per level, into the views of ``grads``, a
+    TinyNet of ``net``'s config.  A ``_helper.Helper`` shares the coarse levels.
     ``weights`` must hold one beta per level: ``train`` checks that once.  Only
     the levels of ``_trained_levels`` are back-propagated: the gradient blocks
     of the others keep what they held (zeros, in training).
     """
     hierarchy = net.config.hierarchy
     n = x.shape[0]
-    grads = TinyNet(net.config) if out is None else out
     levels = range(hierarchy.depth if helper is None else helper.levels.start)
 
     pre_acts, acts = net._forward_batch(x)
@@ -445,12 +432,11 @@ def _batch_loss_and_grads(
         if i > 0:
             d = dz @ net.trunk_weights[i].T
 
-    stats = LossStats(
+    return LossStats(
         total=(weights.alpha * reg_sum + float(np.dot(weights.betas, ce_sums))) / n,
         regression_term=reg_sum / n,
         ce_terms=tuple((ce_sums / n).tolist()),
     )
-    return stats, grads.parameters()
 
 
 def _batch_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -560,10 +546,8 @@ def train(
             ce_sum = np.zeros(config.hierarchy.depth)
             for lo in range(0, n, batch_size):
                 idx = order[lo : lo + batch_size]
-                # grad is a TinyNet: the step writes the gradient into ``grad.flat``'s views.
-                stats, _ = _batch_loss_and_grads(
-                    net, x_train[idx], t_train[idx], weights, grad, helper
-                )
+                x, t = x_train[idx], t_train[idx]
+                stats = _batch_loss_and_grads(net, x, t, weights, grad, helper)
                 adam_update(net.flat, grad.flat, optimizer)
                 helper_found = len(_GUARDED) if helper is None else helper.updated()
                 _assert_finite_params(net, optimizer, stats.total, helper_found)

@@ -25,17 +25,6 @@ def relative_error(approx, exact) -> float:
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-12))
 
 
-def flatten_params(params) -> np.ndarray:
-    return np.concatenate([p.ravel() for p in params])
-
-
-def set_params(params, flat: np.ndarray) -> None:
-    offset = 0
-    for p in params:
-        p[...] = flat[offset : offset + p.size].reshape(p.shape)
-        offset += p.size
-
-
 def row_logits(net, features) -> list[list[np.ndarray]]:
     """One feature vector's head logits, per angle, each angle's levels finest first.
 

@@ -31,9 +31,9 @@ from hybridpose.loss import (
     hybrid_loss_grad,
 )
 from hybridpose.synth import SynthConfig, make_dataset
-from hybridpose.tinynet import NetConfig, train, _batch_loss_and_grads, init_net
+from hybridpose.tinynet import NetConfig, TinyNet, train, _batch_loss_and_grads, init_net
 
-from helpers import fd_gradient, flatten_params, relative_error, row_logits, set_params
+from helpers import fd_gradient, relative_error, row_logits
 
 HIERARCHY = make_hierarchy()
 ANGLE_GRID = np.arange(-99.0, 99.0 + 0.25, 0.25)
@@ -137,21 +137,21 @@ def test_network_gradient_matches_finite_differences():
     assert min(np.abs(z).min() for z in pre_acts) > 1e-3
 
     weights = LossWeights(alpha=1.5, betas=(2.0, 0.5))
-    _, grads = _batch_loss_and_grads(net, x, targets, weights)
-    params = net.parameters()
-    base = flatten_params(params)
+    grads = TinyNet(config)
+    _batch_loss_and_grads(net, x, targets, weights, grads)
+    base = net.flat.copy()
 
     def scalar(flat):
-        set_params(params, flat)
+        net.flat[...] = flat
         total = sum(
             hybrid_loss(heads, truth, weights, config.hierarchy).total
             for row, tgt in zip(x, targets)
             for heads, truth in zip(row_logits(net, row), tgt)
         )
-        set_params(params, base)
+        net.flat[...] = base
         return total / x.shape[0]
 
-    err = relative_error(flatten_params(grads), fd_gradient(scalar, base, step=1e-4))
+    err = relative_error(grads.flat, fd_gradient(scalar, base, step=1e-4))
     assert err < 1e-4
     print(f"PASS: backprop through the network matches finite differences (rel err {err:.2e})")
 

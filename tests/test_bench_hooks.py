@@ -17,7 +17,7 @@ import numpy as np
 from hybridpose import cli
 from hybridpose.binning import make_hierarchy
 from hybridpose.loss import LossWeights
-from hybridpose.tinynet import NetConfig, _batch_loss_and_grads, init_net
+from hybridpose.tinynet import NetConfig, TinyNet, _batch_loss_and_grads, init_net
 
 STAGE = Path(__file__).resolve().parents[1] / "bench" / "stage.py"
 
@@ -48,7 +48,7 @@ def test_loss_grad_flops_counts_a_real_step():
     n = 3
     rng = np.random.default_rng(0)
     args = (init_net(config), rng.normal(size=(n, 4)), rng.uniform(-60.0, 60.0, size=(n, 3)),
-            LossWeights(alpha=2.0, betas=(1.0, 1.0)))
+            LossWeights(alpha=2.0, betas=(1.0, 1.0)), TinyNet(config))
     result = _batch_loss_and_grads(*args)
     # 2n multiply-adds per weight: trunk 4*8 + 8*5 = 72 and heads 3*5*(6+2) = 120
     # forward; heads twice, the trunk, and its 8*5 layer again backward; the

@@ -1030,6 +1030,48 @@ def test_two_output_flags_naming_one_file_fail_naming_both(tmp_path, capsys, mon
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
+# argv run in a directory of valid inputs, the input flag and the output flag
+# that name one file, which the output's write would replace.
+SAME_FILE_CASES = [
+    (["train", "--train", "train.csv", "--val", "val.csv", "--checkpoint-out", "val.csv"],
+     "--val", "--checkpoint-out"),
+    (["train", "--train", "train.csv", "--val", "val.csv", "--checkpoint-out", "n.json",
+      "--report-out", "./train.csv"], "--train", "--report-out"),
+    (["eval", "--checkpoint", "net.json", "--data", "data3.csv", "--pred-out", "data3.csv"],
+     "--data", "--pred-out"),
+    (["eval", "--checkpoint", "net.json", "--data", "data3.csv", "--out", "net.json"],
+     "--checkpoint", "--out"),
+    (["eval", "--pred", "p.csv", "--truth", "t.csv", "--out", "p.csv"], "--pred", "--out"),
+    (["eval", "--pred", "p.csv", "--truth", "t.csv", "--out", "t.csv"], "--truth", "--out"),
+    (["ablate", "--train", "train.csv", "--val", "val.csv", "--grid-file", "g.txt",
+      "--out", "g.txt"], "--grid-file", "--out"),
+    (["synth", "--config", "c.conf", "--out-train", "c.conf", "--out-val", "v.csv"],
+     "--config", "--out-train"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, input_flag, output_flag", SAME_FILE_CASES,
+    ids=[f"{argv[0]}{i}{o}" for argv, i, o in SAME_FILE_CASES],
+)
+def test_an_output_flag_naming_an_input_file_fails_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, input_flag, output_flag
+):
+    make_split(tmp_path, capsys, n=30)
+    write_eval_inputs(tmp_path, 3)
+    (tmp_path / "p.csv").write_text("id,yaw,pitch,roll\na,1,2,3\n")
+    (tmp_path / "t.csv").write_text("id,yaw,pitch,roll\na,1,2,4\n")
+    (tmp_path / "g.txt").write_text("2,7,5,3,1,1\n")
+    (tmp_path / "c.conf").write_text("n = 10\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *argv)
+    path = argv[argv.index(output_flag) + 1]
+    assert (rc, out) == (1, "")
+    assert err == f"error: {input_flag} and {output_flag} name the same file: {path}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_eval_requires_one_mode(tmp_path, capsys):
     rc, _, err = run(capsys, "eval")
     assert rc == 1

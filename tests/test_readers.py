@@ -2,15 +2,24 @@
 
 Each reader gets an empty file, a lone ``\\xff`` byte and a field of 1 MB:
 the annotation files of ``eval --pred/--truth``, ``--config``, the dataset
-of ``train --train``, ``--grid-file``, ``--checkpoint`` and ``parse-biwi``'s
-pose files.  Each case exits 1 with exactly one ``error:`` line that names
+of ``train --train`` and ``eval --data``, ``--grid-file``, ``--checkpoint``
+and ``parse-biwi``'s pose files.  Each case exits 1 with exactly one ``error:`` line that names
 the file, and no line of stderr is longer than 1,024 characters.  One case
 is valid input: an empty config sets no option, so its command runs.
 ``parse-biwi`` rejects a bad pose file on a ``skipped NAME: ...`` line, then
 fails naming the directory, in which no file parsed.
+
+Each reader that reads its file once, front to back, also reads a pipe, for
+the same output as from a regular file: ``--train``/``--val``,
+``--grid-file``, ``--config``, ``--pred`` and ``--truth``.  ``eval --data``,
+whose blocks are read again from their positions, fails on a pipe as one
+``error:`` line that names it.
 """
 
 import json
+import os
+import sys
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 import pytest
@@ -40,8 +49,8 @@ def _set(path, value):
 
 
 # reader -> (argv, the hostile file's name).  In argv, FILE is the hostile file,
-# DIR its directory, GOOD and DATA valid annotation and dataset files, and OUT
-# and OUT2 output paths.
+# DIR its directory, GOOD, DATA and CKPT valid annotation, dataset and
+# checkpoint files, and OUT and OUT2 output paths.
 READERS = {
     "pred": (["eval", "--pred", "FILE", "--truth", "GOOD"], "p.csv"),
     "truth": (["eval", "--pred", "GOOD", "--truth", "FILE"], "t.csv"),
@@ -50,6 +59,7 @@ READERS = {
         "c.conf",
     ),
     "dataset": (["train", "--train", "FILE", "--val", "DATA", "--checkpoint-out", "OUT"], "d.csv"),
+    "eval-data": (["eval", "--checkpoint", "CKPT", "--data", "FILE"], "d.csv"),
     "grid-file": (["ablate", "--train", "DATA", "--val", "DATA", "--grid-file", "FILE"], "g.txt"),
     "checkpoint": (["eval", "--checkpoint", "FILE", "--data", "DATA"], "net.json"),
     "pose": (["parse-biwi", "--dir", "DIR", "--out", "OUT"], "f.txt"),
@@ -86,11 +96,12 @@ CASES = [
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("inputs")
-    good, data = root / "good.csv", root / "data.csv"
+    good, data, ckpt = root / "good.csv", root / "data.csv", root / "net.json"
     good.write_text(GOOD_ANNOTATIONS)
+    ckpt.write_text(json.dumps(GOOD_CHECKPOINT))
     rows = np.arange(12.0).reshape(4, 3)
     data.write_text(format_dataset(Dataset(rows / 10.0, rows)))
-    return {"GOOD": str(good), "DATA": str(data)}
+    return {"GOOD": str(good), "DATA": str(data), "CKPT": str(ckpt)}
 
 
 @pytest.mark.parametrize("reader, case, content", CASES, ids=[f"{r}-{c}" for r, c, _ in CASES])
@@ -121,3 +132,71 @@ def test_hostile_input_fails_as_one_short_error_naming_the_file(
         assert errors[0].startswith(f"error: {directory}: no file matching")
     else:
         assert str(path) in errors[0]
+
+
+rng = np.random.default_rng(0)
+DATA = format_dataset(Dataset(rng.normal(size=(8, 4)), rng.uniform(-60.0, 60.0, size=(8, 3))))
+
+# reader -> (argv, the text of each pipe).  In argv, the integer i is the path
+# of pipe i, DATA a valid dataset file, and OUT and OUT2 output paths.
+PIPED = {
+    "train-val": (["train", "--train", 0, "--val", 1, "--epochs", "2", "--hidden", "4",
+                   "--checkpoint-out", "OUT", "--report-out", "OUT2"], [DATA, DATA]),
+    "grid-file": (["ablate", "--train", "DATA", "--val", "DATA", "--epochs", "1", "--hidden",
+                   "4", "--seeds", "0", "--grid-file", 0, "--out", "OUT"], ["2,7,5,3,1,1\n"]),
+    "config": (["synth", "--config", 0, "--out-train", "OUT", "--out-val", "OUT2"], ["n = 10\n"]),
+    "pred-truth": (["eval", "--pred", 0, "--truth", 1, "--out", "OUT"],
+                   [GOOD_ANNOTATIONS, "id,yaw,pitch,roll\na,1,2,4\n"]),
+}
+
+
+@contextmanager
+def pipe(text: str):
+    """The ``/dev/fd`` path of a pipe that holds ``text`` and then ends."""
+    r, w = os.pipe()
+    try:
+        data = text.encode()
+        assert os.write(w, data) == len(data)  # within the pipe's buffer
+    finally:
+        os.close(w)
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="pipes are named by /dev/fd paths")
+@pytest.mark.parametrize("reader", PIPED)
+def test_a_pipe_reads_as_its_regular_file_would(tmp_path, capsys, reader):
+    argv, texts = PIPED[reader]
+    data = tmp_path / "data.csv"
+    data.write_text(DATA)
+    outputs = {}
+    for source in ("file", "pipe"):
+        paths = {"DATA": str(data), "OUT": str(tmp_path / f"{source}.out"),
+                 "OUT2": str(tmp_path / f"{source}.out2")}
+        with ExitStack() as stack:
+            if source == "pipe":
+                inputs = [stack.enter_context(pipe(text)) for text in texts]
+            else:
+                inputs = [tmp_path / f"in{i}" for i in range(len(texts))]
+                for path, text in zip(inputs, texts):
+                    path.write_text(text)
+            rc = main([str(inputs[arg]) if type(arg) is int else paths.get(arg, arg)
+                       for arg in argv])
+        err = capsys.readouterr().err
+        assert rc == 0 and "error:" not in err, err
+        outputs[source] = [(tmp_path / f"{source}{ext}").read_bytes()
+                           for ext in (".out", ".out2") if (tmp_path / f"{source}{ext}").exists()]
+    assert outputs["pipe"] == outputs["file"] and outputs["file"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="pipes are named by /dev/fd paths")
+def test_eval_data_fails_on_a_pipe_naming_it(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(GOOD_CHECKPOINT))
+    with pipe(DATA) as path:
+        rc = main(["eval", "--checkpoint", str(net), "--data", path])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err == f"error: {path}: cannot seek in this file; give a regular file, not a pipe\n"

@@ -14,7 +14,7 @@ import pytest
 
 from hybridpose.binning import MAX_ANGLE, MIN_ANGLE, _bin_index, decode_positions, make_hierarchy
 from hybridpose.loss import LossWeights
-from hybridpose.tinynet import NetConfig, _batch_loss_and_grads, init_net
+from hybridpose.tinynet import NetConfig, TinyNet, _batch_loss_and_grads, init_net
 
 TOY = NetConfig(input_dim=4, hidden_dims=(8,), hierarchy=make_hierarchy((6, 2)), seed=0)
 CANONICAL = NetConfig(input_dim=24, hidden_dims=(64, 64), seed=3)
@@ -49,7 +49,7 @@ def oracle_angle_terms(logits, truth, weights, hierarchy, positions):
 
 
 def oracle_step(net, x, targets, weights):
-    """(total, regression, ce terms) and gradients in parameters() order, head by head."""
+    """(total, regression, ce terms) and the gradient in ``flat``'s order, head by head."""
     hierarchy = net.config.hierarchy
     positions = decode_positions(hierarchy.finest, net.config.decode_convention)
     n = x.shape[0]
@@ -63,7 +63,8 @@ def oracle_step(net, x, targets, weights):
     head_grads = {}
     d_hidden = np.zeros_like(hidden)
     for ai in range(3):
-        logits = [hidden @ w + b for w, b in zip(net.head_weights[ai], net.head_biases[ai])]
+        biases = [b[ai] for _, b in net.head_blocks]
+        logits = [hidden @ w + b for w, b in zip(net.head_weights[ai], biases)]
         reg, ce, grads = oracle_angle_terms(logits, targets[:, ai], weights, hierarchy, positions)
         reg_sum += reg
         ce_sums += ce
@@ -85,7 +86,8 @@ def oracle_step(net, x, targets, weights):
         for ai in range(3)
     ]
     total = (weights.alpha * reg_sum + float(np.dot(weights.betas, ce_sums))) / n
-    return (total, reg_sum / n, tuple((ce_sums / n).tolist())), grads
+    flat = np.concatenate([g.ravel() for g in grads])
+    return (total, reg_sum / n, tuple((ce_sums / n).tolist())), flat
 
 
 def oracle_predict(net, x):
@@ -95,8 +97,9 @@ def oracle_predict(net, x):
     for w, b in zip(net.trunk_weights, net.trunk_biases):
         a = np.maximum(a @ w + b, 0.0)
     cols = []
-    for per_angle_w, per_angle_b in zip(net.head_weights, net.head_biases):
-        s = a @ per_angle_w[0] + per_angle_b[0]
+    w, b = net.head_blocks[0]
+    for ai in range(3):
+        s = a @ w[ai] + b[ai]
         s -= s.max(axis=1, keepdims=True)
         np.exp(s, out=s)
         s /= s.sum(axis=1, keepdims=True)
@@ -123,21 +126,18 @@ def test_stacked_step_and_decode_match_per_head_oracle(config, n, convention, al
     betas = np.linspace(3.0, 0.5, config.hierarchy.depth)
     weights = LossWeights(alpha, tuple(betas))
 
-    stats, grads = _batch_loss_and_grads(net, x, targets, weights)
+    grads = TinyNet(net.config)
+    stats = _batch_loss_and_grads(net, x, targets, weights, grads)
     (total, regression, ce_terms), expected = oracle_step(net, x, targets, weights)
     assert (stats.total, stats.regression_term, stats.ce_terms) == (total, regression, ce_terms)
-    assert len(grads) == len(expected)
-    for g, e in zip(grads, expected):
-        assert g.shape == e.shape and (g == e).all()
+    assert grads.flat.shape == expected.shape and (grads.flat == expected).all()
 
     assert (net.predict_batch(x) == oracle_predict(net, x)).all()
 
 
 def test_each_level_is_one_weight_block_and_one_bias_block_of_flat():
     net = init_net(CANONICAL)
-    params = net.parameters()
-    n_trunk = 2 * len(net.trunk_weights)
-    offset = sum(p.size for p in params[:n_trunk])
+    offset = sum(p.size for p in [*net.trunk_weights, *net.trunk_biases])
     for level, (w, b) in enumerate(net.head_blocks):
         k = net.config.hierarchy.levels[level].n_bins
         assert w.shape == (3, 64, k) and b.shape == (3, k)
@@ -145,10 +145,8 @@ def test_each_level_is_one_weight_block_and_one_bias_block_of_flat():
         offset += w.size
         assert np.shares_memory(b, net.flat[offset : offset + b.size])
         offset += b.size
-        first = n_trunk + 6 * level
         for a in range(3):
-            assert params[first + a] is net.head_weights[a][level]
-            assert params[first + 3 + a] is net.head_biases[a][level]
-            assert np.shares_memory(net.head_weights[a][level], w[a])
-            assert np.shares_memory(net.head_biases[a][level], b[a])
+            head = net.head_weights[a][level]
+            assert head.shape == (64, k)
+            assert np.shares_memory(head, w[a]) and not np.shares_memory(head, w[a - 1])
     assert offset == net.flat.size

@@ -32,7 +32,7 @@ from hybridpose.tinynet import (
     _checkpoint_chunks,
 )
 
-from helpers import fd_gradient, flatten_params, relative_error, row_logits, set_params
+from helpers import fd_gradient, relative_error, row_logits
 
 TOY = NetConfig(input_dim=4, hidden_dims=(8,), hierarchy=make_hierarchy((6, 2)), seed=0)
 
@@ -78,14 +78,10 @@ def test_init_is_deterministic_and_seed_sensitive():
     a = init_net(NetConfig(input_dim=24, seed=0))
     b = init_net(NetConfig(input_dim=24, seed=0))
     c = init_net(NetConfig(input_dim=24, seed=1))
-    for pa, pb in zip(a.parameters(), b.parameters()):
-        assert (pa == pb).all()
-    assert any((pa != pc).any() for pa, pc in zip(a.parameters(), c.parameters()))
-    for bias in a.trunk_biases:
+    assert (a.flat == b.flat).all()
+    assert (a.flat != c.flat).any()
+    for bias in [*a.trunk_biases, *(b for _, b in a.head_blocks)]:
         assert (bias == 0.0).all()
-    for per_angle in a.head_biases:
-        for bias in per_angle:
-            assert (bias == 0.0).all()
 
 
 def test_param_count_matches_formula():
@@ -115,7 +111,7 @@ def test_uniform_heads_decode_to_zero():
 
 def test_forced_bias_moves_expectation_to_that_bin():
     net = init_net(NetConfig(input_dim=24))
-    net.head_biases[0][0][99] = 60.0
+    net.head_blocks[0][1][0, 99] = 60.0  # yaw's finest bias
     pose = net.predict(np.zeros(24))
     # bin 99 of 198 has center -99 + 99.5 = 0.5 and holds ~all the mass
     assert abs(pose.yaw - 0.5) < 1e-9
@@ -200,55 +196,85 @@ def test_predict_batch_agrees_with_per_row_predict():
         assert np.abs(batch[i] - one).max() < 1e-9
 
 
+def check_gradient_by_finite_differences(net, weights, x, targets, loss_tol=1e-12):
+    """The step's loss and its gradient in a fresh gradient net against the
+    scalar loss over rows and a central difference of each element of a
+    copy of ``net.flat``; returns the gradient net."""
+    hierarchy, convention = net.config.hierarchy, net.config.decode_convention
+    # keep every ReLU pre-activation away from its kink by more than the
+    # largest pre-activation shift an FD step of 1e-4 can cause
+    pre_acts, _ = net._forward_batch(x)
+    assert min(np.abs(z).min() for z in pre_acts) > 1e-3
+
+    grads = TinyNet(net.config)
+    stats = _batch_loss_and_grads(net, x, targets, weights, grads)
+    base = net.flat.copy()
+
+    def scalar_loss(flat):
+        net.flat[...] = flat
+        total = 0.0
+        for feats, truths in zip(x, targets):
+            for heads, truth in zip(row_logits(net, feats), truths):
+                total += hybrid_loss(heads, truth, weights, hierarchy, convention).total
+        net.flat[...] = base
+        return total / len(x)
+
+    assert abs(scalar_loss(base) - stats.total) < loss_tol
+    numeric = fd_gradient(scalar_loss, base, step=1e-4)
+    assert relative_error(grads.flat, numeric) < 1e-4
+    return grads
+
+
 @pytest.mark.parametrize(
     "convention", ["center", "edge"], ids=["degrees-center", "degrees-edge"]
 )
 def test_batch_gradients_match_finite_differences(convention):
     net = init_net(replace(TOY, decode_convention=convention))
     x, targets = toy_batch()
-
-    # keep every ReLU pre-activation away from its kink by more than the
-    # largest pre-activation shift an FD step of 1e-4 can cause
-    pre_acts, _ = net._forward_batch(x)
-    assert min(np.abs(z).min() for z in pre_acts) > 1e-3
-
-    weights = LossWeights(alpha=1.5, betas=(2.0, 0.5))
-    stats, grads = _batch_loss_and_grads(net, x, targets, weights)
-    params = net.parameters()
-    base = flatten_params(params)
-
-    def scalar_loss(flat):
-        set_params(params, flat)
-        total = 0.0
-        for feats, truths in zip(x, targets):
-            for heads, truth in zip(row_logits(net, feats), truths):
-                total += hybrid_loss(heads, truth, weights, TOY.hierarchy, convention).total
-        set_params(params, base)
-        return total / len(x)
-
-    assert abs(scalar_loss(base) - stats.total) < 1e-12
-    numeric = fd_gradient(scalar_loss, base, step=1e-4)
-    assert relative_error(flatten_params(grads), numeric) < 1e-4
+    check_gradient_by_finite_differences(net, LossWeights(alpha=1.5, betas=(2.0, 0.5)), x, targets)
 
 
-def test_batch_gradients_fill_the_given_views():
+@pytest.mark.parametrize(
+    "alpha, betas",
+    [(0.0, (2.0, 0.5, 1.0)), (1.5, (2.0, 0.5, 0.0)), (1.5, (2.0, 0.0, 1.0))],
+    ids=["alpha-0", "last-beta-0", "middle-beta-0"],
+)
+def test_zero_weight_gradients_match_finite_differences(alpha, betas):
+    # alpha 0 leaves out the regression term's gradient; a level of beta 0 is
+    # not back-propagated at all (_trained_levels), so its blocks stay +0.
+    net = init_net(replace(TOY, hierarchy=make_hierarchy((6, 3, 2))))
+    x, targets = toy_batch()
+    # The row-by-row and batched sums of a loss near 7,000 may differ by a few ulps.
+    weights = LossWeights(alpha, betas)
+    grads = check_gradient_by_finite_differences(net, weights, x, targets, loss_tol=1e-11)
+    for level, beta in zip(grads.head_blocks, betas):
+        for g in level if beta == 0.0 else ():
+            assert g.tobytes() == bytes(g.nbytes)  # +0.0 throughout
+
+
+def test_batch_gradients_fill_the_given_views(monkeypatch):
     net = init_net(TOY)
     x, targets = toy_batch()
     weights = LossWeights(alpha=1.5, betas=(2.0, 0.5))
-    _, fresh = _batch_loss_and_grads(net, x, targets, weights)
+    fresh = TinyNet(TOY)
+    expected = _batch_loss_and_grads(net, x, targets, weights, fresh)
     out = TinyNet(TOY)
     out.flat[...] = np.nan
-    _, grads = _batch_loss_and_grads(net, x, targets, weights, out=out)
-    assert all(g is p for g, p in zip(grads, out.parameters()))
-    assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
-    assert out.flat.tobytes() == flatten_params(fresh).tobytes()
+
+    def no_new_net(*args, **kwargs):
+        raise AssertionError("the step allocated a TinyNet")
+
+    monkeypatch.setattr(TinyNet, "__init__", no_new_net)
+    stats = _batch_loss_and_grads(net, x, targets, weights, out)
+    assert isinstance(stats, tinynet.LossStats) and stats == expected
+    assert out.flat.tobytes() == fresh.flat.tobytes()
 
 
 def test_batch_stats_match_scalar_loss_terms():
     net = init_net(TOY)
     x, targets = toy_batch(seed=11, n=5)
     weights = LossWeights(alpha=2.0, betas=(3.0, 1.0))
-    stats, _ = _batch_loss_and_grads(net, x, targets, weights)
+    stats = _batch_loss_and_grads(net, x, targets, weights, TinyNet(TOY))
 
     reg = 0.0
     ce = np.zeros(2)
@@ -354,10 +380,12 @@ def test_adam_update_of_two_parts_equals_the_whole():
 
 def test_parameters_are_views_of_one_flat_buffer(tmp_path):
     net = init_net(TOY)
-    params = net.parameters()
-    assert net.flat.ndim == 1 and net.flat.size == sum(p.size for p in params)
-    assert all(np.shares_memory(p, net.flat) for p in params)
-    assert (flatten_params(params) == net.flat).all()
+    # flat's layout: each trunk layer's weight and bias, then each level's two blocks
+    blocks = [*(v for layer in zip(net.trunk_weights, net.trunk_biases) for v in layer),
+              *(v for level in net.head_blocks for v in level)]
+    assert net.flat.ndim == 1
+    assert all(np.shares_memory(p, net.flat) for p in blocks)
+    assert (np.concatenate([p.ravel() for p in blocks]) == net.flat).all()
     before = net.flat.copy()
     net.head_weights[1][0][2, 3] = 7.5
     changed = np.flatnonzero(net.flat != before)
@@ -368,7 +396,9 @@ def test_parameters_are_views_of_one_flat_buffer(tmp_path):
     path.write_text(checkpoint_text(net))
     loaded = load_checkpoint(path)
     assert (loaded.flat == net.flat).all()
-    assert all(np.shares_memory(p, loaded.flat) for p in loaded.parameters())
+    views = [*loaded.trunk_weights, *loaded.trunk_biases, *sum(loaded.head_weights, [])]
+    views += [v for level in loaded.head_blocks for v in level]
+    assert all(np.shares_memory(p, loaded.flat) for p in views)
     opt = AdamState.for_net(net)
     assert opt.m.shape == opt.v.shape == net.flat.shape
 
@@ -383,7 +413,7 @@ def test_finite_guard_names_loss_parameters_and_moments():
     opt.v[-1] = np.inf
     with pytest.raises(FloatingPointError, match="non-finite Adam second moment at update 4"):
         _assert_finite_params(net, opt, 1.0)
-    net.head_biases[2][1][0] = np.nan
+    net.head_blocks[1][1][2, 0] = np.nan  # roll's bias at level 1
     with pytest.raises(FloatingPointError, match="non-finite parameters at update 4"):
         _assert_finite_params(net, opt, 1.0)
 
@@ -425,8 +455,7 @@ def test_train_zero_epochs_returns_fresh_net():
     config = NetConfig(input_dim=24, hidden_dims=(16,), seed=2)
     net, report = train(config, train_samples, val_samples, DEFAULT_WEIGHTS, epochs=0)
     fresh = init_net(config)
-    for p, q in zip(net.parameters(), fresh.parameters()):
-        assert (p == q).all()
+    assert (net.flat == fresh.flat).all()
     assert report.epochs == 0
     assert report.final_val is None
 
@@ -563,8 +592,7 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
     loaded = load_checkpoint(path)
     assert isinstance(loaded, TinyNet)
     assert loaded.config == net.config
-    for p, q in zip(loaded.parameters(), net.parameters()):
-        assert (p == q).all()
+    assert (loaded.flat == net.flat).all()
     assert checkpoint_text(loaded) == checkpoint_text(net)
     assert checkpoint_text(net) == checkpoint_text(net)
 
