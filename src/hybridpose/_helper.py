@@ -13,10 +13,11 @@ runs calls k, k + jobs, ... in turn, and the parent reads call i's result
 from worker i mod jobs, so the results come back in input order.  ``Helper``
 shares each step of a two-process ``tinynet.train``: given the hidden layer,
 each head level's forward pass, loss, gradient and Adam update depend on that
-level alone, so the helper runs the coarse levels while ``train``'s process
-runs the trunk and the finest one, adds their terms in the one-process order
-and runs the trunk's backward pass; each updates its part of ``flat``, with
-the bits of one process.  This module is imported only when a child starts.
+level alone, so the helper runs the trained coarse levels while ``train``'s
+process runs the trunk and the finest one, adds their terms in the
+one-process order and runs the trunk's backward pass; each updates its part
+of ``flat``, with the bits of one process.  This module is imported only
+when a child starts.
 """
 
 from __future__ import annotations
@@ -148,18 +149,16 @@ class Helper:
     The net, its gradient, Adam's moments and the step's exchange live in one
     shared anonymous mapping; ``net``, ``grad`` and ``optimizer`` are this
     process's views.  Each step this process offers the helper two tasks,
-    one byte each on a pipe: all the coarse levels, then, once it has their
-    terms, the Adam update of the part of ``flat`` that ``optimizer`` leaves,
-    up to the end of the last trained level.
+    one byte each on a pipe: the coarse levels of ``_trained_levels`` (maybe
+    none), then, once it has their terms, the Adam update of the part of
+    ``flat`` that ``optimizer`` leaves, up to the end of the last trained level.
     The helper reports each task done with one byte on a second pipe, or its
     error, pickled, and ends at ``close`` or with this process.
     """
 
     def __init__(self, net: TinyNet, learning_rate: float, weights, rows: int):
         config, size = net.config, net.flat.size
-        self.levels, self.width = range(1, config.hierarchy.depth), config.hidden_dims[-1]
-        # The coarse levels whose hidden-layer terms the helper sends back.
-        self._trained = [li for li in tinynet._trained_levels(weights) if li in self.levels]
+        self.levels, self.width = tinynet._trained_levels(weights)[1:], config.hidden_dims[-1]
         # Adam's split, by measurement: this process, which also runs the trunk's
         # backward pass meanwhile, updates the first third of ``flat``, at least
         # the trunk, whose gradient is complete only after the coarse terms.
@@ -168,7 +167,7 @@ class Helper:
         end = tinynet._trained_end(net, weights)
         terms = N_ANGLES * len(self.levels)
         sizes = [size] * 4 + [2, rows * self.width, rows * N_ANGLES]
-        sizes += [rows * self.width * N_ANGLES * len(self._trained), terms]
+        sizes += [rows * self.width * terms, terms]
         flat, grad, m, v, self._header, *exchange, ce = np.split(
             np.frombuffer(mmap.mmap(-1, 8 * sum(sizes))), np.cumsum(sizes)[:-1]
         )
@@ -185,19 +184,19 @@ class Helper:
 
     def _batch(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """The exchange's views for the batch in it: hidden layer, (3, n)
-        targets and the trained coarse levels' hidden-layer terms."""
+        targets and the helper's levels' hidden-layer terms."""
         n, h = int(self._header[0]), self.width
-        d_heads = self._d_heads[: len(self._trained) * N_ANGLES * n * h]
+        d_heads = self._d_heads[: len(self.levels) * N_ANGLES * n * h]
         return (
             self._hidden[: n * h].reshape(n, h),
             self._truth[: N_ANGLES * n].reshape(N_ANGLES, n),
-            list(d_heads.reshape(len(self._trained), N_ANGLES, n, h)),
+            list(d_heads.reshape(len(self.levels), N_ANGLES, n, h)),
         )
 
     def _serve(self, done: int) -> None:
         """The helper's loop, until the offer pipe ends: for each byte taken, a
         task for the exchange's step, written into the exchange, then a byte on
-        ``done``.  Byte 1 is the coarse levels' terms, byte 0 the helper
+        ``done``.  Byte 1 is the helper's levels' terms, byte 0 the helper
         part's Adam update and its ``_first_nonfinite``."""
         while True:
             _await(self._offered)
@@ -223,7 +222,7 @@ class Helper:
             _receive(done, f"training helper process {self.pid}", message)
 
     def start(self, hidden: np.ndarray, targets: np.ndarray) -> None:
-        """Offer the coarse levels of a batch: its hidden layer and (n, 3) targets."""
+        """Offer the helper's levels of a batch: its hidden layer and (n, 3) targets."""
         self._header[0] = hidden.shape[0]
         exchange_hidden, truth, _ = self._batch()
         exchange_hidden[...] = hidden
@@ -231,9 +230,9 @@ class Helper:
         os.write(self._offer, b"\1")
 
     def terms(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The coarse levels' (3, levels) cross-entropy sums and the trained
-        ones' hidden-layer terms.  Called once the finest level's gradient is
-        in, it then has the helper start Adam's update of its part of ``flat``."""
+        """The helper's levels' (3, levels) cross-entropy sums and hidden-layer
+        terms.  Called once the finest level's gradient is in, it then has the
+        helper start Adam's update of its part of ``flat``."""
         self._wait()
         os.write(self._offer, b"\0")
         return self._ce, self._batch()[2]

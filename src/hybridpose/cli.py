@@ -314,12 +314,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_annotations(path) -> tuple[dict[str, int], np.ndarray]:
+def _read_annotations(path, side: str) -> tuple[dict[str, int], np.ndarray]:
     try:
         # Parsed as it is read.  newline="" keeps each line's ending, so
         # splitlines splits the file wherever it would split the whole text.
         with open(path, errors="surrogateescape", newline="") as fh:
-            ids, angles = parse_annotation_csv(chain.from_iterable(map(str.splitlines, fh)))
+            ids, angles = parse_annotation_csv(chain.from_iterable(map(str.splitlines, fh)), side)
     except ParseError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if not ids:
@@ -366,8 +366,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(f"eval from {mode} takes no {' or '.join(stray)}")
 
     if args.pred:
-        pred_ids, pred = _read_annotations(args.pred)
-        truth_ids, truth = _read_annotations(args.truth)
+        pred_ids, pred = _read_annotations(args.pred, "pred")
+        truth_ids, truth = _read_annotations(args.truth, "true")
         try:
             report = mae(_match_by_id(pred_ids, pred, truth_ids), truth)
         except ValueError as exc:  # ids that do not match: name both files
@@ -561,8 +561,8 @@ _COMMANDS = {
         _Option("report_out", "per-epoch CSV output path", output=True),
     )),
     "eval": (cmd_eval, "report MAE from predictions or a checkpoint", (
-        _Option("pred", "predictions CSV (id,yaw,pitch,roll)", input=True),
-        _Option("truth", "ground truth CSV (id,yaw,pitch,roll)", input=True),
+        _Option("pred", "predictions CSV (id,yaw,pitch,roll) or a --pred-out file", input=True),
+        _Option("truth", "ground truth CSV (id,yaw,pitch,roll) or a --pred-out file", input=True),
         _Option("checkpoint", "checkpoint to evaluate", input=True),
         _Option("data", "dataset file to evaluate on", input=True),
         _Option("out", "metrics CSV output path", output=True),

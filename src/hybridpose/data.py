@@ -7,7 +7,7 @@ Two text formats are handled:
   per-frame ground-truth layout of common RGB-D head pose recordings.
 * Annotation CSV: header ``id,yaw,pitch,roll`` then one record per line,
   angles in degrees.  In memory it is a dict from each id to its row of an
-  (n, 3) yaw/pitch/roll array, in file order.
+  (n, 3) yaw/pitch/roll array, in file order, as is either side of a predictions CSV.
 
 All parse failures raise ParseError with a 1-based line number.
 """
@@ -95,30 +95,38 @@ def format_biwi_pose(rotation, translation=(0.0, 0.0, 0.0)) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_annotation_csv(text: str | Iterable[str]) -> tuple[dict[str, int], np.ndarray]:
+def parse_annotation_csv(
+    text: str | Iterable[str], side: str = "true"
+) -> tuple[dict[str, int], np.ndarray]:
     """Parse an ``id,yaw,pitch,roll`` CSV into {id: row} and an (n, 3) angle array, in file order.
 
     ``text`` is the CSV's text, or its lines as ``str.splitlines`` gives them,
-    which are parsed as they come: only the ids and angles are kept.
+    which are parsed as they come: only the ids and angles are kept.  Of a
+    predictions CSV, ``side`` "pred" keeps the ``*_pred`` angles, "true" the others.
     """
+    if side not in ("pred", "true"):
+        raise ValueError(f"side must be 'pred' or 'true', got {_shown(side)}")
     lines = iter(text.splitlines() if isinstance(text, str) else text)
     header = next(lines, "").strip()
-    if header != ANNOTATION_HEADER:
-        raise ParseError(f"expected header {ANNOTATION_HEADER!r}, found {_shown(header)}", line=1)
+    first = {ANNOTATION_HEADER: 1, PREDICTIONS_HEADER: 1 if side == "pred" else 4}.get(header)
+    if first is None:
+        expected = f"{ANNOTATION_HEADER!r} or {PREDICTIONS_HEADER!r}"
+        raise ParseError(f"expected header {expected}, found {_shown(header)}", line=1)
+    fields = header.count(",") + 1
     ids, angles = {}, array("d")
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError(f"expected 4 fields, found {len(parts)}", line=lineno)
+        if len(parts) != fields:
+            raise ParseError(f"expected {fields} fields, found {len(parts)}", line=lineno)
         sample_id = parts[0].strip()
         if not sample_id:
             raise ParseError("empty id", line=lineno)
         if sample_id in ids:
             raise ParseError(f"duplicate id {_shown(sample_id)}", line=lineno)
         try:
-            row = [_float(p) for p in parts[1:]]
+            row = [_float(p) for p in parts[first : first + 3]]
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
         for name, value in zip(ANGLE_NAMES, row):

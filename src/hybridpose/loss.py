@@ -150,8 +150,7 @@ def _angle_terms(
     weights: LossWeights,
     hierarchy: BinHierarchy,
     positions: np.ndarray,
-    levels: range | None = None,
-    trained: Sequence[int] | None = None,
+    levels: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Hybrid loss terms of ``a`` angles over a batch, and their logit gradients.
 
@@ -160,13 +159,11 @@ def _angle_terms(
     angles, already range-checked.  Returns, per angle, the batch sum of the
     squared-error term (zero unless ``levels`` holds the finest level) and
     the batch sum of each level's cross-entropy, shapes (a,) and
-    (a, len(levels)), and the ``logits`` list, each array of a level in
-    ``trained`` (by default every level) overwritten with the gradient of
-    the batch-mean weighted loss with respect to it, and each other level's
-    with its softmax.  Each level's terms depend on its own logits only, so
-    any split of the levels gives every level the same bits.  Labels are
-    floored once at the finest level; each coarser label is the fine one
-    coarsened by integer division.
+    (a, len(levels)), and the ``logits`` list, each array overwritten with
+    the gradient of the batch-mean weighted loss with respect to it.  Each
+    level's terms depend on its own logits only, so any split of the levels
+    gives every level the same bits.  Labels are floored once at the finest
+    level; each coarser label is the fine one coarsened by integer division.
 
     Per level the cross-entropy contributes beta * (softmax - onehot).  The
     finest level additionally receives the squared-error term through the
@@ -184,7 +181,6 @@ def _angle_terms(
     finest = hierarchy.finest
     fine = _bin_index(truth, finest)
     levels = range(hierarchy.depth) if levels is None else levels
-    trained = levels if trained is None else trained
     reg_sums = np.zeros(a)
     ce_sums = np.zeros((a, len(levels)))
     for col, (li, s) in enumerate(zip(levels, logits)):
@@ -196,18 +192,16 @@ def _angle_terms(
         m, z = _softmax_inplace(s)
         ce_sums[:, col] = (np.log(z[..., 0]) - (raw - m[..., 0])).sum(axis=1)
 
+        reg_grad = None
         if li == 0:
             decoded = s @ positions
             diff = decoded - truth
             # One dot product per angle, as a stacked (1, n) @ (n, 1) matmul.
             reg_sums = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
-        if li not in trained:
-            continue
-        reg_grad = None
-        if li == 0 and weights.alpha != 0.0:
-            coeff = (2.0 * weights.alpha / n) * diff
-            reg_grad = coeff[..., None] * s
-            reg_grad *= positions - decoded[..., None]
+            if weights.alpha != 0.0:
+                coeff = (2.0 * weights.alpha / n) * diff
+                reg_grad = coeff[..., None] * s
+                reg_grad *= positions - decoded[..., None]
         s[label] -= 1.0
         s *= weights.betas[li] / n
         if reg_grad is not None:

@@ -306,7 +306,7 @@ def adam_update(p: np.ndarray, g: np.ndarray, state: AdamState) -> None:
 
 @dataclass(frozen=True)
 class LossStats:
-    """Batch means of the loss and its unweighted terms, summed over angles."""
+    """Batch means of the loss and its unweighted terms, summed over angles; nan if not run."""
 
     total: float
     regression_term: float
@@ -315,7 +315,7 @@ class LossStats:
 
 @dataclass(frozen=True)
 class TrainReport:
-    """Per-epoch training means and validation errors."""
+    """Per-epoch training means and validation errors; nan: a level not trained."""
 
     epoch_total: tuple[float, ...]
     epoch_regression: tuple[float, ...]
@@ -333,15 +333,16 @@ class TrainReport:
 
 
 def _trained_levels(weights: LossWeights) -> list[int]:
-    """The levels whose parameters a training step changes: the finest, which
-    also carries the regression term, and each coarse level of nonzero beta.
+    """The levels a training step runs: the finest, which also carries the
+    regression term, and each coarse level of nonzero beta.
 
-    A coarse level of beta 0 gets a logit gradient of exactly +-0, so leaving
-    it out changes no bit.  The hidden layer's gradient is a sum that starts
-    at +0, so no partial sum is -0, and adding +-0 to it changes nothing.  A
-    gradient of +-0 from the first step keeps Adam's moments at +0 and the
-    level's parameters as they are.  Its loss terms are still computed: a
-    non-finite one makes the loss non-finite through ``0 * ce``.
+    A coarse level of beta 0 would get a logit gradient of exactly +-0, so
+    leaving it out changes no parameter bit.  The hidden layer's gradient is
+    a sum that starts at +0, so no partial sum is -0, and adding +-0 to it
+    changes nothing.  A gradient of +-0 from the first step keeps Adam's
+    moments at +0 and the level's parameters as they are.  Skipping it hides
+    no divergence either: an untrained head's cross-entropy is non-finite
+    only when the hidden layer is, and then the finest level's is too.
     """
     return [li for li, beta in enumerate(weights.betas) if li == 0 or beta != 0.0]
 
@@ -354,27 +355,21 @@ def _trained_end(net: TinyNet, weights: LossWeights) -> int:
 
 
 def _level_terms(net, grads, hidden, truth, weights, levels, d_out=None):
-    """A training step's work on head levels ``levels``, given the hidden layer
-    and (3, n) true angles: forward, and the trained levels' weight and bias
-    gradients into ``grads``.  Returns ``_angle_terms``' sums and each trained
-    level's (3, n, hidden) gradient into the hidden layer (into ``d_out``'s
-    arrays if given); a level left out keeps its gradient blocks as they are."""
+    """A training step's work on the trained head levels ``levels``, given the
+    hidden layer and (3, n) true angles: forward, and their weight and bias
+    gradients into ``grads``.  Returns ``_angle_terms``' sums and each level's
+    (3, n, hidden) gradient into the hidden layer (into ``d_out``'s arrays if
+    given); the levels left out keep their gradient blocks as they are."""
     config = net.config
     positions = decode_positions(config.hierarchy.finest, config.decode_convention)
-    trained = [li for li in _trained_levels(weights) if li in levels]
     logits = net._head_logits(hidden, levels)
-    reg, ce, logit_grads = _angle_terms(
-        logits, truth, weights, config.hierarchy, positions, levels, trained
-    )
+    reg, ce, logit_grads = _angle_terms(logits, truth, weights, config.hierarchy, positions, levels)
     d_heads = []
-    for li, g in zip(levels, logit_grads):
-        if li not in trained:
-            continue
+    for i, (li, g) in enumerate(zip(levels, logit_grads)):
         (w, _), (g_w, g_b) = net.head_blocks[li], grads.head_blocks[li]
         np.matmul(hidden.T, g, out=g_w)
         g.sum(axis=1, out=g_b)
-        out = None if d_out is None else d_out[len(d_heads)]
-        d_heads.append(np.matmul(g, w.transpose(0, 2, 1), out=out))
+        d_heads.append(np.matmul(g, w.transpose(0, 2, 1), out=None if d_out is None else d_out[i]))
     return reg, ce, d_heads
 
 
@@ -393,19 +388,19 @@ def _batch_loss_and_grads(
     each angle's loss terms and logit gradients; this runs the forward pass
     and backpropagates those gradients through the heads and the trunk, one
     stacked block of three heads per level, into the views of ``grads``, a
-    TinyNet of ``net``'s config.  A ``_helper.Helper`` shares the coarse levels.
-    ``weights`` must hold one beta per level: ``train`` checks that once.  Only
-    the levels of ``_trained_levels`` are back-propagated: the gradient blocks
-    of the others keep what they held (zeros, in training).
+    TinyNet of ``net``'s config.  A ``_helper.Helper`` runs the trained coarse
+    levels.  ``weights`` must hold one beta per level: ``train`` checks that
+    once.  Only the levels of ``_trained_levels`` run: the others' gradient
+    blocks keep what they held (zeros, in training); their ce means are nan.
     """
     hierarchy = net.config.hierarchy
-    n = x.shape[0]
-    levels = range(hierarchy.depth if helper is None else helper.levels.start)
+    n, trained = x.shape[0], _trained_levels(weights)
 
     pre_acts, acts = net._forward_batch(x)
     hidden = acts[-1]
     if helper is not None:
         helper.start(hidden, targets)
+    levels = trained if helper is None else trained[:1]
     reg, ce, d_heads = _level_terms(net, grads, hidden, targets.T, weights, levels)
     if helper is not None:
         helper_ce, helper_d_heads = helper.terms()
@@ -413,10 +408,13 @@ def _batch_loss_and_grads(
         d_heads += helper_d_heads
 
     reg_sum = 0.0
-    ce_sums = np.zeros(hierarchy.depth)
+    ce_sums = np.zeros(len(trained))
     for reg_angle, ce_angle in zip(reg.tolist(), ce):
         reg_sum += reg_angle
         ce_sums += ce_angle
+    # A skipped level's sum stays +0: 0 * 0 adds to the total the +0 that 0 * ce did.
+    all_sums, ce_means = np.zeros(hierarchy.depth), np.full(hierarchy.depth, math.nan)
+    all_sums[trained], ce_means[trained] = ce_sums, ce_sums / n
 
     # Summed head by head, angle-major, as the per-head backward would.
     d_hidden = np.zeros_like(hidden)
@@ -433,9 +431,9 @@ def _batch_loss_and_grads(
             d = dz @ net.trunk_weights[i].T
 
     return LossStats(
-        total=(weights.alpha * reg_sum + float(np.dot(weights.betas, ce_sums))) / n,
+        total=(weights.alpha * reg_sum + float(np.dot(weights.betas, all_sums))) / n,
         regression_term=reg_sum / n,
-        ce_terms=tuple((ce_sums / n).tolist()),
+        ce_terms=tuple(ce_means.tolist()),
     )
 
 

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import re
 import signal
@@ -24,6 +25,7 @@ from hybridpose.cli import DEFAULT_WEIGHT_GRID, _write_atomic, main
 from hybridpose.data import (
     PREDICTIONS_HEADER,
     ParseError,
+    format_annotation_csv,
     format_biwi_pose,
     format_predictions_csv,
     parse_annotation_csv,
@@ -395,8 +397,20 @@ def test_zero_weight_levels_skip_their_backward_pass_for_the_same_bytes(
             "--checkpoint-out", str(ckpt), "--report-out", str(report),
         )
         assert rc == 0, err
-        outputs.append((ckpt.read_bytes(), report.read_bytes()))
-    assert outputs[0] == outputs[1]
+        outputs.append((ckpt.read_bytes(), report.read_text().splitlines()))
+    (skip_net, skip_report), (every_net, every_report) = outputs
+    assert skip_net == every_net
+    # The report differs only where a zero-weight level's cross-entropy is:
+    # the skip run does not compute it.
+    header = skip_report[0].split(",")
+    skipped = {f"ce_{n}" for n, beta in zip((198, 66, 18, 6, 2), betas.split(",")) if beta == "0"}
+    assert every_report[0] == skip_report[0] and len(every_report) == len(skip_report)
+    for skip_row, every_row in zip(skip_report[1:], every_report[1:]):
+        for column, skip_cell, every_cell in zip(header, skip_row.split(","), every_row.split(",")):
+            if column in skipped:
+                assert skip_cell == "nan" and math.isfinite(float(every_cell))
+            else:
+                assert skip_cell == every_cell
     if betas == "1,0,0,0,0":
         net, fresh = load_checkpoint(tmp_path / "skip.json"), init_net(NetConfig(input_dim=24))
         for level in range(1, 5):
@@ -671,6 +685,32 @@ def test_eval_checkpoint_mode(tmp_path, capsys):
     lines = pred_out.read_text().splitlines()
     assert lines[0] == PREDICTIONS_HEADER
     assert len(lines) == 7
+
+
+def test_eval_scores_its_own_pred_out_file_again(tmp_path, capsys):
+    rc, _, err, ckpt, _ = train_tiny(tmp_path, capsys)
+    assert rc == 0, err
+    val, preds = tmp_path / "val.csv", tmp_path / "p.csv"
+    m1, m2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
+    rc, out_1, err = run(
+        capsys, "eval", "--checkpoint", str(ckpt), "--data", str(val), "--out", str(m1),
+        "--pred-out", str(preds),
+    )
+    assert rc == 0, err
+    # --pred reads the file's *_pred columns and --truth its *_true columns.
+    rc, out_2, err = run(capsys, "eval", "--pred", str(preds), "--truth", str(preds),
+                         "--out", str(m2))
+    assert rc == 0, err
+    assert (out_2, m2.read_bytes()) == (out_1, m1.read_bytes())
+    # Against an annotation file, in another order, rows match by id.
+    angles = load_dataset(val).angles
+    truth = tmp_path / "truth.csv"
+    truth.write_text(format_annotation_csv([*map(str, range(len(angles)))][::-1], angles[::-1]))
+    rc, out, err = run(capsys, "eval", "--pred", str(preds), "--truth", str(truth))
+    assert rc == 0, err
+    _, pred = parse_annotation_csv(preds.read_text(), "pred")
+    assert out == cli._mae_table(mae(pred[::-1], angles[::-1])) + "\n"
+    assert mae(pred, angles).mean_mae > 0.0
 
 
 @pytest.mark.parametrize("convention", ["center", "edge"])

@@ -123,3 +123,18 @@ def test_predictions_csv_layout():
         format_predictions_csv(["s1", "s2"], np.zeros((1, 3)), np.zeros((1, 3)))
     with pytest.raises(ValueError, match=r"\(n, 3\)"):
         format_predictions_csv(["s1"], np.zeros((1, 2)), np.zeros((1, 2)))
+
+
+def test_predictions_csv_reads_back_as_either_side():
+    pred, truth = [[1.0, 2.0, 3.0], [-1.0, 0.5, 0.0]], [[1.1, 2.2, 3.3], [-0.9, 0.4, 0.1]]
+    text = format_predictions_csv(["s1", "s2"], np.array(pred), np.array(truth))
+    for side, angles in (("pred", pred), ("true", truth)):
+        ids, parsed = parse_annotation_csv(text, side)
+        assert (ids, parsed.tolist()) == ({"s1": 0, "s2": 1}, angles)
+    # An annotation CSV has one side: both read it alike.
+    annotations = format_annotation_csv(["s1"], np.array(pred[:1]))
+    assert parse_annotation_csv(annotations, "pred")[1].tolist() == pred[:1]
+    with pytest.raises(ParseError, match="line 2: expected 7 fields, found 4"):
+        parse_annotation_csv(f"{PREDICTIONS_HEADER}\ns1,1,2,3\n", "pred")
+    with pytest.raises(ValueError, match="side must be 'pred' or 'true', got 'truth'"):
+        parse_annotation_csv(text, "truth")
