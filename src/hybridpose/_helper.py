@@ -158,7 +158,9 @@ class Helper:
 
     def __init__(self, net: TinyNet, learning_rate: float, weights, rows: int):
         config, size = net.config, net.flat.size
-        self.levels, self.width = tinynet._trained_levels(weights)[1:], config.hidden_dims[-1]
+        self.levels = tinynet._trained_levels(weights)[1:]
+        # The heads read the last hidden layer, or the features if there is none.
+        self.width = (config.input_dim, *config.hidden_dims)[-1]
         # Adam's split, by measurement: this process, which also runs the trunk's
         # backward pass meanwhile, updates the first third of ``flat``, at least
         # the trunk, whose gradient is complete only after the coarse terms.

@@ -185,7 +185,7 @@ def bin_center(index: int, scheme: BinScheme) -> float:
     """Angle at the center of bin ``index``."""
     if not 0 <= index < scheme.n_bins:
         raise IndexError(f"bin index {index} out of range [0, {scheme.n_bins})")
-    return MIN_ANGLE + (index + 0.5) * scheme.bin_width
+    return float(decode_positions(scheme)[index])
 
 
 @functools.cache

@@ -37,7 +37,7 @@ import numpy as np
 
 from .angles import mae, rotation_to_euler
 from .binning import DECODE_CONVENTIONS, _check_in_range, _check_real, _cut, _float, _shown
-from .binning import make_hierarchy
+from .binning import _check_int, make_hierarchy
 from .data import (
     ParseError,
     _check_ids,
@@ -239,7 +239,13 @@ def _run_training(args: argparse.Namespace, train_samples, val_samples, seed: in
 
 
 def _load_training_data(args: argparse.Namespace) -> tuple[Dataset, Dataset]:
-    """The --train and --val datasets, checked before training: angles in range, same width."""
+    """The --train and --val datasets, checked before training: angles in range, same width.
+
+    The training flags are checked first, by flag name, before any file is read
+    (``ablate`` has already required at least 1 epoch)."""
+    _check_real("--lr", args.lr)
+    _check_int("--batch-size", args.batch_size, 1)
+    _check_int("--epochs", args.epochs, 0)
     train_samples, val_samples = load_dataset(args.train), load_dataset(args.val)
     for path, data in ((args.train, train_samples), (args.val, val_samples)):
         try:

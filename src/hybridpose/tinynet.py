@@ -96,7 +96,10 @@ ADAM_EPSILON = 1e-8
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Architecture, the master seed for init and shuffling, and the decode convention."""
+    """Architecture, the master seed for init and shuffling, and the decode convention.
+
+    ``hidden_dims`` may be empty: a net with no hidden layer has heads that read the features.
+    """
 
     input_dim: int
     hidden_dims: tuple[int, ...] = (64, 64)

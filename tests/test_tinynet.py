@@ -1,6 +1,5 @@
 import base64
 import json
-import math
 import os
 import time
 import tracemalloc
@@ -30,10 +29,9 @@ from hybridpose.tinynet import (
     _assert_finite_params,
     _first_nonfinite,
     _batch_loss_and_grads,
-    _checkpoint_chunks,
 )
 
-from helpers import fd_gradient, relative_error, row_logits
+from helpers import row_logits
 
 TOY = NetConfig(input_dim=4, hidden_dims=(8,), hierarchy=make_hierarchy((6, 2)), seed=0)
 
@@ -195,69 +193,6 @@ def test_predict_batch_agrees_with_per_row_predict():
         one = net.predict_batch(x[i : i + 1])[0]
         assert (net.predict(x[i]).as_array() == one).all()
         assert np.abs(batch[i] - one).max() < 1e-9
-
-
-def check_gradient_by_finite_differences(net, weights, x, targets, loss_tol=1e-12):
-    """The step's loss and its gradient in a fresh gradient net against the
-    scalar loss over rows and a central difference of each element of a
-    copy of ``net.flat``; returns the gradient net."""
-    hierarchy, convention = net.config.hierarchy, net.config.decode_convention
-    # keep every ReLU pre-activation away from its kink by more than the
-    # largest pre-activation shift an FD step of 1e-4 can cause
-    pre_acts, _ = net._forward_batch(x)
-    assert min(np.abs(z).min() for z in pre_acts) > 1e-3
-
-    grads = TinyNet(net.config)
-    stats = _batch_loss_and_grads(net, x, targets, weights, grads)
-    base = net.flat.copy()
-
-    def scalar_loss(flat):
-        net.flat[...] = flat
-        total = 0.0
-        for feats, truths in zip(x, targets):
-            for heads, truth in zip(row_logits(net, feats), truths):
-                total += hybrid_loss(heads, truth, weights, hierarchy, convention).total
-        net.flat[...] = base
-        return total / len(x)
-
-    assert abs(scalar_loss(base) - stats.total) < loss_tol
-    numeric = fd_gradient(scalar_loss, base, step=1e-4)
-    assert relative_error(grads.flat, numeric) < 1e-4
-    return grads
-
-
-@pytest.mark.parametrize(
-    "convention", ["center", "edge"], ids=["degrees-center", "degrees-edge"]
-)
-def test_batch_gradients_match_finite_differences(convention):
-    net = init_net(replace(TOY, decode_convention=convention))
-    x, targets = toy_batch()
-    check_gradient_by_finite_differences(net, LossWeights(alpha=1.5, betas=(2.0, 0.5)), x, targets)
-
-
-@pytest.mark.parametrize(
-    "alpha, betas, hidden_dims, convention",
-    [
-        (0.0, (2.0, 0.5, 1.0), (8,), "center"),
-        (1.5, (2.0, 0.5, 0.0), (8,), "center"),
-        (1.5, (2.0, 0.0, 1.0), (8,), "center"),
-        (1.5, (2.0, 0.0, 1.0), (8, 6), "center"),
-        (1.5, (2.0, 0.0, 1.0), (8, 6), "edge"),
-    ],
-    ids=["alpha-0", "last-beta-0", "middle-beta-0", "two-layers-center", "two-layers-edge"],
-)
-def test_zero_weight_gradients_match_finite_differences(alpha, betas, hidden_dims, convention):
-    # alpha 0 leaves out the regression term's gradient; a level of beta 0 is
-    # not run at all (_trained_levels), so its blocks stay +0.
-    net = init_net(replace(TOY, hidden_dims=hidden_dims, hierarchy=make_hierarchy((6, 3, 2)),
-                           decode_convention=convention))
-    x, targets = toy_batch()
-    # The row-by-row and batched sums of a loss near 7,000 may differ by a few ulps.
-    weights = LossWeights(alpha, betas)
-    grads = check_gradient_by_finite_differences(net, weights, x, targets, loss_tol=1e-11)
-    for level, beta in zip(grads.head_blocks, betas):
-        for g in level if beta == 0.0 else ():
-            assert g.tobytes() == bytes(g.nbytes)  # +0.0 throughout
 
 
 def test_batch_gradients_fill_the_given_views(monkeypatch):
@@ -468,58 +403,6 @@ def test_train_zero_epochs_returns_fresh_net():
     assert report.final_val is None
 
 
-def test_train_is_deterministic():
-    train_samples, val_samples = small_data()
-    config = NetConfig(input_dim=24, hidden_dims=(16,), seed=2)
-    net_a, rep_a = train(config, train_samples, val_samples, DEFAULT_WEIGHTS,
-                         epochs=3, batch_size=16)
-    net_b, rep_b = train(config, train_samples, val_samples, DEFAULT_WEIGHTS,
-                         epochs=3, batch_size=16)
-    assert checkpoint_text(net_a) == checkpoint_text(net_b)
-    assert rep_a.epoch_total == rep_b.epoch_total
-    assert [r.mean_mae for r in rep_a.val_reports] == [r.mean_mae for r in rep_b.val_reports]
-
-
-def forks_counted(monkeypatch) -> list:
-    """Patch ``os.fork`` to record each call in the calling process."""
-    forks, fork = [], os.fork
-
-    def counted():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-@pytest.mark.parametrize("bin_counts, betas", [
-    ((6,), (1.0,)),
-    ((6, 2), (2.0, 1.0)),
-    ((18, 6), (2.0, 0.0)),
-    ((66, 22, 2), (2.0, 0.0, 1.0)),
-    ((198,), (1.0,)),
-    ((2, 1), (2.0, 1.0)),
-])
-def test_train_with_a_helper_process_matches_one_process(monkeypatch, bin_counts, betas):
-    forks = forks_counted(monkeypatch)
-    train_samples, val_samples = small_data(n=60)
-    config = NetConfig(input_dim=24, hidden_dims=(16, 8), hierarchy=make_hierarchy(bin_counts))
-    runs = [
-        train(config, train_samples, val_samples, LossWeights(1.5, betas), epochs=3,
-              batch_size=20, jobs=jobs)
-        for jobs in (1, 2)
-    ]
-    # A one-level net has no coarse level for a helper to run.
-    assert len(forks) == (len(bin_counts) > 1)
-    (net_1, report_1), (net_2, report_2) = runs
-    assert net_1.flat.tobytes() == net_2.flat.tobytes()
-    # By repr, which shows a skipped level's nan cross-entropy, and nan != nan.
-    assert repr(replace(report_1, wall_seconds=0.0)) == repr(replace(report_2, wall_seconds=0.0))
-    assert [math.isnan(ce) for ce in report_1.epoch_ce_terms[-1]] == [b == 0.0 for b in betas]
-    with pytest.raises(ChildProcessError):  # the helper was reaped
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_train_leaves_the_coarse_levels_to_a_slow_helper(monkeypatch):
     # The helper takes a while over each step's coarse levels; this process waits for them.
     parent, level_terms, ran_here = os.getpid(), tinynet._level_terms, []
@@ -597,21 +480,6 @@ def test_train_validation_errors():
         train(config, outlier, val_samples, DEFAULT_WEIGHTS, epochs=1)
 
 
-def test_checkpoint_roundtrip_is_exact(tmp_path):
-    train_samples, val_samples = small_data()
-    config = NetConfig(input_dim=24, hidden_dims=(16,), seed=9)
-    net, _ = train(config, train_samples, val_samples, DEFAULT_WEIGHTS,
-                   epochs=2, batch_size=16)
-    path = tmp_path / "net.json"
-    path.write_text(checkpoint_text(net))
-    loaded = load_checkpoint(path)
-    assert isinstance(loaded, TinyNet)
-    assert loaded.config == net.config
-    assert (loaded.flat == net.flat).all()
-    assert checkpoint_text(loaded) == checkpoint_text(net)
-    assert checkpoint_text(net) == checkpoint_text(net)
-
-
 def test_checkpoint_roundtrip_keeps_every_bit_of_extreme_values(tmp_path):
     net = init_net(TOY)
     extremes = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -637,46 +505,6 @@ def test_load_checkpoint_decodes_arrays_without_python_floats(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * path.stat().st_size + net.flat.nbytes, peak
-
-
-def whole_checkpoint_text(net):
-    """The checkpoint as one document, built whole and serialized in one call."""
-    cfg = net.config
-    doc = {
-        "format": "hybridpose-checkpoint",
-        "version": 3,
-        "config": {
-            "input_dim": cfg.input_dim,
-            "hidden_dims": list(cfg.hidden_dims),
-            "seed": cfg.seed,
-            "decode_convention": cfg.decode_convention,
-            "hierarchy": {
-                "min_angle": -99.0,
-                "max_angle": 99.0,
-                "bin_counts": [s.n_bins for s in cfg.hierarchy.levels],
-            },
-        },
-        "flat": base64.b64encode(net.flat.astype("<f8").tobytes()).decode("ascii"),
-    }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
-
-
-@pytest.mark.parametrize("convention", ["center", "edge"])
-@pytest.mark.parametrize("bin_counts", [(198, 66, 18, 6, 2), (6, 2), (4,)])
-@pytest.mark.parametrize("hidden", [(8,), (16, 8, 4)])
-def test_streamed_checkpoint_equals_the_whole_document(hidden, bin_counts, convention,
-                                                       monkeypatch):
-    config = NetConfig(input_dim=5, hidden_dims=hidden, hierarchy=make_hierarchy(bin_counts),
-                       seed=2, decode_convention=convention)
-    net = init_net(config)
-    net.flat += np.random.default_rng(1).normal(scale=0.1, size=net.flat.size)
-    # The header, one piece per slice of flat's bytes, and the closing quote
-    # and brace; slices of 3 parameters exercise the joins at every size.
-    for piece_bytes in (tinynet.CHECKPOINT_PIECE_BYTES, 24):
-        monkeypatch.setattr(tinynet, "CHECKPOINT_PIECE_BYTES", piece_bytes)
-        chunks = list(_checkpoint_chunks(net))
-        assert len(chunks) == 1 + -(-net.flat.nbytes // piece_bytes) + 1
-        assert "".join(chunks) == checkpoint_text(net) == whole_checkpoint_text(net)
 
 
 def test_checkpoint_stores_the_decode_convention(tmp_path):
