@@ -246,6 +246,8 @@ def _load_training_data(args: argparse.Namespace) -> tuple[Dataset, Dataset]:
     _check_real("--lr", args.lr)
     _check_int("--batch-size", args.batch_size, 1)
     _check_int("--epochs", args.epochs, 0)
+    if min(args.hidden) < 1:
+        raise ValueError(f"--hidden widths must be positive, got {_show(args.hidden)}")
     train_samples, val_samples = load_dataset(args.train), load_dataset(args.val)
     for path, data in ((args.train, train_samples), (args.val, val_samples)):
         try:
@@ -469,7 +471,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_parse_biwi(args: argparse.Namespace) -> int:
     # Checked once here: each file's rejection would only skip that file.
-    _check_real("tol", args.tol)
+    _check_real("--tol", args.tol)
     directory = Path(args.dir)
     if not directory.is_dir():
         raise ValueError(f"not a directory: {directory}")

@@ -57,19 +57,8 @@ class LossBreakdown:
     decoded_angle: float
 
 
-def softmax(logits) -> np.ndarray:
-    """Numerically stable softmax of a logit vector; kept, unexported, because
-    the benchmark's tracer wraps ``tinynet.softmax`` by name."""
-    z = np.asarray(logits, dtype=float)
-    if z.ndim != 1 or z.shape[0] < 1:
-        raise ValueError(f"logits must be a nonempty vector, got shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("logits contain non-finite entries")
-    return _softmax(z)
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """``softmax`` of an already checked float vector."""
+    """Numerically stable softmax of a finite float vector."""
     shifted = z - z.max()
     e = np.exp(shifted)
     return e / e.sum()

@@ -72,21 +72,6 @@ def test_synth_is_byte_deterministic(tmp_path, capsys):
     assert a_val.read_bytes() == b_val.read_bytes()
 
 
-def test_synth_rejects_out_of_range_angles(tmp_path, capsys):
-    rc, _, err = run(
-        capsys, "synth", "--yaw-range", "0,120",
-        "--out-train", str(tmp_path / "t"), "--out-val", str(tmp_path / "v"),
-    )
-    assert rc == 1
-    assert "yaw" in err
-
-
-def test_synth_requires_output_paths(tmp_path, capsys):
-    rc, _, err = run(capsys, "synth", "--out-val", str(tmp_path / "v"))
-    assert rc == 1
-    assert "--out-train" in err
-
-
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text(
@@ -101,83 +86,6 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
     direct_train, _ = make_split(tmp_path / "direct", capsys, n=12, seed=4)
     assert (tmp_path / "c_train.csv").read_bytes() == direct_train.read_bytes()
-
-
-def test_config_file_syntax_error(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("this line has no equals sign\n")
-    rc, _, err = run(capsys, "synth", "--config", str(cfg))
-    assert rc == 1
-    assert f"{cfg}: line 1: expected 'key = value'" in err
-    # An undecodable byte fails at its line, naming the file.
-    cfg.write_bytes(b"seed = 1\n\xff\n")
-    rc, _, err = run(capsys, "synth", "--config", str(cfg))
-    assert rc == 1
-    assert f"{cfg}: line 2: expected 'key = value', got '\\udcff'" in err
-
-
-def test_config_file_rejects_duplicate_keys(tmp_path, capsys):
-    cfg = tmp_path / "synth.cfg"
-    out_train, out_val = tmp_path / "t.csv", tmp_path / "v.csv"
-    cfg.write_text(f"seed = 1\nout-train = {out_train}\nout_val = {out_val}\nseed = 2\n")
-    rc, _, err = run(capsys, "synth", "--config", str(cfg))
-    assert rc == 1
-    assert f"{cfg}: line 4: duplicate key 'seed' (first on line 1)" in err
-    assert not out_train.exists() and not out_val.exists()
-    cfg.write_text(f"out_train = {out_train}\nout-train = {out_train}\n")
-    rc, _, err = run(capsys, "synth", "--config", str(cfg))
-    assert rc == 1
-    assert f"{cfg}: line 2: duplicate key 'out_train' (first on line 1)" in err
-
-
-def test_config_file_rejects_unknown_keys(tmp_path, capsys):
-    train, val = make_split(tmp_path, capsys, n=30)
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text(f"train = {train}\nval = {val}\nepoch = 1\nhiden = 8\n")
-    ckpt = tmp_path / "net.json"
-    rc, _, err = run(capsys, "train", "--config", str(cfg), "--checkpoint-out", str(ckpt))
-    assert rc == 1
-    assert f"{cfg}: line 3: unknown option 'epoch' for train" in err
-    assert not ckpt.exists()
-    # Not options of train: argparse bookkeeping, and an option of ablate only.
-    for key in ("config", "command", "func", "seeds"):
-        cfg.write_text(f"# comment\n{key} = x\n")
-        rc, _, err = run(capsys, "train", "--config", str(cfg))
-        assert rc == 1
-        assert f"{cfg}: line 2: unknown option {key!r} for train" in err
-    cfg.write_text(f"train = {train}\nval = {val}\nepochs = many\n")
-    rc, _, err = run(capsys, "train", "--config", str(cfg), "--checkpoint-out", str(ckpt))
-    assert rc == 1
-    assert f"{cfg}: line 3: config value epochs = 'many'" in err
-
-
-def test_config_value_outside_choices_names_file_and_line(tmp_path, capsys):
-    train, val = make_split(tmp_path, capsys, n=30)
-    ckpt = tmp_path / "net.json"
-    ckpt.write_text(checkpoint_text(init_net(NetConfig(input_dim=24, hidden_dims=(8,), seed=0))))
-    grid = tmp_path / "grid.txt"
-    grid.write_text("2,7,5,3,1,1\n")
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# decoding\ndecode-convention = middle\n")
-    for argv in (
-        ["train", "--train", str(train), "--val", str(val), "--epochs", "1", "--hidden", "8",
-         "--checkpoint-out", str(tmp_path / "out.json")],
-        ["ablate", "--train", str(train), "--val", str(val), "--grid-file", str(grid),
-         "--seeds", "0", "--epochs", "1", "--hidden", "8"],
-    ):
-        rc, out, err = run(capsys, *argv, "--config", str(cfg))
-        assert rc == 1
-        assert (
-            f"error: {cfg}: line 2: config value decode_convention = 'middle': "
-            "invalid choice (choose from 'center', 'edge')"
-        ) in err
-        assert out == "" and "median val MAE" not in err
-    assert not (tmp_path / "out.json").exists()
-    # The checkpoint carries the convention, so eval has no such option.
-    rc, out, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(val),
-                       "--config", str(cfg))
-    assert rc == 1 and out == ""
-    assert f"error: {cfg}: line 2: unknown option 'decode_convention' for eval" in err
 
 
 def _sample_text(option):
@@ -591,48 +499,6 @@ def test_eval_reports_mean_of_per_angle_errors(tmp_path, capsys):
     assert lines[1].endswith(",1")
 
 
-def test_eval_id_mismatch_fails_without_output(tmp_path, capsys):
-    pred = tmp_path / "pred.csv"
-    truth = tmp_path / "truth.csv"
-    write_csv(pred, ["a,1,2,3"])
-    write_csv(truth, ["b,1,2,3"])
-    out_file = tmp_path / "metrics.csv"
-    rc, _, err = run(
-        capsys, "eval", "--pred", str(pred), "--truth", str(truth), "--out", str(out_file),
-    )
-    assert rc == 1
-    assert "id mismatch" in err
-    assert "a" in err and "b" in err
-    assert not out_file.exists()
-
-
-def test_eval_header_only_annotations_name_the_file(tmp_path, capsys):
-    pred, truth, empty = tmp_path / "pred.csv", tmp_path / "truth.csv", tmp_path / "empty.csv"
-    write_csv(pred, ["a,1,2,3"])
-    write_csv(truth, ["a,1,2,3"])
-    write_csv(empty, ["", "  "])
-    for argv in [("--pred", empty, "--truth", truth), ("--pred", pred, "--truth", empty)]:
-        rc, out, err = run(capsys, "eval", *map(str, argv))
-        assert (rc, out, err) == (1, "", f"error: {empty}: no annotation rows\n")
-
-
-def test_eval_parse_errors_name_the_file(tmp_path, capsys):
-    good = tmp_path / "good.csv"
-    bad = tmp_path / "bad.csv"
-    write_csv(good, ["a,1,2,3"])
-    write_csv(bad, ["a,1,2"])
-    for pred, truth in ((bad, good), (good, bad)):
-        rc, _, err = run(capsys, "eval", "--pred", str(pred), "--truth", str(truth))
-        assert rc == 1
-        assert f"error: {bad}: line 2: expected 4 fields, found 3" in err
-    undecodable = tmp_path / "undecodable.csv"
-    undecodable.write_bytes(b"id,yaw,pitch,roll\na,1,2,\xff\n")
-    for pred, truth in ((undecodable, good), (good, undecodable)):
-        rc, _, err = run(capsys, "eval", "--pred", str(pred), "--truth", str(truth))
-        assert rc == 1
-        assert f"error: {undecodable}: line 2: could not convert string to float" in err
-
-
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_eval_reads_annotations_in_the_lines_their_text_splits_into(tmp_path, capsys, newline):
     # eval parses each file as it reads it, split wherever str.splitlines
@@ -725,53 +591,6 @@ def test_eval_mae_equals_train_final_val_mae(tmp_path, capsys, convention):
     assert dict(zip(header.split(","), row.split(",")))["mean_mae"] == train_mae
 
 
-def test_eval_rejects_feature_length_mismatch(tmp_path, capsys):
-    rc, _, err, ckpt, _ = train_tiny(tmp_path, capsys)
-    assert rc == 0, err
-    short = tmp_path / "short.csv"
-    short.write_text("".join(
-        ",".join(line.split(",")[2:]) + "\n"
-        for line in (tmp_path / "val.csv").read_text().splitlines()
-    ))
-    preds = tmp_path / "preds.csv"
-    rc, out, err = run(
-        capsys, "eval", "--checkpoint", str(ckpt), "--data", str(short), "--pred-out", str(preds),
-    )
-    assert (rc, out) == (1, "")
-    assert err == f"error: {short}: expected feature vector of length 24, got shape (6, 22)\n"
-    assert not preds.exists()
-
-
-@pytest.mark.parametrize("command", ["train", "ablate"])
-def test_training_data_errors_name_the_file_before_any_work(tmp_path, capsys, monkeypatch, command):
-    counts = _record_worker_counts(monkeypatch)
-    train, val = make_split(tmp_path, capsys, n=30)
-    data = load_dataset(train)
-    short = tmp_path / "short.csv"
-    short.write_text(format_dataset(Dataset(data.features[:, 2:], data.angles)))
-    angles = data.angles.copy()
-    angles[3, 1] = 120.0
-    outlier = tmp_path / "outlier.csv"
-    outlier.write_text(format_dataset(Dataset(data.features, angles)))
-    lines = train.read_bytes().splitlines(keepends=True)
-    undecodable = tmp_path / "undecodable.csv"
-    undecodable.write_bytes(b"".join([lines[0], b"\xff" + lines[1][1:], *lines[2:]]))
-    ckpt = tmp_path / "net.json"
-    extra = ["--checkpoint-out", str(ckpt)] if command == "train" else []
-    for train_file, val_file, message in [
-        (train, short, f"{short}: rows have 22 features, {train} has 24"),
-        (outlier, val, f"{outlier}: angle 120.0 outside bin range [-99.0, 99.0]"),
-        (train, outlier, f"{outlier}: angle 120.0 outside bin range [-99.0, 99.0]"),
-        (train, undecodable, f"{undecodable}: line 2: non-numeric field"),
-    ]:
-        rc, out, err = run(
-            capsys, command, "--train", str(train_file), "--val", str(val_file), *extra,
-        )
-        assert (rc, out, err) == (1, "", f"error: {message}\n")
-    assert counts == []
-    assert not ckpt.exists()
-
-
 def write_eval_inputs(tmp_path, n, seed=0):
     """A random net's checkpoint and an n-row dataset file of random rows."""
     tmp_path.mkdir(parents=True, exist_ok=True)
@@ -804,20 +623,6 @@ def test_eval_over_several_blocks_matches_the_whole_file_oracle(tmp_path, capsys
     report = mae(pred, whole.angles)
     assert metrics.read_text() == cli._metrics_csv(report)
     assert out == cli._mae_table(report) + "\n"
-
-
-def test_eval_bad_line_in_a_late_block_leaves_no_output(tmp_path, capsys):
-    ckpt, data = write_eval_inputs(tmp_path, 1300)
-    lines = data.read_text().splitlines()
-    lines[1100] = lines[1100].replace(",", ";", 1)  # row 1101, in the third block
-    data.write_text("\n".join(lines) + "\n")
-    rc, _, err = run(
-        capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
-        "--out", str(tmp_path / "metrics.csv"), "--pred-out", str(tmp_path / "preds.csv"),
-    )
-    assert rc == 1
-    assert err == f"error: {data}: line 1101: expected 27 fields, got 26\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == [data.name, ckpt.name]
 
 
 def test_eval_output_does_not_depend_on_worker_count(tmp_path, capsys, monkeypatch):
@@ -1010,55 +815,6 @@ def test_write_atomic_failure_leaves_no_files(tmp_path):
     assert sorted(tmp_path.iterdir()) == [directory, target]
 
 
-def test_output_path_that_is_a_directory_fails_naming_it(tmp_path, capsys, monkeypatch):
-    data_dir = tmp_path / "data"
-    train, val = make_split(data_dir, capsys, n=30)
-    ckpt, data = write_eval_inputs(data_dir, 1300)
-    (data_dir / "poses").mkdir()
-    out = tmp_path / "out"
-    out.mkdir()
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work ran before the output paths were checked")
-
-    for owner, name in [(cli, "make_dataset"), (cli, "load_dataset"), (cli, "train"),
-                        (cli, "load_checkpoint"), (cli, "_frame_lines"),
-                        (tinynet.TinyNet, "_decode_block")]:
-        monkeypatch.setattr(owner, name, no_work)
-    training = ["--train", str(train), "--val", str(val), "--epochs", "1"]
-    for argv in [
-        ["synth", "--out-train", str(tmp_path / "t.csv"), "--out-val", str(out)],
-        ["train", *training, "--checkpoint-out", str(out)],
-        ["train", *training, "--checkpoint-out", str(tmp_path / "n.json"),
-         "--report-out", str(out)],
-        ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--pred-out", str(out)],
-        ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)],
-        ["ablate", *training, "--seeds", "0", "--out", str(out)],
-        ["parse-biwi", "--dir", str(data_dir / "poses"), "--out", str(out)],
-    ]:
-        rc, stdout, err = run(capsys, *argv)
-        assert (rc, stdout, err) == (1, "", f"error: [Errno 21] Is a directory: '{out}'\n"), argv
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "out"]
-
-
-def test_two_output_flags_naming_one_file_fail_naming_both(tmp_path, capsys, monkeypatch):
-    train, val = make_split(tmp_path / "data", capsys, n=30)
-    ckpt, data = write_eval_inputs(tmp_path / "data", 3)
-    monkeypatch.chdir(tmp_path)
-    for argv, flags in [
-        (["synth", "--out-train", "a.csv", "--out-val", "a.csv"], "--out-train and --out-val"),
-        (["train", "--train", str(train), "--val", str(val), "--epochs", "1",
-          "--checkpoint-out", "a.csv", "--report-out", "./a.csv"],
-         "--checkpoint-out and --report-out"),
-        (["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", "a.csv",
-          "--pred-out", str(tmp_path / "a.csv")], "--out and --pred-out"),
-    ]:
-        rc, out, err = run(capsys, *argv)
-        assert (rc, out) == (1, ""), argv
-        assert err == f"error: {flags} name the same file: {argv[-1]}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
-
-
 # argv run in a directory of valid inputs, the input flag and the output flag
 # that name one file, which the output's write would replace.
 SAME_FILE_CASES = [
@@ -1099,34 +855,6 @@ def test_an_output_flag_naming_an_input_file_fails_before_any_work(
     assert (rc, out) == (1, "")
     assert err == f"error: {input_flag} and {output_flag} name the same file: {path}\n"
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-
-
-def test_eval_requires_one_mode(tmp_path, capsys):
-    rc, _, err = run(capsys, "eval")
-    assert rc == 1
-    assert "provide either" in err
-    # A flag of the other mode fails by name, before any file is read.
-    pred, ckpt, data = ("--pred", "p.csv"), ("--checkpoint", "c.json"), ("--data", "d.csv")
-    truth, pred_out = ("--truth", "t.csv"), ("--pred-out", str(tmp_path / "o.csv"))
-    for flags, message in [
-        ((*pred, *ckpt, *data), "eval from --checkpoint and --data takes no --pred"),
-        ((*truth, *ckpt, *data), "eval from --checkpoint and --data takes no --truth"),
-        ((*pred, *truth, *ckpt, *data),
-         "eval from --pred and --truth takes no --checkpoint or --data"),
-        ((*pred, *truth, *pred_out), "eval from --pred and --truth takes no --pred-out"),
-    ]:
-        rc, out, err = run(capsys, "eval", *flags)
-        assert (rc, out) == (1, "")
-        assert err == f"error: {message}\n"
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_eval_rejects_a_deeply_nested_checkpoint(tmp_path, capsys):
-    ckpt, data = write_eval_inputs(tmp_path, 3)
-    ckpt.write_text("[" * 100_000 + "]" * 100_000)
-    rc, out, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data))
-    assert (rc, out) == (1, "")
-    assert err.startswith(f"error: {ckpt}: not a valid checkpoint: ") and err.count("\n") == 1, err
 
 
 def huge_checkpoint(tmp_path):
@@ -1186,148 +914,6 @@ def test_ablate_with_grid_file(tmp_path, capsys):
     assert lines[0].endswith("median_val_mean_mae,best")
     assert len(lines) == 2
     assert lines[1].endswith(",1")
-
-
-def test_ablate_rejects_empty_grid(tmp_path, capsys):
-    train, val = make_split(tmp_path, capsys, n=30)
-    grid = tmp_path / "grid.txt"
-    grid.write_text("# nothing here\n\n   \n")
-    rc, _, err = run(
-        capsys, "ablate", "--train", str(train), "--val", str(val),
-        "--grid-file", str(grid),
-    )
-    assert rc == 1
-    assert err == f"error: {grid}: no weight rows\n"
-
-
-def test_ablate_rejects_malformed_grid_row(tmp_path, capsys):
-    train, val = make_split(tmp_path, capsys, n=30)
-    grid = tmp_path / "grid.txt"
-    grid.write_text("1,2,3\n")
-    rc, _, err = run(
-        capsys, "ablate", "--train", str(train), "--val", str(val),
-        "--grid-file", str(grid),
-    )
-    assert rc == 1
-    assert f"{grid}: line 1: expected 6 comma-separated weights" in err
-    grid.write_text("# alpha, betas\n2,7,5,x,1,1\n")
-    rc, _, err = run(
-        capsys, "ablate", "--train", str(train), "--val", str(val),
-        "--grid-file", str(grid),
-    )
-    assert rc == 1
-    assert f"{grid}: line 2: could not convert" in err
-    # An undecodable byte fails at its line.
-    grid.write_bytes(b"2,7,5,3,1,1\n2,7,\xff,3,1,1\n")
-    rc, _, err = run(
-        capsys, "ablate", "--train", str(train), "--val", str(val),
-        "--grid-file", str(grid),
-    )
-    assert rc == 1
-    assert f"{grid}: line 2: could not convert string to float" in err
-    # A bad weight in a later row fails before the first row trains.
-    grid.write_text("2,7,5,3,1,1\n2,7,5,3,1,-1\n")
-    rc, _, err = run(
-        capsys, "ablate", "--train", str(train), "--val", str(val),
-        "--grid-file", str(grid), "--epochs", "1", "--hidden", "8", "--seeds", "0",
-    )
-    assert rc == 1
-    assert f"{grid}: line 2: betas[4] must be finite and nonnegative, got -1.0" in err
-    assert "median val MAE" not in err
-
-
-def test_ablate_checks_the_grid_before_a_missing_dataset(tmp_path, capsys):
-    grid = tmp_path / "grid.txt"
-    grid.write_text("1,2,3\n")
-    rc, _, err = run(
-        capsys, "ablate", "--train", str(tmp_path / "missing.csv"),
-        "--val", str(tmp_path / "missing.csv"), "--grid-file", str(grid),
-    )
-    assert (rc, err) == (
-        1, f"error: {grid}: line 1: expected 6 comma-separated weights (alpha then 5 betas), "
-        "got 3\n",
-    )
-
-
-def test_ablate_checks_the_grid_before_parsing_a_dataset(tmp_path, capsys, monkeypatch):
-    train, val = make_split(tmp_path, capsys, n=30)
-    grid = tmp_path / "grid.txt"
-    grid.write_text("2,7,5,3,1,1\n2,7,5,3,1,-1\n")
-    parsed = []
-    monkeypatch.setattr(cli, "load_dataset", lambda path: parsed.append(path))
-    rc, _, err = run(
-        capsys, "ablate", "--train", str(train), "--val", str(val), "--grid-file", str(grid),
-    )
-    assert (rc, err) == (
-        1, f"error: {grid}: line 2: betas[4] must be finite and nonnegative, got -1.0\n"
-    )
-    assert parsed == []
-
-
-@pytest.mark.parametrize("seeds, message", [
-    ("0,-1", "--seeds must be nonnegative, got 0,-1"),
-    ("0,0", "--seeds must not repeat a seed, got 0,0"),
-    ("3,1,3", "--seeds must not repeat a seed, got 3,1,3"),
-])
-def test_ablate_checks_seeds_before_any_work(tmp_path, capsys, monkeypatch, seeds, message):
-    counts = _record_worker_counts(monkeypatch)
-    # The data files do not exist: the seeds fail before they are read.
-    rc, out, err = run(
-        capsys, "ablate", "--train", str(tmp_path / "t.csv"), "--val", str(tmp_path / "v.csv"),
-        "--seeds", seeds,
-    )
-    assert (rc, out, err) == (1, "", f"error: {message}\n")
-    assert counts == []
-
-
-def test_ablate_checks_epochs_before_any_work(tmp_path, capsys, monkeypatch):
-    counts = _record_worker_counts(monkeypatch)
-    # The data files do not exist: zero epochs fail before they are read.
-    rc, out, err = run(
-        capsys, "ablate", "--train", str(tmp_path / "t.csv"), "--val", str(tmp_path / "v.csv"),
-        "--epochs", "0",
-    )
-    assert (rc, out, err) == (1, "", "error: ablate needs at least 1 epoch\n")
-    assert counts == []
-
-
-@pytest.mark.parametrize("epochs", ["0", "1"])
-def test_train_checks_the_betas_count_before_any_work(tmp_path, capsys, monkeypatch, epochs):
-    train, val = make_split(tmp_path, capsys)
-    reads, forks, load = [], [], cli.load_dataset
-
-    def no_fork():
-        forks.append(1)
-        raise OSError("no fork here")
-
-    monkeypatch.setattr(cli, "load_dataset", lambda path: reads.append(path) or load(path))
-    monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    ckpt = tmp_path / "net.json"
-    rc, out, err = run(
-        capsys, "train", "--train", str(train), "--val", str(val), "--epochs", epochs,
-        "--betas", "1,2", "--checkpoint-out", str(ckpt),
-    )
-    assert (rc, out, err) == (1, "", "error: --betas takes 5 weights, one per level, got 1,2\n")
-    assert reads == forks == [] and not ckpt.exists()
-
-
-@pytest.mark.parametrize("argv, message", [
-    ("train --lr -1", "--lr must be finite and nonnegative, got -1.0"),
-    ("train --lr nan", "--lr must be finite and nonnegative, got nan"),
-    ("train --batch-size 0", "--batch-size must be a positive integer, got 0"),
-    ("train --epochs -1", "--epochs must be a nonnegative integer, got -1"),
-    ("ablate --lr inf", "--lr must be finite and nonnegative, got inf"),
-    ("ablate --batch-size -3", "--batch-size must be a positive integer, got -3"),
-], ids=["train-lr", "train-lr-nan", "train-batch-size", "train-epochs", "ablate-lr",
-        "ablate-batch-size"])
-def test_training_flags_fail_by_name_before_any_file_is_read(tmp_path, capsys, argv, message):
-    # The data files do not exist: the flag fails before they are read.
-    command, *flag = argv.split()
-    out_flag = ["--checkpoint-out", str(tmp_path / "net.json")] if command == "train" else []
-    rc, out, err = run(capsys, command, "--train", str(tmp_path / "t.csv"),
-                       "--val", str(tmp_path / "v.csv"), *out_flag, *flag)
-    assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
 def _record_worker_counts(monkeypatch, in_this_process=False):
@@ -1558,47 +1144,6 @@ def test_parse_biwi_skips_ids_that_cannot_round_trip(tmp_path, capsys):
     # What parse-biwi writes, eval reads back.
     rc, _, err = run(capsys, "eval", "--pred", str(out), "--truth", str(out))
     assert rc == 0, err
-
-
-@pytest.mark.parametrize("names", [(), ("a.txt", "b.txt")])
-def test_parse_biwi_that_parses_no_file_fails(tmp_path, capsys, names):
-    # An empty directory, or one whose every file is rejected: eval would
-    # reject an annotation file of no rows, so none is written.
-    poses = tmp_path / "poses"
-    poses.mkdir()
-    for name in names:
-        (poses / name).write_text("1 0 0\nnot a matrix\n")
-    out = tmp_path / "annotations.csv"
-    rc, stdout, err = run(capsys, "parse-biwi", "--dir", str(poses), "--out", str(out))
-    assert (rc, stdout) == (1, "")
-    assert err.splitlines()[len(names):] == [
-        f"error: {poses}: no file matching '*.txt' parsed, rejected {len(names)}"
-    ]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-def test_parse_biwi_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tmp_path, capsys, tol):
-    poses = tmp_path / "poses"
-    poses.mkdir()
-    # With tol nan, the scaled matrix and the reflection used to parse.
-    for name, matrix in [("a", "1 0 0\n0 1 0\n0 0 1"), ("b", "2 0 0\n0 1 0\n0 0 1"),
-                         ("c", "1 0 0\n0 1 0\n0 0 -1")]:
-        (poses / f"{name}.txt").write_text(f"{matrix}\n\n0 0 0\n")
-    out = tmp_path / "annotations.csv"
-    rc, stdout, err = run(capsys, "parse-biwi", "--dir", str(poses), "--out", str(out),
-                          f"--tol={tol}")
-    assert (rc, stdout) == (1, "")
-    assert err == f"error: tol must be finite and nonnegative, got {float(tol)!r}\n"
-    assert not out.exists()
-
-
-def test_parse_biwi_requires_directory(tmp_path, capsys):
-    rc, _, err = run(
-        capsys, "parse-biwi", "--dir", str(tmp_path / "missing"), "--out", str(tmp_path / "o"),
-    )
-    assert rc == 1
-    assert "not a directory" in err
 
 
 def test_every_csv_output_reads_back_as_numbers(tmp_path, capsys):

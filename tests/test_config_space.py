@@ -149,7 +149,7 @@ def check_gradient_by_finite_differences(net, weights, x, targets, coords):
 
     # The row-by-row and batched sums of the loss may differ by a few ulps
     # (up to 5 over 900 random nets of up to 40 rows).
-    assert abs(scalar_loss(base[coords]) - stats.total) < 1e-11
+    assert abs(scalar_loss(base[coords]) - stats.total) <= 8 * np.spacing(stats.total)
     numeric = fd_gradient(scalar_loss, base[coords], step=1e-4)
     assert relative_error(grads.flat[coords], numeric) < 1e-4
 
@@ -246,9 +246,7 @@ def cases(draw):
         seed=draw(st.integers(0, 2**16)),
         decode_convention=draw(st.sampled_from(DECODE_CONVENTIONS)),
     )
-    # An alpha of at most 1/8 keeps the mean loss below 2**14, where the FD
-    # check's 1e-11 is 5 ulps: a row's regression term is at most 3 * 198**2.
-    alpha = draw(st.sampled_from([0.125, 0.0]))
+    alpha = draw(st.sampled_from([2.0, 0.125, 0.0]))
     betas = tuple(draw(st.sampled_from([0.0, 0.5, 2.0])) for _ in range(depth))
     rows = draw(st.integers(5, 40))
     batch_size = draw(st.integers(1, rows) | st.just(rows + 1))
@@ -259,7 +257,7 @@ def cases(draw):
 @given(case=cases())
 @example(case=(replace(CANONICAL, decode_convention="edge"),
                LossWeights(0.0, (3.0, 0.0, 2.0, 1.0, 0.5)), 1, 1, 2))
-@example(case=(CANONICAL, LossWeights(0.125, (7.0, 5.0, 3.0, 1.0, 1.0)), 64, 20, 1))
+@example(case=(CANONICAL, LossWeights(), 64, 20, 1))
 def test_every_config_steps_trains_and_round_trips_bit_for_bit(case, tmp_path_factory):
     config, weights, rows, batch_size, epochs = case
     rng = np.random.default_rng(config.seed)

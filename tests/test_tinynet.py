@@ -10,7 +10,7 @@ import pytest
 
 from hybridpose import tinynet
 from hybridpose.binning import decode_positions, expect_decode, make_hierarchy
-from hybridpose.loss import DEFAULT_WEIGHTS, LossWeights, _softmax_inplace, hybrid_loss, softmax
+from hybridpose.loss import DEFAULT_WEIGHTS, LossWeights, _softmax, _softmax_inplace, hybrid_loss
 from hybridpose.synth import Dataset, SynthConfig, make_dataset
 from hybridpose.tinynet import (
     ADAM_BETA1,
@@ -127,7 +127,7 @@ def test_predict_agrees_with_head_logits_plus_decode():
     for i in range(6):
         pose = net.predict(x[i])
         for j, levels in enumerate(row_logits(net, x[i])):
-            decoded = expect_decode(softmax(levels[0]), finest)
+            decoded = expect_decode(_softmax(levels[0]), finest)
             assert abs(pose.as_array()[j] - decoded) < 1e-12
             assert abs(batch[i, j] - decoded) < 1e-9
 
